@@ -39,9 +39,10 @@ from .reporting import default_output_dir, report_document, write_csv, write_jso
 from .sampler import (
     asymptotic_variance_estimate,
     clt_variance_bound,
-    empirical_tail,
+    empirical_tails,
     run_chain,
     scan_operator,
+    scan_rho,
 )
 
 GAP_POSITIVE_TOL = 1e-9
@@ -249,18 +250,15 @@ def cmd_sample(args) -> int:
     all_pass = True
     for scan in scans:
         op = scan_operator(pi, scan, state_cap=args.state_cap)
-        rho = (l2_norm_centered(op) if isinstance(scan, RandomScan)
-               else spectral_radius_centered(op))
+        rho = scan_rho(scan, op)
         trace = run_chain(pi, scan, args.n, seed=args.seed)
         est, se = asymptotic_variance_estimate(trace, f)
         bound = clt_variance_bound(rho, f, pi)
         clt_pass = bool(est <= bound + 3.0 * se)
-        tails = []
-        for n in args.n_grid:
-            for eps in args.eps_grid:
-                t = empirical_tail(pi, scan, f, n, eps, args.replicas, seed=args.seed)
-                tails.append({"n": t.n, "eps": t.eps, "frequency": t.frequency,
-                              "bound": t.bound, "std_error": t.std_error, "pass": t.passed})
+        tails = [{"n": t.n, "eps": t.eps, "frequency": t.frequency,
+                  "bound": t.bound, "std_error": t.std_error, "pass": t.passed}
+                 for t in empirical_tails(pi, scan, f, args.n_grid, args.eps_grid,
+                                          args.replicas, seed=args.seed)]
         panel_pass = clt_pass and all(t["pass"] for t in tails)
         all_pass = all_pass and panel_pass
         panels.append({

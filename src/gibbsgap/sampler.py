@@ -6,11 +6,18 @@ deterministic scan, one record per single-coordinate update for a random
 scan.  Replicas derive independent streams from one root seed via
 numpy's SeedSequence spawning, so parallel or serial execution gives
 identical results.
+
+A scan's whole tail grid comes from one simulation of ``replicas`` chains
+over the longest horizon: shorter horizons are prefixes of it, and every
+threshold eps is checked against the same partial sums.  The results are
+identical to one run per (n, eps) point from the same seed.
 """
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Callable, Sequence, Union
+from itertools import cycle
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -22,9 +29,15 @@ from .operators import (
     RandomScan,
     ScanSpec,
     dsg,
+    l2_norm_centered,
     rsg,
     small_step,
+    spectral_radius_centered,
 )
+
+#: Uniforms drawn per rng call in run_chain; the stream equals one scalar
+#: draw per step, and memory stays flat in n.
+_UNIFORM_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -64,9 +77,58 @@ def scan_operator(pi: TargetDistribution, scan: ScanSpec, **kw) -> MarkovOperato
     raise ValidationError("unknown scan spec %r" % (scan,))
 
 
-def _step_many(cum_kernel: np.ndarray, states: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Advance a vector of chains one step using inverse-cdf sampling."""
-    return (u[:, None] > cum_kernel[states]).sum(axis=1)
+def scan_rho(scan: ScanSpec, op: MarkovOperator) -> float:
+    """The contraction rate in a scan's CLT and tail bounds: the exact norm
+    ||RSG - Pi|| for a random scan, the spectral radius of DSG - Pi for a
+    deterministic one."""
+    if isinstance(scan, RandomScan):
+        return l2_norm_centered(op)
+    return spectral_radius_centered(op)
+
+
+def cumulative_table(kernel: np.ndarray) -> np.ndarray:
+    """Row-wise cumulative kernel for inverse-cdf sampling.
+
+    np.cumsum rows can end a few ulps below 1, and a uniform draw above the
+    last entry would pick state n_states (out of range) or a trailing
+    zero-probability state.  Each row is therefore exactly 1.0 from its last
+    positive-probability column onward; draws below that are unchanged.
+    """
+    kernel = np.asarray(kernel, dtype=float)
+    cum = np.cumsum(kernel, axis=1)
+    cols = kernel.shape[1]
+    last = cols - 1 - np.argmax(kernel[:, ::-1] > 0.0, axis=1)
+    cum[np.arange(cols)[None, :] >= last[:, None]] = 1.0
+    return cum
+
+
+def _step_many(cum_t: np.ndarray, states: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Advance a vector of chains one step by inverse-cdf sampling.
+
+    cum_t is the transposed cumulative table: column x is the cdf of row x.
+    """
+    return np.add.reduce(u > np.take(cum_t, states, axis=1), axis=0, dtype=np.intp)
+
+
+def _rows(kernel: np.ndarray) -> list[memoryview]:
+    """The rows of cumulative_table(kernel) as memoryviews, which bisect can
+    search without copying them (Python-list rows would take four times the
+    memory of the array)."""
+    return [memoryview(row) for row in cumulative_table(kernel)]
+
+
+def _walk(tables: Sequence[list], x: int, n: int, rng: np.random.Generator) -> np.ndarray:
+    """n inverse-cdf steps from x, cycling through the tables (lists of
+    cumulative rows); one uniform per step, drawn in blocks."""
+    states = np.empty(n, dtype=np.int64)
+    rows = cycle(tables)
+    for start in range(0, n, _UNIFORM_BLOCK):
+        block = []
+        for u, table in zip(rng.random(min(_UNIFORM_BLOCK, n - start)).tolist(), rows):
+            x = bisect_right(table[x], u)
+            block.append(x)
+        states[start:start + len(block)] = block
+    return states
 
 
 def run_chain(pi: TargetDistribution, scan: ScanSpec, n: int, seed: int,
@@ -89,23 +151,10 @@ def run_chain(pi: TargetDistribution, scan: ScanSpec, n: int, seed: int,
             raise ValidationError("initial state %d out of range" % x0)
 
     if record_intra_sweep and isinstance(scan, DeterministicScan):
-        kernels = [np.cumsum(small_step(i, pi).kernel, axis=1) for i in scan.order]
-        states = np.empty(n, dtype=np.int64)
-        x = x0
-        for t in range(n):
-            cum = kernels[t % len(kernels)]
-            x = int(np.searchsorted(cum[x], rng.random(), side="right"))
-            states[t] = x
-        return ChainTrace(states=states, scan=scan, seed=seed, init=x0)
-
-    op = scan_operator(pi, scan)
-    cum = np.cumsum(op.kernel, axis=1)
-    states = np.empty(n, dtype=np.int64)
-    x = x0
-    for t in range(n):
-        x = int(np.searchsorted(cum[x], rng.random(), side="right"))
-        states[t] = x
-    return ChainTrace(states=states, scan=scan, seed=seed, init=x0)
+        tables = [_rows(small_step(i, pi).kernel) for i in scan.order]
+    else:
+        tables = [_rows(scan_operator(pi, scan).kernel)]
+    return ChainTrace(states=_walk(tables, x0, n, rng), scan=scan, seed=seed, init=x0)
 
 
 def clt_variance_bound(rho: float, f: np.ndarray, pi: TargetDistribution) -> float:
@@ -163,13 +212,17 @@ def hoeffding_bound(rho: float, n: int, eps: float, nu_density_norm: float = 1.0
     return nu_density_norm * float(np.exp(-(1.0 - rho) / (1.0 + rho) * n * eps ** 2))
 
 
-def empirical_tail(pi: TargetDistribution, scan: ScanSpec, f: np.ndarray,
-                   n: int, eps: float, replicas: int, seed: int) -> TailCheck:
-    """Monte Carlo frequency of {sum_{i=1..n} f(X_i) >= n (mu + eps)}.
+def empirical_tails(pi: TargetDistribution, scan: ScanSpec, f: np.ndarray,
+                    n_grid: Sequence[int], eps_grid: Sequence[float],
+                    replicas: int, seed: int) -> list[TailCheck]:
+    """Monte Carlo frequencies of {sum_{i=1..n} f(X_i) >= n (mu + eps)} for
+    every n in n_grid (outer) and eps in eps_grid (inner), in that order.
 
     f must be valued in [0, 1]; the chains start from nu = pi, so the
     density-norm factor in the bound is 1.  Pass criterion: frequency <=
-    bound + 3 binomial standard errors.
+    bound + 3 binomial standard errors.  One set of replicas runs to the
+    longest horizon; its partial sums at each n serve every eps, exactly as
+    separate runs from the same seed would.
     """
     f = np.asarray(f, dtype=float).reshape(-1)
     if f.shape[0] != pi.space.total_states:
@@ -177,32 +230,45 @@ def empirical_tail(pi: TargetDistribution, scan: ScanSpec, f: np.ndarray,
     if f.min() < 0.0 or f.max() > 1.0:
         raise ValidationError("f must be valued in [0, 1]")
     mu = float(pi.pmf @ f)
-    if mu + eps > 1.0 + 1e-12:
-        raise ValidationError("mu + eps = %g exceeds 1" % (mu + eps))
+    for n in n_grid:
+        if n < 1:
+            raise ValidationError("tail horizon n must be >= 1, got %d" % n)
+    for eps in eps_grid:
+        if eps <= 0:
+            raise ValidationError("eps must be > 0")
+        if mu + eps > 1.0 + 1e-12:
+            raise ValidationError("mu + eps = %g exceeds 1" % (mu + eps))
     if replicas < 1:
         raise ValidationError("replicas must be >= 1")
     op = scan_operator(pi, scan)
-    rho = _scan_rho(pi, scan, op)
-    cum = np.cumsum(op.kernel, axis=1)
+    rho = scan_rho(scan, op)
+    cum_t = np.ascontiguousarray(cumulative_table(op.kernel).T)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     states = rng.choice(pi.space.total_states, size=replicas, p=pi.pmf)
     sums = np.zeros(replicas)
-    for _ in range(n):
-        states = _step_many(cum, states, rng.random(replicas))
-        sums += f[states]
-    freq = float(np.mean(sums >= n * (mu + eps) - 1e-12))
-    bound = hoeffding_bound(rho, n, eps, 1.0)
-    se = float(np.sqrt(max(freq * (1.0 - freq), 1.0 / replicas) / replicas))
-    return TailCheck(n=n, eps=eps, frequency=freq, bound=bound, std_error=se,
-                     passed=freq <= bound + 3.0 * se)
+    snapshots = {}
+    done = 0
+    for horizon in sorted(set(n_grid)):
+        for _ in range(horizon - done):
+            states = _step_many(cum_t, states, rng.random(replicas))
+            sums += f[states]
+        done = horizon
+        snapshots[horizon] = sums.copy()
+    checks = []
+    for n in n_grid:
+        for eps in eps_grid:
+            freq = float(np.mean(snapshots[n] >= n * (mu + eps) - 1e-12))
+            bound = hoeffding_bound(rho, n, eps, 1.0)
+            se = float(np.sqrt(max(freq * (1.0 - freq), 1.0 / replicas) / replicas))
+            checks.append(TailCheck(n=n, eps=eps, frequency=freq, bound=bound, std_error=se,
+                                    passed=freq <= bound + 3.0 * se))
+    return checks
 
 
-def _scan_rho(pi: TargetDistribution, scan: ScanSpec, op: MarkovOperator) -> float:
-    from .operators import l2_norm_centered, spectral_radius_centered
-
-    if isinstance(scan, RandomScan):
-        return l2_norm_centered(op)
-    return spectral_radius_centered(op)
+def empirical_tail(pi: TargetDistribution, scan: ScanSpec, f: np.ndarray,
+                   n: int, eps: float, replicas: int, seed: int) -> TailCheck:
+    """The single grid point (n, eps) of empirical_tails."""
+    return empirical_tails(pi, scan, f, [n], [eps], replicas, seed)[0]
 
 
 def point_mass_density_norm(pi: TargetDistribution, x0: int) -> float:

@@ -108,6 +108,15 @@ class TestSampleCommand:
             for tail in panel["tails"]:
                 assert tail["pass"]
 
+    @pytest.mark.parametrize("grid_args", [["--n-grid", "0"], ["--n-grid", "100,-5"],
+                                           ["--eps-grid", "0.2,0"]])
+    def test_empty_horizon_or_bad_eps_exit_2(self, tmp_path, grid_args):
+        code = main(["sample", "--model", "equicorrelated_binary", "--d", "2",
+                     "--epsilon", "0.25", "--out-dir", str(tmp_path),
+                     "--n", "1000", "--replicas", "10"] + grid_args)
+        assert code == 2
+        assert not (tmp_path / "sample.json").exists()
+
     def test_bad_function_exit_2(self, tmp_path):
         code = main(["sample", "--model", "equicorrelated_binary", "--d", "2",
                      "--epsilon", "0.25", "--out-dir", str(tmp_path),

@@ -1,19 +1,84 @@
 import numpy as np
 import pytest
 
+from gibbsgap import sampler
 from gibbsgap.errors import ValidationError
-from gibbsgap.measure import equicorrelated_binary
-from gibbsgap.operators import DeterministicScan, RandomScan, l2_norm_centered, spectral_radius_centered
+from gibbsgap.measure import equicorrelated_binary, random_target
+from gibbsgap.operators import (
+    DeterministicScan,
+    RandomScan,
+    l2_norm_centered,
+    small_step,
+    spectral_radius_centered,
+)
 from gibbsgap.sampler import (
     asymptotic_variance_estimate,
     clt_variance_bound,
+    cumulative_table,
     empirical_tail,
+    empirical_tails,
     hoeffding_bound,
     point_mass_density_norm,
     replica_seeds,
     run_chain,
     scan_operator,
+    scan_rho,
 )
+
+
+def _reference_chain(pi, scan, n, seed, init="stationary", record_intra_sweep=False):
+    """The scalar np.searchsorted step loop run_chain must reproduce exactly."""
+    rng = np.random.default_rng(seed)
+    if init == "stationary":
+        x0 = int(rng.choice(pi.space.total_states, p=pi.pmf))
+    else:
+        x0 = int(init)
+    if record_intra_sweep and isinstance(scan, DeterministicScan):
+        kernels = [np.cumsum(small_step(i, pi).kernel, axis=1) for i in scan.order]
+    else:
+        kernels = [np.cumsum(scan_operator(pi, scan).kernel, axis=1)]
+    states = np.empty(n, dtype=np.int64)
+    x = x0
+    for t in range(n):
+        x = int(np.searchsorted(kernels[t % len(kernels)][x], rng.random(), side="right"))
+        states[t] = x
+    return x0, states
+
+
+def _reference_tail(pi, scan, f, n, eps, replicas, seed):
+    """One (n, eps) point simulated on its own, as a separate run per point."""
+    op = scan_operator(pi, scan)
+    rho = (l2_norm_centered(op) if isinstance(scan, RandomScan)
+           else spectral_radius_centered(op))
+    cum = np.cumsum(op.kernel, axis=1)
+    mu = float(pi.pmf @ f)
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    states = rng.choice(pi.space.total_states, size=replicas, p=pi.pmf)
+    sums = np.zeros(replicas)
+    for _ in range(n):
+        states = (rng.random(replicas)[:, None] > cum[states]).sum(axis=1)
+        sums += f[states]
+    freq = float(np.mean(sums >= n * (mu + eps) - 1e-12))
+    bound = hoeffding_bound(rho, n, eps, 1.0)
+    se = float(np.sqrt(max(freq * (1.0 - freq), 1.0 / replicas) / replicas))
+    return sampler.TailCheck(n=n, eps=eps, frequency=freq, bound=bound, std_error=se,
+                             passed=freq <= bound + 3.0 * se)
+
+
+class _ConstantRng:
+    """Stands in for a Generator whose every uniform is u."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, size=None):
+        return np.full(size, self.u)
+
+
+#: A row whose np.cumsum ends 2.2e-16 below 1, with a zero-probability trailing state.
+SHORT_ROW_KERNEL = np.array([[0.5, 0.5 - 2e-16, 0.0],
+                             [0.0, 1.0, 0.0],
+                             [0.25, 0.25, 0.5]])
 
 
 class TestRunChain:
@@ -62,6 +127,54 @@ class TestRunChain:
         trace = run_chain(eps_pair, RandomScan.uniform(2), 40_000, seed=11)
         freq = np.bincount(trace.states, minlength=4) / len(trace)
         np.testing.assert_allclose(freq, eps_pair.pmf, atol=0.02)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    @pytest.mark.parametrize("scan", [DeterministicScan((3, 1, 2)), RandomScan.uniform(3)],
+                             ids=["dsg", "rsg"])
+    def test_matches_scalar_searchsorted_loop(self, scan, seed):
+        pi = random_target(seed=40 + seed, dims=(3, 2, 3))
+        n = 5000  # crosses a uniform-block boundary
+        for kw in ({}, {"init": 4}, {"record_intra_sweep": True}):
+            trace = run_chain(pi, scan, n, seed=seed, **kw)
+            x0, states = _reference_chain(pi, scan, n, seed, **kw)
+            assert trace.init == x0
+            np.testing.assert_array_equal(trace.states, states)
+
+
+class TestCumulativeTable:
+    def test_rows_end_at_one_from_last_positive_column(self):
+        cum = cumulative_table(SHORT_ROW_KERNEL)
+        raw = np.cumsum(SHORT_ROW_KERNEL, axis=1)
+        assert raw[0, -1] < 1.0
+        assert cum[0].tolist() == [0.5, 1.0, 1.0]
+        assert cum[1].tolist() == [0.0, 1.0, 1.0]
+        np.testing.assert_array_equal(cum[2], raw[2])
+
+    def test_matches_cumsum_before_last_positive_column(self, eps_pair):
+        kernel = scan_operator(eps_pair, RandomScan.uniform(2)).kernel
+        cum = cumulative_table(kernel)
+        raw = np.cumsum(kernel, axis=1)
+        for row in range(kernel.shape[0]):
+            last = np.flatnonzero(kernel[row] > 0)[-1]
+            np.testing.assert_array_equal(cum[row, :last], raw[row, :last])
+            assert (cum[row, last:] == 1.0).all()
+
+    def test_top_draw_stays_on_positive_state(self):
+        u = np.nextafter(1.0, 0.0)
+        raw = np.cumsum(SHORT_ROW_KERNEL, axis=1)
+        assert np.searchsorted(raw[0], u, side="right") == 3  # out of range
+        cum = cumulative_table(SHORT_ROW_KERNEL)
+        assert sampler._step_many(cum.T, np.array([0, 1]), np.array([u, u])).tolist() == [1, 1]
+        walk = sampler._walk([sampler._rows(SHORT_ROW_KERNEL)], 0, 3, _ConstantRng(u))
+        assert walk.tolist() == [1, 1, 1]
+
+
+class TestScanRho:
+    def test_norm_for_random_radius_for_deterministic(self, eps_pair):
+        rsg_op = scan_operator(eps_pair, RandomScan.uniform(2))
+        dsg_op = scan_operator(eps_pair, DeterministicScan((1, 2)))
+        assert scan_rho(RandomScan.uniform(2), rsg_op) == l2_norm_centered(rsg_op)
+        assert scan_rho(DeterministicScan((1, 2)), dsg_op) == spectral_radius_centered(dsg_op)
 
 
 class TestCltVarianceBound:
@@ -151,6 +264,46 @@ class TestEmpiricalTail:
         b = empirical_tail(eps_pair, RandomScan.uniform(2), f, n=50, eps=0.2,
                            replicas=500, seed=4)
         assert a.frequency == b.frequency
+
+
+    @pytest.mark.parametrize("n", [0, -5])
+    def test_rejects_empty_horizon(self, eps_pair, n):
+        f = np.array([0.0, 0.0, 1.0, 1.0])
+        with pytest.raises(ValidationError):
+            empirical_tail(eps_pair, RandomScan.uniform(2), f, n=n, eps=0.1,
+                           replicas=10, seed=0)
+        with pytest.raises(ValidationError):
+            empirical_tails(eps_pair, RandomScan.uniform(2), f, [100, n], [0.1],
+                            replicas=10, seed=0)
+
+    @pytest.mark.parametrize("eps", [0.0, -0.1, 0.9])
+    def test_rejects_bad_eps_before_simulating(self, eps_pair, eps, monkeypatch):
+        def no_steps(*args):
+            raise AssertionError("simulated before validating eps")
+
+        monkeypatch.setattr(sampler, "_step_many", no_steps)
+        f = np.array([0.0, 0.0, 1.0, 1.0])
+        with pytest.raises(ValidationError):
+            empirical_tails(eps_pair, RandomScan.uniform(2), f, [100, 1000], [0.1, eps],
+                            replicas=10, seed=0)
+
+
+class TestEmpiricalTails:
+    @pytest.mark.parametrize("scan", [DeterministicScan((2, 3, 1)), RandomScan.uniform(3)],
+                             ids=["dsg", "rsg"])
+    def test_grid_equals_separate_runs(self, scan):
+        pi = random_target(seed=3, dims=(3, 3, 2))
+        f = (pi.space.all_multi_indices()[:, 0] == 2).astype(float)
+        n_grid, eps_grid = [60, 7, 25], [0.1, 0.25]
+        grid = empirical_tails(pi, scan, f, n_grid, eps_grid, replicas=300, seed=11)
+        assert [(t.n, t.eps) for t in grid] == [(n, e) for n in n_grid for e in eps_grid]
+        separate = [_reference_tail(pi, scan, f, n, e, 300, 11) for n in n_grid for e in eps_grid]
+        single = [empirical_tail(pi, scan, f, n, e, 300, 11) for n in n_grid for e in eps_grid]
+        assert grid == separate
+        assert grid == single
+        for a, b in zip(grid, separate):
+            assert (a.frequency, a.bound, a.std_error, a.passed) == \
+                (b.frequency, b.bound, b.std_error, b.passed)
 
 
 class TestReplicaSeeds:

@@ -16,15 +16,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .geometry import friedrichs_angle_from_norm, inclination_lower_bound
-from .measure import TargetDistribution
-from .operators import (
-    DeterministicScan,
-    RandomScan,
-    dsg,
-    l2_norm_centered,
-    rsg,
-)
+from .geometry import angle_from_uniform_norm, inclination_lower_bound
+from .operators import DeterministicScan, RandomScan, Spectra
 
 SLACK_TOL = 1e-9
 #: Permutations are enumerated exhaustively up to this dimension, sampled beyond.
@@ -116,26 +109,27 @@ def sample_permutations(d: int, seed: int = 0, count: int = 24) -> list[tuple[in
     return sorted(out)
 
 
-def verify_bounds(pi: TargetDistribution,
+def verify_bounds(spectra: Spectra,
                   sigma_list: Sequence[Sequence[int]] | None = None,
                   weight_list: Sequence[Sequence[float]] | None = None,
                   seed: int = 0) -> BoundReport:
-    """Exact norms for the requested scans versus every applicable bound.
+    """Exact norms (from spectra) for the requested scans versus every
+    applicable bound.
 
     Asserts nothing itself; callers inspect ``violations()``.  Includes the
     uniform-weight sharpness entry and the universal 1/d lower bound.
     """
-    d = pi.space.d
-    c = friedrichs_angle_from_norm(pi).value
+    d = spectra.pi.space.d
+    uniform = RandomScan.uniform(d)
+    exact_uniform = spectra.norm(uniform)
+    c = angle_from_uniform_norm(exact_uniform, d)
     entries: list[BoundEntry] = []
 
     if sigma_list is None:
         sigma_list = sample_permutations(d, seed=seed)
     if weight_list is None:
-        weight_list = [RandomScan.uniform(d).weights]
+        weight_list = [uniform.weights]
 
-    uniform = RandomScan.uniform(d)
-    exact_uniform = l2_norm_centered(rsg(uniform, pi))
     entries.append(BoundEntry(
         name="rsg_uniform_sharpness",
         bound=rsg_norm_bound(c, d, uniform),
@@ -153,18 +147,17 @@ def verify_bounds(pi: TargetDistribution,
 
     for weights in weight_list:
         scan = RandomScan(tuple(weights))
-        exact = l2_norm_centered(rsg(scan, pi))
         entries.append(BoundEntry(
             name="rsg_norm_bound",
             bound=rsg_norm_bound(c, d, scan),
-            exact=exact,
+            exact=spectra.norm(scan),
             inputs={"c": c, "d": d, "weights": scan.weights},
         ))
 
     cor2 = dsg_norm_bound_from_c(c, d)
     for sigma in sigma_list:
         scan = DeterministicScan(tuple(sigma))
-        exact = l2_norm_centered(dsg(scan, pi))
+        exact = spectra.norm(scan)
         entries.append(BoundEntry(
             name="dsg_norm_bound",
             bound=cor2,

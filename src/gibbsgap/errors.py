@@ -13,9 +13,5 @@ class StateCapError(RuntimeError):
     """The requested state space exceeds the dense-algebra cap."""
 
 
-class InequalityViolationError(RuntimeError):
-    """An asserted inequality was violated beyond tolerance."""
-
-
 class NumericError(RuntimeError):
     """A dense solver failed to converge or returned garbage."""

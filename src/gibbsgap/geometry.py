@@ -7,13 +7,13 @@ to each other:
 
 * the generalized angle c: the supremum of the normalized cross-correlation
   of mean-zero functions f_i in M_i; computed here both in closed form from
-  the uniform-weight random-scan norm and by an independent brute-force
-  generalized eigenproblem over explicit bases;
+  the uniform-weight random-scan norm (``angle_from_uniform_norm``) and by
+  an independent brute-force generalized eigenproblem over explicit bases;
 * the inclination ell: the min over unit-distance-from-constants functions
   of the max distance to the M_i; estimated by a seeded multi-restart
   smoothed min-max optimizer.  The optimizer value ell_hat is only an upper
-  bound on ell; certified lower bounds come from the sandwich inequality
-  applied to the exact c.
+  bound on ell, with no convergence certificate; certified lower bounds come
+  from the sandwich inequality applied to the exact c.
 """
 from __future__ import annotations
 
@@ -57,8 +57,6 @@ class InclinationResult:
     value: float
     witness: np.ndarray  # function values by flat state, dist(witness, M) = 1
     restarts: int
-    tol: float
-    converged: bool
 
 
 def subspace_basis(i: int, pi: TargetDistribution) -> SubspaceBasis:
@@ -87,15 +85,19 @@ def subspace_basis(i: int, pi: TargetDistribution) -> SubspaceBasis:
     return SubspaceBasis(i=i, vectors=basis)
 
 
-def friedrichs_angle_from_norm(pi: TargetDistribution) -> AngleResult:
-    """c recovered from the exact uniform-weight random-scan norm.
+def angle_from_uniform_norm(norm: float, d: int) -> float:
+    """c from the exact norm of the uniform-weight random scan.
 
     Inverts ||(1/d) sum_i P_i - Pi|| = ((d-1)/d) (c + 1/(d-1)).
     """
+    return float((d * norm - 1.0) / (d - 1.0))
+
+
+def friedrichs_angle_from_norm(pi: TargetDistribution) -> AngleResult:
+    """c recovered from the exact uniform-weight random-scan norm."""
     d = pi.space.d
     norm = l2_norm_centered(rsg(RandomScan.uniform(d), pi))
-    c = (d * norm - 1.0) / (d - 1.0)
-    return AngleResult(value=float(c), method="closed_form")
+    return AngleResult(value=angle_from_uniform_norm(norm, d), method="closed_form")
 
 
 def friedrichs_angle_bruteforce(pi: TargetDistribution) -> AngleResult:
@@ -164,7 +166,7 @@ def _smoothed_objective(w: np.ndarray, forms: np.ndarray, beta: float):
     return val, grad_w
 
 
-def inclination(pi: TargetDistribution, restarts: int = 32, tol: float = 1e-8,
+def inclination(pi: TargetDistribution, restarts: int = 32,
                 seed: int = 0) -> InclinationResult:
     """Best-effort upper bound on the inclination, with witness.
 
@@ -183,11 +185,10 @@ def inclination(pi: TargetDistribution, restarts: int = 32, tol: float = 1e-8,
     if m == 0:
         # single-state space: no mean-zero directions exist
         return InclinationResult(value=0.0, witness=np.zeros(pi.space.total_states),
-                                 restarts=restarts, tol=tol, converged=True)
+                                 restarts=restarts)
     rng = np.random.default_rng(seed)
     best_val = np.inf
     best_v = None
-    converged = False
     for _ in range(restarts):
         w = rng.standard_normal(m)
         w /= np.linalg.norm(w)
@@ -209,12 +210,10 @@ def inclination(pi: TargetDistribution, restarts: int = 32, tol: float = 1e-8,
         if val < best_val - 1e-15:
             best_val = val
             best_v = w.copy()
-            converged = True
     ell_hat = float(np.sqrt(max(best_val, 0.0)))
     s = np.sqrt(pi.pmf)
     witness = (q @ best_v) / s
-    return InclinationResult(value=ell_hat, witness=witness, restarts=restarts,
-                             tol=tol, converged=converged)
+    return InclinationResult(value=ell_hat, witness=witness, restarts=restarts)
 
 
 def inclination_lower_bound(c: float, d: int) -> float:

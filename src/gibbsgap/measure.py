@@ -190,6 +190,13 @@ _MODEL_BUILDERS = {
 }
 
 
+def model_builder(name: str):
+    """The (d, epsilon) -> TargetDistribution builder of a named model family."""
+    if name not in _MODEL_BUILDERS:
+        raise ValidationError("unknown model %r; known: %s" % (name, sorted(_MODEL_BUILDERS)))
+    return _MODEL_BUILDERS[name]
+
+
 def parse_target(spec_text: str) -> TargetDistribution:
     """Parse a JSON target spec with `dims` and exactly one of `pmf`/`model`.
 
@@ -220,19 +227,14 @@ def parse_target(spec_text: str) -> TargetDistribution:
     if not isinstance(model, dict) or "name" not in model:
         raise ValidationError("'model' must be an object with a 'name'")
     name = model["name"]
-    if name not in _MODEL_BUILDERS:
-        raise ValidationError("unknown model %r; known: %s" % (name, sorted(_MODEL_BUILDERS)))
-    if name == "equicorrelated_binary":
-        if "epsilon" not in model:
-            raise ValidationError("model 'equicorrelated_binary' needs 'epsilon'")
-        d = int(model.get("d", len(dims)))
-        target = equicorrelated_binary(d, float(model["epsilon"]))
-        if target.space.dims != space.dims:
-            raise ValidationError(
-                "dims %r inconsistent with equicorrelated_binary d=%d" % (dims, d)
-            )
-        return target
-    raise AssertionError("unreachable")
+    build = model_builder(name)
+    if "epsilon" not in model:
+        raise ValidationError("model %r needs 'epsilon'" % name)
+    d = int(model.get("d", len(dims)))
+    target = build(d, float(model["epsilon"]))
+    if target.space.dims != space.dims:
+        raise ValidationError("dims %r inconsistent with %s d=%d" % (dims, name, d))
+    return target
 
 
 def random_target(seed: int, dims: Sequence[int], concentration: float = 1.0) -> TargetDistribution:

@@ -1,5 +1,9 @@
 """Markov operators on L2(pi) as dense transition tables.
 
+Every scan is built from the small steps P_1..P_d: ``dsg`` and
+``symmetrized_sweep`` multiply them along an update path, ``rsg`` mixes
+them.  ``Spectra`` serves the norms and radii of all scans of one target.
+
 Order convention: ``dsg(sigma, pi)`` returns the kernel of the chain that
 updates coordinate sigma(1) *first in time* and sigma(d) last, i.e. the
 kernel matrix product K_{sigma(1)} @ K_{sigma(2)} @ ... @ K_{sigma(d)}.
@@ -24,9 +28,8 @@ ill-conditioned (see ``counterexample.ladder_gap`` for the ladder chain).
 """
 from __future__ import annotations
 
-import csv
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence, Union
+from dataclasses import dataclass
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -133,13 +136,12 @@ ScanSpec = Union[DeterministicScan, RandomScan]
 
 @dataclass(frozen=True)
 class SpectralReport:
-    """Exact spectral quantities of a centered operator plus bound entries."""
+    """Exact spectral quantities of a centered operator."""
 
     label: str
     l2_norm_centered: float
     spectral_radius_centered: float
     reversible: bool
-    bound_entries: tuple = ()
 
     @property
     def spectral_gap(self) -> float:
@@ -179,49 +181,43 @@ def _small_step_kernel(i: int, pi: TargetDistribution) -> np.ndarray:
     axis = i - 1
     w = pi.as_tensor()
     cond = w / w.sum(axis=axis, keepdims=True)
-    # kernel(x, y) = cond(y_i | x_{-i}) if y_{-i} == x_{-i} else 0
+    # kernel(x, y) = cond(y_i | x_{-i}) if y_{-i} == x_{-i} else 0; each row
+    # of `cells` holds the flat states of one x_{-i} cell, in y_i order
+    cells = np.moveaxis(np.arange(n).reshape(dims), axis, -1).reshape(-1, dims[axis])
+    cond_rows = np.moveaxis(cond, axis, -1).reshape(cells.shape)
     kernel = np.zeros((n, n))
-    ni = dims[axis]
-    # enumerate cells of x_{-i}: iterate over flat indices grouped by slice
-    idx = np.arange(n).reshape(dims)
-    moved = np.moveaxis(idx, axis, -1).reshape(-1, ni)
-    cond_rows = np.moveaxis(cond, axis, -1).reshape(-1, ni)
-    for cell, crow in zip(moved, cond_rows):
-        kernel[np.ix_(cell, cell)] = crow[None, :]
+    kernel[cells[:, :, None], cells[:, None, :]] = cond_rows[:, None, :]
     return kernel
 
 
-def compose(ops: Sequence[MarkovOperator], label: str = "") -> MarkovOperator:
-    """Kernel of running the given operators in time order."""
-    if not ops:
-        raise ValidationError("compose needs at least one operator")
-    kernel = ops[0].kernel
-    for op in ops[1:]:
-        kernel = kernel @ op.kernel
-    return MarkovOperator(kernel, ops[0].stationary, label=label)
+def _checked_scan(spec, kind: type, pi: TargetDistribution, state_cap: int):
+    """spec as a `kind` scan, after checking its length and the state cap."""
+    scan = spec if isinstance(spec, kind) else kind(tuple(spec))
+    if scan.d != pi.space.d:
+        raise ValidationError("scan has %d coordinates, target has %d" % (scan.d, pi.space.d))
+    _check_cap(pi, state_cap)
+    return scan
+
+
+def _sweep(path: Sequence[int], pi: TargetDistribution) -> np.ndarray:
+    """Kernel of the small steps P_path[0], ..., P_path[-1] run in time order."""
+    kernel = _small_step_kernel(path[0], pi)
+    for i in path[1:]:
+        kernel = kernel @ _small_step_kernel(i, pi)
+    return kernel
 
 
 def dsg(sigma: Sequence[int], pi: TargetDistribution,
         state_cap: int = DEFAULT_STATE_CAP) -> MarkovOperator:
     """Deterministic scan: one full sweep updating sigma(1) first, sigma(d) last."""
-    scan = sigma if isinstance(sigma, DeterministicScan) else DeterministicScan(tuple(sigma))
-    if scan.d != pi.space.d:
-        raise ValidationError("scan has %d coordinates, target has %d" % (scan.d, pi.space.d))
-    _check_cap(pi, state_cap)
-    kernel = None
-    for i in scan.order:
-        k = _small_step_kernel(i, pi)
-        kernel = k if kernel is None else kernel @ k
-    return MarkovOperator(kernel, pi.pmf, label="DSG sigma=%s" % (scan.order,))
+    scan = _checked_scan(sigma, DeterministicScan, pi, state_cap)
+    return MarkovOperator(_sweep(scan.order, pi), pi.pmf, label="DSG sigma=%s" % (scan.order,))
 
 
 def rsg(weights: Union[RandomScan, Sequence[float]], pi: TargetDistribution,
         state_cap: int = DEFAULT_STATE_CAP) -> MarkovOperator:
     """Random scan: the convex combination sum_i w_i P_i; reversible w.r.t. pi."""
-    scan = weights if isinstance(weights, RandomScan) else RandomScan(tuple(weights))
-    if scan.d != pi.space.d:
-        raise ValidationError("scan has %d weights, target has %d coordinates" % (scan.d, pi.space.d))
-    _check_cap(pi, state_cap)
+    scan = _checked_scan(weights, RandomScan, pi, state_cap)
     kernel = np.zeros((pi.space.total_states,) * 2)
     for i, w in enumerate(scan.weights, start=1):
         kernel += w * _small_step_kernel(i, pi)
@@ -235,16 +231,18 @@ def symmetrized_sweep(sigma: Sequence[int], pi: TargetDistribution,
     Self-adjoint in L2(pi): it is T* T for the plain sweep T up to the
     idempotence of the middle factor.
     """
-    scan = sigma if isinstance(sigma, DeterministicScan) else DeterministicScan(tuple(sigma))
-    if scan.d != pi.space.d:
-        raise ValidationError("scan has %d coordinates, target has %d" % (scan.d, pi.space.d))
-    _check_cap(pi, state_cap)
-    path = list(scan.order) + list(scan.order[-2::-1])
-    kernel = None
-    for i in path:
-        k = _small_step_kernel(i, pi)
-        kernel = k if kernel is None else kernel @ k
-    return MarkovOperator(kernel, pi.pmf, label="SYM sigma=%s" % (scan.order,))
+    scan = _checked_scan(sigma, DeterministicScan, pi, state_cap)
+    path = scan.order + scan.order[-2::-1]
+    return MarkovOperator(_sweep(path, pi), pi.pmf, label="SYM sigma=%s" % (scan.order,))
+
+
+def scan_operator(pi: TargetDistribution, scan: ScanSpec, **kw) -> MarkovOperator:
+    """The dense kernel a scan simulates: full sweep for DSG, one update for RSG."""
+    if isinstance(scan, DeterministicScan):
+        return dsg(scan, pi, **kw)
+    if isinstance(scan, RandomScan):
+        return rsg(scan, pi, **kw)
+    raise ValidationError("unknown scan spec %r" % (scan,))
 
 
 def adjoint(op: MarkovOperator) -> MarkovOperator:
@@ -310,6 +308,46 @@ def spectral_report(op: MarkovOperator) -> SpectralReport:
     )
 
 
+class Spectra:
+    """Centered norms and radii of the DSG, RSG and palindromic scans of pi.
+
+    The state cap is checked once, on creation.  Values are memoized as
+    floats (no kernel is kept); ``norm_and_radius`` takes both from one
+    build of the operator.
+    """
+
+    def __init__(self, pi: TargetDistribution, state_cap: int = DEFAULT_STATE_CAP):
+        _check_cap(pi, state_cap)
+        self.pi = pi
+        self.state_cap = state_cap
+        self._memo: dict = {}
+
+    def norm(self, scan: ScanSpec) -> float:
+        """||K - Pi|| for the kernel K that the scan simulates."""
+        return self._measure("scan", scan, ("norm",))[0]
+
+    def radius(self, scan: ScanSpec) -> float:
+        """rho(K - Pi) for the kernel K that the scan simulates."""
+        return self._measure("scan", scan, ("radius",))[0]
+
+    def norm_and_radius(self, scan: ScanSpec) -> tuple[float, float]:
+        return self._measure("scan", scan, ("norm", "radius"))
+
+    def sym_norm(self, sigma: Sequence[int]) -> float:
+        """||S - Pi|| for the palindromic sweep S of the update order sigma."""
+        return self._measure("sym", DeterministicScan(tuple(sigma)), ("norm",))[0]
+
+    def _measure(self, kind: str, scan: ScanSpec, names: tuple) -> tuple:
+        missing = [name for name in names if (kind, scan, name) not in self._memo]
+        if missing:
+            op = (symmetrized_sweep(scan, self.pi, state_cap=self.state_cap) if kind == "sym"
+                  else scan_operator(self.pi, scan, state_cap=self.state_cap))
+            for name in missing:
+                self._memo[kind, scan, name] = (l2_norm_centered(op) if name == "norm"
+                                                else spectral_radius_centered(op))
+        return tuple(self._memo[kind, scan, name] for name in names)
+
+
 def power_norm_sequence(op: MarkovOperator, n_max: int) -> list[float]:
     """[||P^n - Pi|| for n = 1..n_max]; non-increasing and <= ||P - Pi||^n."""
     if n_max < 1:
@@ -337,17 +375,6 @@ def tv_distance_decay(op: MarkovOperator, x0: int, n_max: int) -> list[float]:
         row = row @ op.kernel
         out.append(float(0.5 * np.abs(row - op.stationary).sum()))
     return out
-
-
-def export_kernel_csv(op: MarkovOperator, path: str) -> None:
-    """Write the kernel as flat row-major CSV with a header row."""
-    n = op.n_states
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["row", "col", "value"])
-        for x in range(n):
-            for y in range(n):
-                writer.writerow([x, y, repr(op.kernel[x, y])])
 
 
 def operator_report(op: MarkovOperator) -> dict:

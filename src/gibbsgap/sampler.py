@@ -3,9 +3,10 @@
 Chains are simulated directly from the dense one-step kernel, so recorded
 steps match the analyzed operator exactly: one record per full sweep for a
 deterministic scan, one record per single-coordinate update for a random
-scan.  Replicas derive independent streams from one root seed via
-numpy's SeedSequence spawning, so parallel or serial execution gives
-identical results.
+scan.  Each call draws from one numpy Generator seeded with its seed: a
+chain takes one uniform per recorded step, and the replicas of a tail check
+share one stream (start states first, then one uniform per replica per
+step), so they are simulated serially and in a fixed order.
 
 A scan's whole tail grid comes from one simulation of ``replicas`` chains
 over the longest horizon: shorter horizons are prefixes of it, and every
@@ -28,9 +29,8 @@ from .operators import (
     MarkovOperator,
     RandomScan,
     ScanSpec,
-    dsg,
     l2_norm_centered,
-    rsg,
+    scan_operator,
     small_step,
     spectral_radius_centered,
 )
@@ -66,15 +66,6 @@ class TailCheck:
     bound: float
     std_error: float
     passed: bool
-
-
-def scan_operator(pi: TargetDistribution, scan: ScanSpec, **kw) -> MarkovOperator:
-    """The dense kernel a scan simulates: full sweep for DSG, one update for RSG."""
-    if isinstance(scan, DeterministicScan):
-        return dsg(scan, pi, **kw)
-    if isinstance(scan, RandomScan):
-        return rsg(scan, pi, **kw)
-    raise ValidationError("unknown scan spec %r" % (scan,))
 
 
 def scan_rho(scan: ScanSpec, op: MarkovOperator) -> float:
@@ -277,7 +268,3 @@ def point_mass_density_norm(pi: TargetDistribution, x0: int) -> float:
         raise ValidationError("state %d out of range" % x0)
     return float(1.0 / np.sqrt(pi.pmf[x0]))
 
-
-def replica_seeds(root_seed: int, replicas: int) -> list[np.random.SeedSequence]:
-    """Documented splitting rule: SeedSequence(root).spawn(replicas)."""
-    return np.random.SeedSequence(root_seed).spawn(replicas)

@@ -15,6 +15,7 @@ from gibbsgap.bounds import (
 from gibbsgap.errors import ValidationError
 from gibbsgap.geometry import friedrichs_angle_from_norm
 from gibbsgap.measure import equicorrelated_binary
+from gibbsgap.operators import Spectra
 
 
 class TestRsgNormBound:
@@ -100,23 +101,23 @@ class TestVerifyBounds:
 
     def test_no_violations_on_suite(self, target_suite):
         for pi in target_suite[:25]:
-            report = verify_bounds(pi)
+            report = verify_bounds(Spectra(pi))
             assert report.violations() == []
 
     def test_uniform_entry_is_sharp(self, eps_pair):
-        report = verify_bounds(eps_pair)
+        report = verify_bounds(Spectra(eps_pair))
         sharp = [e for e in report.entries if e.name == "rsg_uniform_sharpness"]
         assert len(sharp) == 1
         assert abs(sharp[0].slack) <= 1e-10
 
     def test_floor_entry_present(self, eps_pair):
-        report = verify_bounds(eps_pair)
+        report = verify_bounds(Spectra(eps_pair))
         floor = [e for e in report.entries if e.name == "rsg_lower_bound_1_over_d"]
         assert len(floor) == 1
         assert floor[0].slack >= -1e-10
 
     def test_custom_scans(self, eps_pair):
-        report = verify_bounds(eps_pair, sigma_list=[(2, 1)], weight_list=[(0.3, 0.7)])
+        report = verify_bounds(Spectra(eps_pair), sigma_list=[(2, 1)], weight_list=[(0.3, 0.7)])
         names = [e.name for e in report.entries]
         assert names.count("dsg_norm_bound") == 1
         assert names.count("rsg_norm_bound") == 1
@@ -124,6 +125,6 @@ class TestVerifyBounds:
 
     def test_near_degenerate_target(self):
         pi = equicorrelated_binary(2, 1e-6)
-        report = verify_bounds(pi)
+        report = verify_bounds(Spectra(pi))
         assert report.violations() == []
         assert report.angle == pytest.approx(1.0 - 2e-6, abs=1e-9)

@@ -1,9 +1,12 @@
+import importlib
 import json
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
+from gibbsgap import geometry, operators
 from gibbsgap.cli import main, parse_scan
 from gibbsgap.errors import ValidationError
 from gibbsgap.operators import DeterministicScan, RandomScan
@@ -24,6 +27,25 @@ class TestScanGrammar:
         for text in ("mh:1,2", "dsg:a,b", "rsg:x"):
             with pytest.raises(ValidationError):
                 parse_scan(text)
+
+
+def _count_calls(monkeypatch, names):
+    """Count calls of the named operators functions under every module binding."""
+    modules = [importlib.import_module("gibbsgap." + m)
+               for m in ("operators", "geometry", "bounds", "sampler", "cli")]
+    counts = Counter()
+    for name in names:
+        original = getattr(operators, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        for module in modules:
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
+    return counts
 
 
 class TestAnalyzeCommand:
@@ -74,6 +96,28 @@ class TestAnalyzeCommand:
                      "--state-cap", "3"])
         assert code == 3
 
+    def test_state_cap_refused_before_geometry(self, tmp_path, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("geometry ran on an over-cap target")
+
+        monkeypatch.setattr(geometry, "inclination", fail)
+        monkeypatch.setattr(geometry, "friedrichs_angle_bruteforce", fail)
+        code = main(["analyze", "--model", "equicorrelated_binary", "--d", "2",
+                     "--epsilon", "0.25", "--out-dir", str(tmp_path),
+                     "--state-cap", "3"])
+        assert code == 3
+        assert not (tmp_path / "analyze.json").exists()
+
+    def test_each_scan_operator_built_once(self, tmp_path, monkeypatch):
+        counts = _count_calls(monkeypatch, ("dsg", "rsg", "symmetrized_sweep",
+                                            "l2_norm_centered", "spectral_radius_centered"))
+        code = main(["analyze", "--model", "equicorrelated_binary", "--d", "3",
+                     "--epsilon", "0.25", "--out-dir", str(tmp_path)])
+        assert code == 0
+        # 3! sweep orders and 3! palindromes; uniform plus 8 sampled random scans
+        assert counts == {"dsg": 6, "rsg": 9, "symmetrized_sweep": 6,
+                          "l2_norm_centered": 21, "spectral_radius_centered": 2}
+
 
 class TestSweepCommand:
     def test_end_to_end(self, tmp_path):
@@ -90,6 +134,12 @@ class TestSweepCommand:
     def test_too_few_points_exit_2(self, tmp_path):
         code = main(["sweep", "--d-list", "2,3", "--out-dir", str(tmp_path)])
         assert code == 2
+
+    def test_unknown_model_exit_2(self, tmp_path):
+        code = main(["sweep", "--model", "nonsense", "--d-list", "2,3,4",
+                     "--out-dir", str(tmp_path)])
+        assert code == 2
+        assert not (tmp_path / "sweep.json").exists()
 
 
 class TestSampleCommand:

@@ -3,10 +3,13 @@ import pytest
 
 from gibbsgap.errors import StateCapError, ValidationError
 from gibbsgap.measure import PiFunction, conditional_mean, random_target
+from gibbsgap import operators
 from gibbsgap.operators import (
     DeterministicScan,
     MarkovOperator,
     RandomScan,
+    Spectra,
+    _small_step_kernel,
     additive_reversibilization,
     adjoint,
     dsg,
@@ -97,6 +100,29 @@ class TestSmallStep:
             small_step(1, eps_pair, state_cap=3)
 
 
+def _cell_loop_kernel(i, pi):
+    """Reference: the small-step kernel filled one x_{-i} cell at a time."""
+    dims = pi.space.dims
+    n = pi.space.total_states
+    axis = i - 1
+    w = pi.as_tensor()
+    cond = w / w.sum(axis=axis, keepdims=True)
+    kernel = np.zeros((n, n))
+    moved = np.moveaxis(np.arange(n).reshape(dims), axis, -1).reshape(-1, dims[axis])
+    cond_rows = np.moveaxis(cond, axis, -1).reshape(-1, dims[axis])
+    for cell, crow in zip(moved, cond_rows):
+        kernel[np.ix_(cell, cell)] = crow[None, :]
+    return kernel
+
+
+class TestSmallStepKernel:
+    @pytest.mark.parametrize("dims", [(3, 3), (2, 3, 4), (4, 2, 2, 3)])
+    def test_equals_cell_loop(self, dims):
+        pi = random_target(21, dims)
+        for i in range(1, len(dims) + 1):
+            assert (_small_step_kernel(i, pi) == _cell_loop_kernel(i, pi)).all()
+
+
 class TestSweeps:
     def test_dsg_matches_product_of_small_steps(self, eps_pair):
         k1 = small_step(1, eps_pair).kernel
@@ -184,6 +210,45 @@ class TestSpectralQuantities:
         rep = spectral_report(rsg(RandomScan.uniform(2), eps_pair))
         assert rep.reversible
         assert rep.spectral_gap == pytest.approx(1.0 - rep.spectral_radius_centered)
+
+
+class TestSpectra:
+    def test_values_equal_direct_computation(self):
+        pi = random_target(4, (2, 3, 2))
+        spectra = Spectra(pi)
+        for sigma in ((1, 2, 3), (3, 1, 2)):
+            op = dsg(sigma, pi)
+            assert spectra.norm_and_radius(DeterministicScan(sigma)) == (
+                l2_norm_centered(op), spectral_radius_centered(op))
+            assert spectra.sym_norm(sigma) == l2_norm_centered(symmetrized_sweep(sigma, pi))
+        for weights in (RandomScan.uniform(3), RandomScan((0.2, 0.3, 0.5))):
+            op = rsg(weights, pi)
+            assert spectra.norm(weights) == l2_norm_centered(op)
+            assert spectra.radius(weights) == spectral_radius_centered(op)
+
+    def test_state_cap_checked_on_creation(self, eps_pair):
+        with pytest.raises(StateCapError):
+            Spectra(eps_pair, state_cap=3)
+
+    def test_each_operator_built_once(self, eps_pair, monkeypatch):
+        built = []
+        for name in ("dsg", "rsg", "symmetrized_sweep"):
+            original = getattr(operators, name)
+            monkeypatch.setattr(operators, name,
+                                lambda *a, _o=original, _n=name, **kw: built.append(_n) or _o(*a, **kw))
+        spectra = Spectra(eps_pair)
+        scans = (DeterministicScan((2, 1)), RandomScan.uniform(2))
+        for _ in range(2):
+            for scan in scans:
+                spectra.norm_and_radius(scan)
+                spectra.norm(scan)
+                spectra.radius(scan)
+            spectra.sym_norm((2, 1))
+        assert sorted(built) == ["dsg", "rsg", "symmetrized_sweep"]
+
+    def test_rejects_mismatched_scan(self, eps_pair):
+        with pytest.raises(ValidationError):
+            Spectra(eps_pair).norm(DeterministicScan((1, 2, 3)))
 
 
 class TestDiagnostics:

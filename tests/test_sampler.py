@@ -19,7 +19,6 @@ from gibbsgap.sampler import (
     empirical_tails,
     hoeffding_bound,
     point_mass_density_norm,
-    replica_seeds,
     run_chain,
     scan_operator,
     scan_rho,
@@ -305,16 +304,3 @@ class TestEmpiricalTails:
             assert (a.frequency, a.bound, a.std_error, a.passed) == \
                 (b.frequency, b.bound, b.std_error, b.passed)
 
-
-class TestReplicaSeeds:
-    def test_spawn_count_and_determinism(self):
-        a = replica_seeds(123, 5)
-        b = replica_seeds(123, 5)
-        assert len(a) == 5
-        for x, y in zip(a, b):
-            assert x.generate_state(4).tolist() == y.generate_state(4).tolist()
-
-    def test_streams_differ(self):
-        seeds = replica_seeds(0, 3)
-        states = [tuple(s.generate_state(4).tolist()) for s in seeds]
-        assert len(set(states)) == 3

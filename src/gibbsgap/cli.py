@@ -9,7 +9,7 @@ Commands::
 
 Exit status: 0 success, 1 an asserted inequality or simulation bound was
 violated beyond tolerance, 2 usage or validation error, 3 state-count cap
-exceeded (checked before any work on the target).
+exceeded (every command checks it before any work on the target).
 
 Scan mini-grammar: ``dsg:i1,i2,...,id`` (update order, 1-based) and
 ``rsg:uniform`` or ``rsg:w1,w2,...,wd``.
@@ -23,7 +23,7 @@ import sys
 import numpy as np
 
 from . import __version__, geometry, bounds as bounds_mod
-from .counterexample import reversibilization_gap_sweep
+from .counterexample import LadderChainSpec, reversibilization_gap_sweep
 from .errors import StateCapError, ValidationError
 from .measure import TargetDistribution, model_builder, parse_target
 from .operators import (
@@ -31,6 +31,7 @@ from .operators import (
     DeterministicScan,
     RandomScan,
     Spectra,
+    check_state_cap,
     scan_operator,
 )
 from .reporting import default_output_dir, report_document, write_csv, write_json
@@ -45,7 +46,8 @@ from .sampler import (
 GAP_POSITIVE_TOL = 1e-9
 
 
-def parse_scan(text: str):
+def parse_scan(text: str, d: int):
+    """A scan from the mini-grammar; ``rsg:uniform`` is the uniform scan on d coordinates."""
     kind, _, rest = text.partition(":")
     if kind == "dsg":
         try:
@@ -55,7 +57,7 @@ def parse_scan(text: str):
         return DeterministicScan(order)
     if kind == "rsg":
         if rest == "uniform":
-            return "rsg:uniform"
+            return RandomScan.uniform(d)
         try:
             weights = tuple(float(x) for x in rest.split(","))
         except ValueError:
@@ -64,10 +66,10 @@ def parse_scan(text: str):
     raise ValidationError("unknown scan kind in %r (want dsg:... or rsg:...)" % text)
 
 
-def _resolve_scan(scan, d: int):
-    if scan == "rsg:uniform":
-        return RandomScan.uniform(d)
-    return scan
+def _requested_scans(args, d: int) -> list:
+    """The --scan options, or by default the identity sweep and the uniform random scan."""
+    texts = args.scan or ["dsg:" + ",".join(map(str, range(1, d + 1))), "rsg:uniform"]
+    return [parse_scan(text, d) for text in texts]
 
 
 def _load_target(args) -> TargetDistribution:
@@ -94,8 +96,7 @@ def cmd_analyze(args) -> int:
     pi = _load_target(args)
     spectra = Spectra(pi, state_cap=args.state_cap)
     d = pi.space.d
-    scan_args = args.scan or ["dsg:" + ",".join(map(str, range(1, d + 1))), "rsg:uniform"]
-    scans = [_resolve_scan(parse_scan(s), d) for s in scan_args]
+    scans = _requested_scans(args, d)
 
     scan_rows = []
     for scan in scans:
@@ -231,11 +232,9 @@ def _indicator(pi: TargetDistribution, spec_text: str) -> np.ndarray:
 
 def cmd_sample(args) -> int:
     pi = _load_target(args)
-    d = pi.space.d
     if args.replicas < 1:
         raise ValidationError("replicas must be >= 1")
-    scan_args = args.scan or ["dsg:" + ",".join(map(str, range(1, d + 1))), "rsg:uniform"]
-    scans = [_resolve_scan(parse_scan(s), d) for s in scan_args]
+    scans = _requested_scans(args, pi.space.d)
     f = _indicator(pi, args.function)
 
     panels = []
@@ -243,13 +242,13 @@ def cmd_sample(args) -> int:
     for scan in scans:
         op = scan_operator(pi, scan, state_cap=args.state_cap)
         rho = scan_rho(scan, op)
-        trace = run_chain(pi, scan, args.n, seed=args.seed)
+        trace = run_chain(op, args.n, seed=args.seed)
         est, se = asymptotic_variance_estimate(trace, f)
         bound = clt_variance_bound(rho, f, pi)
         clt_pass = bool(est <= bound + 3.0 * se)
         tails = [{"n": t.n, "eps": t.eps, "frequency": t.frequency,
                   "bound": t.bound, "std_error": t.std_error, "pass": t.passed}
-                 for t in empirical_tails(pi, scan, f, args.n_grid, args.eps_grid,
+                 for t in empirical_tails(op, rho, f, args.n_grid, args.eps_grid,
                                           args.replicas, seed=args.seed)]
         panel_pass = clt_pass and all(t["pass"] for t in tails)
         all_pass = all_pass and panel_pass
@@ -275,6 +274,8 @@ def cmd_counterexample(args) -> int:
     for b in args.b:
         if b <= 1.0:
             raise ValidationError("b must be > 1, got %g" % b)
+    for N in args.N:
+        check_state_cap(LadderChainSpec(N, args.q).n_states, args.state_cap)
     rows = reversibilization_gap_sweep(args.q, args.N, b_list=args.b)
     csv_rows = []
     cheeger_ok = True

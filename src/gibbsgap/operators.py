@@ -134,26 +134,10 @@ class RandomScan:
 ScanSpec = Union[DeterministicScan, RandomScan]
 
 
-@dataclass(frozen=True)
-class SpectralReport:
-    """Exact spectral quantities of a centered operator."""
-
-    label: str
-    l2_norm_centered: float
-    spectral_radius_centered: float
-    reversible: bool
-
-    @property
-    def spectral_gap(self) -> float:
-        return 1.0 - self.spectral_radius_centered
-
-
-def _check_cap(pi: TargetDistribution, state_cap: int) -> None:
-    if pi.space.total_states > state_cap:
-        raise StateCapError(
-            "target has %d states, above the cap of %d"
-            % (pi.space.total_states, state_cap)
-        )
+def check_state_cap(n_states: int, state_cap: int) -> None:
+    """Refuse a target of n_states states above the cap (StateCapError)."""
+    if n_states > state_cap:
+        raise StateCapError("target has %d states, above the cap of %d" % (n_states, state_cap))
 
 
 def pi_kernel(pi_vec: np.ndarray) -> np.ndarray:
@@ -171,7 +155,7 @@ def small_step(i: int, pi: TargetDistribution, state_cap: int = DEFAULT_STATE_CA
     d = pi.space.d
     if not 1 <= i <= d:
         raise ValidationError("coordinate index %d out of range 1..%d" % (i, d))
-    _check_cap(pi, state_cap)
+    check_state_cap(pi.space.total_states, state_cap)
     return MarkovOperator(_small_step_kernel(i, pi), pi.pmf, label="P_%d" % i)
 
 
@@ -195,7 +179,7 @@ def _checked_scan(spec, kind: type, pi: TargetDistribution, state_cap: int):
     scan = spec if isinstance(spec, kind) else kind(tuple(spec))
     if scan.d != pi.space.d:
         raise ValidationError("scan has %d coordinates, target has %d" % (scan.d, pi.space.d))
-    _check_cap(pi, state_cap)
+    check_state_cap(pi.space.total_states, state_cap)
     return scan
 
 
@@ -298,16 +282,6 @@ def spectral_radius_centered(op: MarkovOperator) -> float:
     return float(np.abs(vals).max()) if vals.size else 0.0
 
 
-def spectral_report(op: MarkovOperator) -> SpectralReport:
-    """Exact norm, radius and gap of the centered operator."""
-    return SpectralReport(
-        label=op.label,
-        l2_norm_centered=l2_norm_centered(op),
-        spectral_radius_centered=spectral_radius_centered(op),
-        reversible=is_reversible(op),
-    )
-
-
 class Spectra:
     """Centered norms and radii of the DSG, RSG and palindromic scans of pi.
 
@@ -317,7 +291,7 @@ class Spectra:
     """
 
     def __init__(self, pi: TargetDistribution, state_cap: int = DEFAULT_STATE_CAP):
-        _check_cap(pi, state_cap)
+        check_state_cap(pi.space.total_states, state_cap)
         self.pi = pi
         self.state_cap = state_cap
         self._memo: dict = {}
@@ -359,21 +333,6 @@ def power_norm_sequence(op: MarkovOperator, n_max: int) -> list[float]:
         power = power @ a
         svals = np.linalg.svd(power, compute_uv=False)
         out.append(float(svals[0]))
-    return out
-
-
-def tv_distance_decay(op: MarkovOperator, x0: int, n_max: int) -> list[float]:
-    """Exact TV distance of row x0 of P^n to pi, for n = 1..n_max."""
-    if not 0 <= x0 < op.n_states:
-        raise ValidationError("state %d out of range" % x0)
-    if n_max < 0:
-        raise ValidationError("n_max must be >= 0")
-    row = np.zeros(op.n_states)
-    row[x0] = 1.0
-    out = []
-    for _ in range(n_max):
-        row = row @ op.kernel
-        out.append(float(0.5 * np.abs(row - op.stationary).sum()))
     return out
 
 

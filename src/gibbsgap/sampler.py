@@ -1,12 +1,15 @@
 """Seeded simulation of the Gibbs samplers with CLT / tail diagnostics.
 
-Chains are simulated directly from the dense one-step kernel, so recorded
-steps match the analyzed operator exactly: one record per full sweep for a
-deterministic scan, one record per single-coordinate update for a random
-scan.  Each call draws from one numpy Generator seeded with its seed: a
-chain takes one uniform per recorded step, and the replicas of a tail check
-share one stream (start states first, then one uniform per replica per
-step), so they are simulated serially and in a fixed order.
+Chains are simulated from the dense one-step kernel of the operator they are
+given, so recorded steps match the analyzed operator exactly: one record per
+full sweep for a deterministic scan (there are no records inside a sweep),
+one record per single-coordinate update for a random scan.  The caller
+builds that operator once (``scan_operator``, under its state cap) and
+passes it, with its rate ``rho``, to every simulation.
+Each call draws from one numpy Generator seeded with its seed: a chain takes
+one uniform per recorded step, and the replicas of a tail check share one
+stream (start states first, then one uniform per replica per step), so they
+are simulated serially and in a fixed order.
 
 A scan's whole tail grid comes from one simulation of ``replicas`` chains
 over the longest horizon: shorter horizons are prefixes of it, and every
@@ -17,7 +20,6 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import cycle
 from typing import Sequence, Union
 
 import numpy as np
@@ -25,13 +27,11 @@ import numpy as np
 from .errors import ValidationError
 from .measure import TargetDistribution
 from .operators import (
-    DeterministicScan,
     MarkovOperator,
     RandomScan,
     ScanSpec,
     l2_norm_centered,
-    scan_operator,
-    small_step,
+    scan_operator,  # not used here: tests and the benchmark tracer import it from sampler
     spectral_radius_centered,
 )
 
@@ -45,7 +45,6 @@ class ChainTrace:
     """A realized trajectory: states[t] is the state after t+1 recorded steps."""
 
     states: np.ndarray
-    scan: ScanSpec
     seed: int
     init: int  # flat initial state X_0 (not included in states)
 
@@ -108,44 +107,35 @@ def _rows(kernel: np.ndarray) -> list[memoryview]:
     return [memoryview(row) for row in cumulative_table(kernel)]
 
 
-def _walk(tables: Sequence[list], x: int, n: int, rng: np.random.Generator) -> np.ndarray:
-    """n inverse-cdf steps from x, cycling through the tables (lists of
-    cumulative rows); one uniform per step, drawn in blocks."""
+def _walk(rows: list[memoryview], x: int, n: int, rng: np.random.Generator) -> np.ndarray:
+    """n inverse-cdf steps from x over the cumulative rows; one uniform per
+    step, drawn in blocks."""
     states = np.empty(n, dtype=np.int64)
-    rows = cycle(tables)
     for start in range(0, n, _UNIFORM_BLOCK):
         block = []
-        for u, table in zip(rng.random(min(_UNIFORM_BLOCK, n - start)).tolist(), rows):
-            x = bisect_right(table[x], u)
+        for u in rng.random(min(_UNIFORM_BLOCK, n - start)).tolist():
+            x = bisect_right(rows[x], u)
             block.append(x)
         states[start:start + len(block)] = block
     return states
 
 
-def run_chain(pi: TargetDistribution, scan: ScanSpec, n: int, seed: int,
-              init: Union[int, str] = "stationary",
-              record_intra_sweep: bool = False) -> ChainTrace:
-    """Simulate n recorded steps; identical inputs give identical traces.
+def run_chain(op: MarkovOperator, n: int, seed: int,
+              init: Union[int, str] = "stationary") -> ChainTrace:
+    """Simulate n steps of op's kernel; identical inputs give identical traces.
 
-    init is a flat state or "stationary" (draw X_0 from pi).  With
-    record_intra_sweep a deterministic scan records every single-coordinate
-    update (n per-coordinate records) instead of one state per sweep.
+    init is a flat state or "stationary" (draw X_0 from op.stationary).
     """
     if n < 1:
         raise ValidationError("n must be >= 1, got %d" % n)
     rng = np.random.default_rng(seed)
     if init == "stationary":
-        x0 = int(rng.choice(pi.space.total_states, p=pi.pmf))
+        x0 = int(rng.choice(op.n_states, p=op.stationary))
     else:
         x0 = int(init)
-        if not 0 <= x0 < pi.space.total_states:
+        if not 0 <= x0 < op.n_states:
             raise ValidationError("initial state %d out of range" % x0)
-
-    if record_intra_sweep and isinstance(scan, DeterministicScan):
-        tables = [_rows(small_step(i, pi).kernel) for i in scan.order]
-    else:
-        tables = [_rows(scan_operator(pi, scan).kernel)]
-    return ChainTrace(states=_walk(tables, x0, n, rng), scan=scan, seed=seed, init=x0)
+    return ChainTrace(states=_walk(_rows(op.kernel), x0, n, rng), seed=seed, init=x0)
 
 
 def clt_variance_bound(rho: float, f: np.ndarray, pi: TargetDistribution) -> float:
@@ -203,24 +193,25 @@ def hoeffding_bound(rho: float, n: int, eps: float, nu_density_norm: float = 1.0
     return nu_density_norm * float(np.exp(-(1.0 - rho) / (1.0 + rho) * n * eps ** 2))
 
 
-def empirical_tails(pi: TargetDistribution, scan: ScanSpec, f: np.ndarray,
+def empirical_tails(op: MarkovOperator, rho: float, f: np.ndarray,
                     n_grid: Sequence[int], eps_grid: Sequence[float],
                     replicas: int, seed: int) -> list[TailCheck]:
     """Monte Carlo frequencies of {sum_{i=1..n} f(X_i) >= n (mu + eps)} for
-    every n in n_grid (outer) and eps in eps_grid (inner), in that order.
+    chains of op, for every n in n_grid (outer) and eps in eps_grid (inner),
+    in that order; each is checked against the tail bound with rate rho.
 
-    f must be valued in [0, 1]; the chains start from nu = pi, so the
-    density-norm factor in the bound is 1.  Pass criterion: frequency <=
+    f must be valued in [0, 1]; the chains start from nu = op.stationary, so
+    the density-norm factor in the bound is 1.  Pass criterion: frequency <=
     bound + 3 binomial standard errors.  One set of replicas runs to the
     longest horizon; its partial sums at each n serve every eps, exactly as
     separate runs from the same seed would.
     """
     f = np.asarray(f, dtype=float).reshape(-1)
-    if f.shape[0] != pi.space.total_states:
+    if f.shape[0] != op.n_states:
         raise ValidationError("f has wrong length")
     if f.min() < 0.0 or f.max() > 1.0:
         raise ValidationError("f must be valued in [0, 1]")
-    mu = float(pi.pmf @ f)
+    mu = float(op.stationary @ f)
     for n in n_grid:
         if n < 1:
             raise ValidationError("tail horizon n must be >= 1, got %d" % n)
@@ -231,11 +222,9 @@ def empirical_tails(pi: TargetDistribution, scan: ScanSpec, f: np.ndarray,
             raise ValidationError("mu + eps = %g exceeds 1" % (mu + eps))
     if replicas < 1:
         raise ValidationError("replicas must be >= 1")
-    op = scan_operator(pi, scan)
-    rho = scan_rho(scan, op)
     cum_t = np.ascontiguousarray(cumulative_table(op.kernel).T)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    states = rng.choice(pi.space.total_states, size=replicas, p=pi.pmf)
+    states = rng.choice(op.n_states, size=replicas, p=op.stationary)
     sums = np.zeros(replicas)
     snapshots = {}
     done = 0
@@ -256,15 +245,7 @@ def empirical_tails(pi: TargetDistribution, scan: ScanSpec, f: np.ndarray,
     return checks
 
 
-def empirical_tail(pi: TargetDistribution, scan: ScanSpec, f: np.ndarray,
+def empirical_tail(op: MarkovOperator, rho: float, f: np.ndarray,
                    n: int, eps: float, replicas: int, seed: int) -> TailCheck:
     """The single grid point (n, eps) of empirical_tails."""
-    return empirical_tails(pi, scan, f, [n], [eps], replicas, seed)[0]
-
-
-def point_mass_density_norm(pi: TargetDistribution, x0: int) -> float:
-    """||d delta_{x0} / d pi|| = 1/sqrt(pi(x0)); reported for point starts."""
-    if not 0 <= x0 < pi.space.total_states:
-        raise ValidationError("state %d out of range" % x0)
-    return float(1.0 / np.sqrt(pi.pmf[x0]))
-
+    return empirical_tails(op, rho, f, [n], [eps], replicas, seed)[0]

@@ -233,7 +233,7 @@ def test_c09_clt_bound(suite):
             op = dsg(scan.order, pi) if isinstance(scan, DeterministicScan) else rsg(scan, pi)
             rho = (l2_norm_centered(op) if isinstance(scan, RandomScan)
                    else spectral_radius_centered(op))
-            trace = run_chain(pi, scan, 100_000, seed=77)
+            trace = run_chain(op, 100_000, seed=77)
             est, se = asymptotic_variance_estimate(trace, f)
             ok = ok and est <= clt_variance_bound(rho, f, pi) + 3.0 * se
     elapsed = time.perf_counter() - start
@@ -243,16 +243,17 @@ def test_c09_clt_bound(suite):
 
 def test_c10_hoeffding_tails():
     from gibbsgap.operators import DeterministicScan
-    from gibbsgap.sampler import empirical_tail
+    from gibbsgap.sampler import empirical_tail, scan_operator, scan_rho
 
     start = time.perf_counter()
     pi = equicorrelated_binary(2, 0.25)
     f = pi.space.all_multi_indices()[:, 0].astype(float)
     ok = True
     for scan in (DeterministicScan((1, 2)), RandomScan.uniform(2)):
+        op = scan_operator(pi, scan)
         for n in (100, 1000):
             for eps in (0.1, 0.2, 0.3):
-                check = empirical_tail(pi, scan, f, n=n, eps=eps,
+                check = empirical_tail(op, scan_rho(scan, op), f, n=n, eps=eps,
                                        replicas=10_000, seed=5)
                 ok = ok and check.passed
     elapsed = time.perf_counter() - start

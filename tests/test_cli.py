@@ -6,33 +6,41 @@ from collections import Counter
 
 import pytest
 
-from gibbsgap import geometry, operators
+from gibbsgap import cli, geometry, operators, sampler
 from gibbsgap.cli import main, parse_scan
 from gibbsgap.errors import ValidationError
+from gibbsgap.measure import random_target
 from gibbsgap.operators import DeterministicScan, RandomScan
 from gibbsgap.reporting import write_csv, write_json
 
 
 class TestScanGrammar:
     def test_dsg(self):
-        assert parse_scan("dsg:2,1,3") == DeterministicScan((2, 1, 3))
+        assert parse_scan("dsg:2,1,3", 3) == DeterministicScan((2, 1, 3))
 
     def test_rsg_weights(self):
-        assert parse_scan("rsg:0.5,0.5") == RandomScan((0.5, 0.5))
+        assert parse_scan("rsg:0.5,0.5", 2) == RandomScan((0.5, 0.5))
 
     def test_rsg_uniform_placeholder(self):
-        assert parse_scan("rsg:uniform") == "rsg:uniform"
+        assert parse_scan("rsg:uniform", 2) == RandomScan.uniform(2)
 
     def test_bad_specs(self):
         for text in ("mh:1,2", "dsg:a,b", "rsg:x"):
             with pytest.raises(ValidationError):
-                parse_scan(text)
+                parse_scan(text, 2)
+
+
+def _patch_everywhere(monkeypatch, original, replacement):
+    """Replace a function under every gibbsgap module binding that holds it."""
+    for m in ("operators", "geometry", "bounds", "sampler", "cli"):
+        module = importlib.import_module("gibbsgap." + m)
+        for attr, value in list(vars(module).items()):
+            if value is original:
+                monkeypatch.setattr(module, attr, replacement)
 
 
 def _count_calls(monkeypatch, names):
     """Count calls of the named operators functions under every module binding."""
-    modules = [importlib.import_module("gibbsgap." + m)
-               for m in ("operators", "geometry", "bounds", "sampler", "cli")]
     counts = Counter()
     for name in names:
         original = getattr(operators, name)
@@ -41,10 +49,7 @@ def _count_calls(monkeypatch, names):
             counts[_name] += 1
             return _original(*args, **kwargs)
 
-        for module in modules:
-            for attr, value in list(vars(module).items()):
-                if value is original:
-                    monkeypatch.setattr(module, attr, counted)
+        _patch_everywhere(monkeypatch, original, counted)
     return counts
 
 
@@ -167,6 +172,51 @@ class TestSampleCommand:
         assert code == 2
         assert not (tmp_path / "sample.json").exists()
 
+    @pytest.fixture
+    def target_3x3x3(self, tmp_path):
+        pi = random_target(seed=5, dims=(3, 3, 3))
+        path = tmp_path / "target.json"
+        path.write_text(json.dumps({"dims": [3, 3, 3], "pmf": pi.pmf.tolist()}))
+        return str(path)
+
+    def _sample(self, tmp_path, target_file, scan, *extra):
+        return main(["sample", "--target-file", target_file, "--scan", scan,
+                     "--n", "5000", "--replicas", "200", "--n-grid", "100",
+                     "--out-dir", str(tmp_path / "out"), *extra])
+
+    @pytest.mark.parametrize("scan", ["dsg:2,3,1", "rsg:uniform"])
+    def test_scan_operator_built_once_under_state_cap(self, tmp_path, monkeypatch,
+                                                      target_3x3x3, scan):
+        caps = []
+        original = operators.scan_operator
+
+        def recorded(pi, spec, **kwargs):
+            caps.append(kwargs.get("state_cap", operators.DEFAULT_STATE_CAP))
+            return original(pi, spec, **kwargs)
+
+        _patch_everywhere(monkeypatch, original, recorded)
+        assert self._sample(tmp_path, target_3x3x3, scan, "--state-cap", "25000") == 0
+        assert caps == [25000]
+
+    @pytest.mark.parametrize("scan, solver", [("dsg:2,3,1", "spectral_radius_centered"),
+                                              ("rsg:uniform", "l2_norm_centered")])
+    def test_rho_solved_once_per_scan(self, tmp_path, monkeypatch, target_3x3x3, scan, solver):
+        counts = _count_calls(monkeypatch, ("spectral_radius_centered", "l2_norm_centered"))
+        assert self._sample(tmp_path, target_3x3x3, scan) == 0
+        assert counts == {solver: 1}
+
+    def test_state_cap_refused_before_any_step(self, tmp_path, monkeypatch):
+        def fail(*args):
+            raise AssertionError("simulated an over-cap target")
+
+        monkeypatch.setattr(sampler, "_walk", fail)
+        monkeypatch.setattr(sampler, "_step_many", fail)
+        code = main(["sample", "--model", "equicorrelated_binary", "--d", "2",
+                     "--epsilon", "0.25", "--out-dir", str(tmp_path),
+                     "--n", "1000", "--replicas", "10", "--state-cap", "3"])
+        assert code == 3
+        assert not (tmp_path / "sample.json").exists()
+
     def test_bad_function_exit_2(self, tmp_path):
         code = main(["sample", "--model", "equicorrelated_binary", "--d", "2",
                      "--epsilon", "0.25", "--out-dir", str(tmp_path),
@@ -190,6 +240,24 @@ class TestCounterexampleCommand:
 
     def test_bad_b_exit_2(self, tmp_path):
         assert main(["counterexample", "--b", "0.9", "--out-dir", str(tmp_path)]) == 2
+
+    def test_state_cap_exit_3_before_any_row(self, tmp_path, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("built a row with an over-cap truncation requested")
+
+        monkeypatch.setattr(cli, "reversibilization_gap_sweep", fail)
+        # N = 5 has 16 states, N = 10 has 56
+        code = main(["counterexample", "--N", "5,10", "--state-cap", "50",
+                     "--out-dir", str(tmp_path)])
+        assert code == 3
+        assert not (tmp_path / "counterexample.json").exists()
+
+    def test_state_cap_at_the_limit_runs(self, tmp_path):
+        # N = 9 has 1 + 9 * 10 / 2 = 46 states
+        code = main(["counterexample", "--N", "9", "--state-cap", "46",
+                     "--out-dir", str(tmp_path)])
+        assert code == 0
+        assert (tmp_path / "counterexample.json").exists()
 
 
 class TestEntryPoint:

@@ -21,9 +21,7 @@ from gibbsgap.operators import (
     rsg,
     small_step,
     spectral_radius_centered,
-    spectral_report,
     symmetrized_sweep,
-    tv_distance_decay,
 )
 
 
@@ -206,11 +204,6 @@ class TestSpectralQuantities:
         for n, v in enumerate(seq, start=1):
             assert v <= r ** n + 1e-12
 
-    def test_spectral_report(self, eps_pair):
-        rep = spectral_report(rsg(RandomScan.uniform(2), eps_pair))
-        assert rep.reversible
-        assert rep.spectral_gap == pytest.approx(1.0 - rep.spectral_radius_centered)
-
 
 class TestSpectra:
     def test_values_equal_direct_computation(self):
@@ -252,11 +245,6 @@ class TestSpectra:
 
 
 class TestDiagnostics:
-    def test_tv_decay_monotone_to_zero(self, eps_pair):
-        decay = tv_distance_decay(dsg((1, 2), eps_pair), 0, 20)
-        assert all(b <= a + 1e-12 for a, b in zip(decay, decay[1:]))
-        assert decay[-1] < 1e-8
-
     def test_operator_report_fields(self, eps_pair):
         rep = operator_report(rsg(RandomScan.uniform(2), eps_pair))
         assert rep["reversible"]

@@ -8,7 +8,6 @@ from gibbsgap.operators import (
     DeterministicScan,
     RandomScan,
     l2_norm_centered,
-    small_step,
     spectral_radius_centered,
 )
 from gibbsgap.sampler import (
@@ -18,30 +17,32 @@ from gibbsgap.sampler import (
     empirical_tail,
     empirical_tails,
     hoeffding_bound,
-    point_mass_density_norm,
     run_chain,
     scan_operator,
     scan_rho,
 )
 
 
-def _reference_chain(pi, scan, n, seed, init="stationary", record_intra_sweep=False):
+def _reference_chain(pi, scan, n, seed, init="stationary"):
     """The scalar np.searchsorted step loop run_chain must reproduce exactly."""
     rng = np.random.default_rng(seed)
     if init == "stationary":
         x0 = int(rng.choice(pi.space.total_states, p=pi.pmf))
     else:
         x0 = int(init)
-    if record_intra_sweep and isinstance(scan, DeterministicScan):
-        kernels = [np.cumsum(small_step(i, pi).kernel, axis=1) for i in scan.order]
-    else:
-        kernels = [np.cumsum(scan_operator(pi, scan).kernel, axis=1)]
+    cum = np.cumsum(scan_operator(pi, scan).kernel, axis=1)
     states = np.empty(n, dtype=np.int64)
     x = x0
     for t in range(n):
-        x = int(np.searchsorted(kernels[t % len(kernels)][x], rng.random(), side="right"))
+        x = int(np.searchsorted(cum[x], rng.random(), side="right"))
         states[t] = x
     return x0, states
+
+
+def _op_rho(pi, scan):
+    """The kernel a scan simulates and its rate rho, as the sampler takes them."""
+    op = scan_operator(pi, scan)
+    return op, scan_rho(scan, op)
 
 
 def _reference_tail(pi, scan, f, n, eps, replicas, seed):
@@ -82,26 +83,28 @@ SHORT_ROW_KERNEL = np.array([[0.5, 0.5 - 2e-16, 0.0],
 
 class TestRunChain:
     def test_deterministic_given_seed(self, eps_pair):
-        a = run_chain(eps_pair, RandomScan.uniform(2), 50, seed=7)
-        b = run_chain(eps_pair, RandomScan.uniform(2), 50, seed=7)
+        op = scan_operator(eps_pair, RandomScan.uniform(2))
+        a = run_chain(op, 50, seed=7)
+        b = run_chain(op, 50, seed=7)
         np.testing.assert_array_equal(a.states, b.states)
         assert a.init == b.init
 
     def test_seeds_differ(self, eps_pair):
-        a = run_chain(eps_pair, RandomScan.uniform(2), 200, seed=1)
-        b = run_chain(eps_pair, RandomScan.uniform(2), 200, seed=2)
+        op = scan_operator(eps_pair, RandomScan.uniform(2))
+        a = run_chain(op, 200, seed=1)
+        b = run_chain(op, 200, seed=2)
         assert not np.array_equal(a.states, b.states)
 
     def test_fixed_init(self, eps_pair):
-        trace = run_chain(eps_pair, DeterministicScan((1, 2)), 10, seed=0, init=3)
+        trace = run_chain(scan_operator(eps_pair, DeterministicScan((1, 2))), 10, seed=0, init=3)
         assert trace.init == 3
 
     def test_init_out_of_range(self, eps_pair):
         with pytest.raises(ValidationError):
-            run_chain(eps_pair, DeterministicScan((1, 2)), 10, seed=0, init=4)
+            run_chain(scan_operator(eps_pair, DeterministicScan((1, 2))), 10, seed=0, init=4)
 
     def test_rsg_moves_one_coordinate_per_step(self, eps_pair):
-        trace = run_chain(eps_pair, RandomScan.uniform(2), 500, seed=3, init=0)
+        trace = run_chain(scan_operator(eps_pair, RandomScan.uniform(2)), 500, seed=3, init=0)
         prev = trace.init
         for s in trace.states:
             a = eps_pair.space.multi_index(int(prev))
@@ -109,21 +112,8 @@ class TestRunChain:
             assert sum(x != y for x, y in zip(a, b)) <= 1
             prev = s
 
-    def test_intra_sweep_recording(self, eps_pair):
-        trace = run_chain(eps_pair, DeterministicScan((1, 2)), 6, seed=5, init=0,
-                          record_intra_sweep=True)
-        assert len(trace) == 6
-        prev = trace.init
-        for t, s in enumerate(trace.states):
-            a = eps_pair.space.multi_index(int(prev))
-            b = eps_pair.space.multi_index(int(s))
-            changed = [j for j in range(2) if a[j] != b[j]]
-            # step t resamples coordinate (t mod 2) + 1 only
-            assert all(j == t % 2 for j in changed)
-            prev = s
-
     def test_stationary_marginals(self, eps_pair):
-        trace = run_chain(eps_pair, RandomScan.uniform(2), 40_000, seed=11)
+        trace = run_chain(scan_operator(eps_pair, RandomScan.uniform(2)), 40_000, seed=11)
         freq = np.bincount(trace.states, minlength=4) / len(trace)
         np.testing.assert_allclose(freq, eps_pair.pmf, atol=0.02)
 
@@ -133,8 +123,9 @@ class TestRunChain:
     def test_matches_scalar_searchsorted_loop(self, scan, seed):
         pi = random_target(seed=40 + seed, dims=(3, 2, 3))
         n = 5000  # crosses a uniform-block boundary
-        for kw in ({}, {"init": 4}, {"record_intra_sweep": True}):
-            trace = run_chain(pi, scan, n, seed=seed, **kw)
+        op = scan_operator(pi, scan)
+        for kw in ({}, {"init": 4}):
+            trace = run_chain(op, n, seed=seed, **kw)
             x0, states = _reference_chain(pi, scan, n, seed, **kw)
             assert trace.init == x0
             np.testing.assert_array_equal(trace.states, states)
@@ -164,7 +155,7 @@ class TestCumulativeTable:
         assert np.searchsorted(raw[0], u, side="right") == 3  # out of range
         cum = cumulative_table(SHORT_ROW_KERNEL)
         assert sampler._step_many(cum.T, np.array([0, 1]), np.array([u, u])).tolist() == [1, 1]
-        walk = sampler._walk([sampler._rows(SHORT_ROW_KERNEL)], 0, 3, _ConstantRng(u))
+        walk = sampler._walk(sampler._rows(SHORT_ROW_KERNEL), 0, 3, _ConstantRng(u))
         assert walk.tolist() == [1, 1, 1]
 
 
@@ -190,7 +181,7 @@ class TestCltVarianceBound:
         op = scan_operator(eps_pair, scan)
         rho = l2_norm_centered(op)
         f = np.array([0.0, 0.0, 1.0, 1.0])
-        trace = run_chain(eps_pair, scan, 100_000, seed=42)
+        trace = run_chain(op, 100_000, seed=42)
         est, se = asymptotic_variance_estimate(trace, f)
         assert est <= clt_variance_bound(rho, f, eps_pair) + 3.0 * se
 
@@ -198,12 +189,12 @@ class TestCltVarianceBound:
         # an iid-like fast-mixing chain: asymptotic variance near Var_pi
         scan = DeterministicScan((1, 2))
         f = np.array([0.0, 1.0, 0.0, 1.0])  # depends on the freshly drawn coordinate
-        trace = run_chain(uniform_2x2, scan, 50_000, seed=9)
+        trace = run_chain(scan_operator(uniform_2x2, scan), 50_000, seed=9)
         est, se = asymptotic_variance_estimate(trace, f)
         assert est == pytest.approx(0.25, abs=10.0 * se + 0.02)
 
     def test_estimator_validation(self, eps_pair):
-        trace = run_chain(eps_pair, RandomScan.uniform(2), 50, seed=0)
+        trace = run_chain(scan_operator(eps_pair, RandomScan.uniform(2)), 50, seed=0)
         with pytest.raises(ValidationError):
             asymptotic_variance_estimate(trace, np.zeros(4), batch_count=5)
         with pytest.raises(ValidationError):
@@ -227,40 +218,37 @@ class TestHoeffding:
         with pytest.raises(ValidationError):
             hoeffding_bound(0.5, 100, 0.1, 0.5)
 
-    def test_point_mass_density_norm(self, eps_pair):
-        assert point_mass_density_norm(eps_pair, 0) == pytest.approx(1.0 / np.sqrt(0.375))
-
 
 class TestEmpiricalTail:
     def test_rsg_tail_respects_bound(self, eps_pair):
         f = np.array([0.0, 0.0, 1.0, 1.0])
-        check = empirical_tail(eps_pair, RandomScan.uniform(2), f,
+        check = empirical_tail(*_op_rho(eps_pair, RandomScan.uniform(2)), f,
                                n=200, eps=0.2, replicas=4000, seed=0)
         assert check.passed
         assert 0.0 <= check.frequency <= 1.0
 
     def test_dsg_tail_respects_bound(self, eps_pair):
         f = np.array([0.0, 0.0, 1.0, 1.0])
-        check = empirical_tail(eps_pair, DeterministicScan((1, 2)), f,
+        check = empirical_tail(*_op_rho(eps_pair, DeterministicScan((1, 2))), f,
                                n=100, eps=0.2, replicas=4000, seed=0)
         assert check.passed
 
     def test_rejects_unbounded_f(self, eps_pair):
         with pytest.raises(ValidationError):
-            empirical_tail(eps_pair, RandomScan.uniform(2), np.array([0.0, 0.0, 1.0, 2.0]),
-                           n=10, eps=0.1, replicas=10, seed=0)
+            empirical_tail(*_op_rho(eps_pair, RandomScan.uniform(2)),
+                           np.array([0.0, 0.0, 1.0, 2.0]), n=10, eps=0.1, replicas=10, seed=0)
 
     def test_rejects_impossible_threshold(self, eps_pair):
         f = np.array([0.0, 0.0, 1.0, 1.0])
         with pytest.raises(ValidationError):
-            empirical_tail(eps_pair, RandomScan.uniform(2), f,
+            empirical_tail(*_op_rho(eps_pair, RandomScan.uniform(2)), f,
                            n=10, eps=0.9, replicas=10, seed=0)
 
     def test_deterministic(self, eps_pair):
         f = np.array([0.0, 0.0, 1.0, 1.0])
-        a = empirical_tail(eps_pair, RandomScan.uniform(2), f, n=50, eps=0.2,
+        a = empirical_tail(*_op_rho(eps_pair, RandomScan.uniform(2)), f, n=50, eps=0.2,
                            replicas=500, seed=4)
-        b = empirical_tail(eps_pair, RandomScan.uniform(2), f, n=50, eps=0.2,
+        b = empirical_tail(*_op_rho(eps_pair, RandomScan.uniform(2)), f, n=50, eps=0.2,
                            replicas=500, seed=4)
         assert a.frequency == b.frequency
 
@@ -269,10 +257,10 @@ class TestEmpiricalTail:
     def test_rejects_empty_horizon(self, eps_pair, n):
         f = np.array([0.0, 0.0, 1.0, 1.0])
         with pytest.raises(ValidationError):
-            empirical_tail(eps_pair, RandomScan.uniform(2), f, n=n, eps=0.1,
+            empirical_tail(*_op_rho(eps_pair, RandomScan.uniform(2)), f, n=n, eps=0.1,
                            replicas=10, seed=0)
         with pytest.raises(ValidationError):
-            empirical_tails(eps_pair, RandomScan.uniform(2), f, [100, n], [0.1],
+            empirical_tails(*_op_rho(eps_pair, RandomScan.uniform(2)), f, [100, n], [0.1],
                             replicas=10, seed=0)
 
     @pytest.mark.parametrize("eps", [0.0, -0.1, 0.9])
@@ -283,7 +271,7 @@ class TestEmpiricalTail:
         monkeypatch.setattr(sampler, "_step_many", no_steps)
         f = np.array([0.0, 0.0, 1.0, 1.0])
         with pytest.raises(ValidationError):
-            empirical_tails(eps_pair, RandomScan.uniform(2), f, [100, 1000], [0.1, eps],
+            empirical_tails(*_op_rho(eps_pair, RandomScan.uniform(2)), f, [100, 1000], [0.1, eps],
                             replicas=10, seed=0)
 
 
@@ -294,10 +282,11 @@ class TestEmpiricalTails:
         pi = random_target(seed=3, dims=(3, 3, 2))
         f = (pi.space.all_multi_indices()[:, 0] == 2).astype(float)
         n_grid, eps_grid = [60, 7, 25], [0.1, 0.25]
-        grid = empirical_tails(pi, scan, f, n_grid, eps_grid, replicas=300, seed=11)
+        op, rho = _op_rho(pi, scan)
+        grid = empirical_tails(op, rho, f, n_grid, eps_grid, replicas=300, seed=11)
         assert [(t.n, t.eps) for t in grid] == [(n, e) for n in n_grid for e in eps_grid]
         separate = [_reference_tail(pi, scan, f, n, e, 300, 11) for n in n_grid for e in eps_grid]
-        single = [empirical_tail(pi, scan, f, n, e, 300, 11) for n in n_grid for e in eps_grid]
+        single = [empirical_tail(op, rho, f, n, e, 300, 11) for n in n_grid for e in eps_grid]
         assert grid == separate
         assert grid == single
         for a, b in zip(grid, separate):

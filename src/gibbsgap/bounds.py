@@ -1,10 +1,11 @@
 """Closed-form spectral-norm bounds and slack reporting against exact values.
 
 Slack convention: slack = bound - exact.  Negative slack beyond -1e-9 on an
-asserted bound is a hard failure.  Bounds are always evaluated from the
-exact closed-form angle c (recovered from the uniform-weight random-scan
-norm), never from the heuristic inclination estimate, whose direction as an
-upper bound would flip the deterministic-scan inequality.
+asserted bound is a hard failure.  Bounds are evaluated from the exact
+closed-form angle c (recovered from the uniform-weight random-scan norm) and
+from lower bounds on the inclination (the random-scan dual, when given),
+never from the inclination estimate ell_hat, whose direction as an upper
+bound would flip the deterministic-scan inequality.
 """
 from __future__ import annotations
 
@@ -112,12 +113,14 @@ def sample_permutations(d: int, seed: int = 0, count: int = 24) -> list[tuple[in
 def verify_bounds(spectra: Spectra,
                   sigma_list: Sequence[Sequence[int]] | None = None,
                   weight_list: Sequence[Sequence[float]] | None = None,
-                  seed: int = 0) -> BoundReport:
+                  seed: int = 0, ell_lower: float | None = None) -> BoundReport:
     """Exact norms (from spectra) for the requested scans versus every
     applicable bound.
 
     Asserts nothing itself; callers inspect ``violations()``.  Includes the
-    uniform-weight sharpness entry and the universal 1/d lower bound.
+    uniform-weight sharpness entry and the universal 1/d lower bound, and,
+    given ``ell_lower`` (a lower bound on the inclination, such as
+    ``InclinationResult.lower``), the deterministic-scan bound from it.
     """
     d = spectra.pi.space.d
     uniform = RandomScan.uniform(d)
@@ -170,5 +173,12 @@ def verify_bounds(spectra: Spectra,
             exact=exact,
             inputs={"c": c, "d": d, "sigma": scan.order},
         ))
+        if ell_lower is not None:
+            entries.append(BoundEntry(
+                name="dsg_norm_bound_via_dual_l",
+                bound=dsg_norm_bound_from_l(ell_lower, d),
+                exact=exact,
+                inputs={"ell_lower": ell_lower, "d": d, "sigma": scan.order},
+            ))
 
     return BoundReport(angle=c, entries=tuple(entries))

@@ -9,7 +9,8 @@ Commands::
 
 Exit status: 0 success, 1 an asserted inequality or simulation bound was
 violated beyond tolerance, 2 usage or validation error, 3 state-count cap
-exceeded (every command checks it before any work on the target).
+exceeded (every command checks it before any work on the target, and
+before it builds a ``--model`` pmf).
 
 Scan mini-grammar: ``dsg:i1,i2,...,id`` (update order, 1-based) and
 ``rsg:uniform`` or ``rsg:w1,w2,...,wd``.
@@ -17,6 +18,7 @@ Scan mini-grammar: ``dsg:i1,i2,...,id`` (update order, 1-based) and
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -25,7 +27,7 @@ import numpy as np
 from . import __version__, geometry, bounds as bounds_mod
 from .counterexample import LadderChainSpec, reversibilization_gap_sweep
 from .errors import StateCapError, ValidationError
-from .measure import TargetDistribution, model_builder, parse_target
+from .measure import TargetDistribution, model_builder, model_states, parse_target
 from .operators import (
     DEFAULT_STATE_CAP,
     DeterministicScan,
@@ -82,6 +84,7 @@ def _load_target(args) -> TargetDistribution:
         build = model_builder(args.model)
         if args.d is None or args.epsilon is None:
             raise ValidationError("--model %s needs --d and --epsilon" % args.model)
+        check_state_cap(model_states(args.model, args.d), args.state_cap)
         return build(args.d, args.epsilon)
     raise ValidationError("give one of --target-file and --model")
 
@@ -109,12 +112,13 @@ def cmd_analyze(args) -> int:
             "reversible": isinstance(scan, RandomScan),
         })
 
+    incl = geometry.inclination(pi, restarts=args.restarts, seed=args.seed)
     sigma_list = [s.order for s in scans if isinstance(s, DeterministicScan)] or None
     weight_list = [s.weights for s in scans if isinstance(s, RandomScan)] or None
     bound_report = bounds_mod.verify_bounds(spectra, sigma_list=sigma_list,
-                                            weight_list=weight_list, seed=args.seed)
+                                            weight_list=weight_list, seed=args.seed,
+                                            ell_lower=incl.lower)
     angle_bf = geometry.friedrichs_angle_bruteforce(pi)
-    incl = geometry.inclination(pi, restarts=args.restarts, seed=args.seed)
     sandwich = geometry.check_sandwich(bound_report.angle, incl.value, d)
 
     # numeric surrogates for the six equivalent gap conditions
@@ -151,6 +155,8 @@ def cmd_analyze(args) -> int:
         "angle_brute_force": angle_bf.value,
         "angle_degenerate": angle_bf.degenerate,
         "inclination_upper_bound": incl.value,
+        "inclination_lower_bound_dual": incl.lower,
+        "inclination_certified": incl.certified,
         "inclination_restarts": incl.restarts,
         "sandwich": sandwich,
         "scans": scan_rows,
@@ -181,6 +187,8 @@ def cmd_sweep(args) -> int:
     if len(d_list) < 3:
         raise ValidationError("sweep needs at least 3 dimension points to fit a rate")
     build = model_builder(args.model)
+    for d in d_list:
+        check_state_cap(model_states(args.model, d), args.state_cap)
     rows = []
     for d in d_list:
         spectra = Spectra(build(d, args.epsilon), state_cap=args.state_cap)
@@ -326,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--epsilon", type=float, help="model parameter")
 
     def add_common(p):
-        p.add_argument("--out-dir", default=default_output_dir())
+        p.add_argument("--out-dir", help="default: $GIBBSGAP_OUT, else the working directory")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--state-cap", type=int, default=DEFAULT_STATE_CAP)
 
@@ -366,9 +374,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # built once per process: rebuilding it per call grows the process RSS
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
+    if args.out_dir is None:
+        args.out_dir = default_output_dir()
     try:
         return args.func(args)
     except StateCapError as exc:

@@ -10,10 +10,17 @@ to each other:
   the uniform-weight random-scan norm (``angle_from_uniform_norm``) and by
   an independent brute-force generalized eigenproblem over explicit bases;
 * the inclination ell: the min over unit-distance-from-constants functions
-  of the max distance to the M_i; estimated by a seeded multi-restart
-  smoothed min-max optimizer.  The optimizer value ell_hat is only an upper
-  bound on ell, with no convergence certificate; certified lower bounds come
-  from the sandwich inequality applied to the exact c.
+  of the max distance to the M_i.  With the quadratic forms A_i of
+  dist(f, M_i)^2 on the mean-zero unit sphere, ell^2 = min_v max_i v^T A_i v.
+  By weak duality ell^2 >= max_{w in simplex} lambda_min(sum_i w_i A_i), and
+  sum_i w_i A_i = I - RSG_w on mean-zero functions, so the dual is the best
+  random-scan gap.  ``inclination`` solves the dual by projected Newton; the
+  eigenvector of the final w is a witness whose max_i v^T A_i v bounds ell^2
+  from above, so [sqrt(dual), ell_hat] brackets ell.  When the bracket closes
+  ell_hat is certified.  When it stays open (lambda_min multiple at the dual
+  optimum, where a genuine duality gap can lie) ell_hat comes from a seeded
+  multi-restart smoothed min-max optimizer and is only an upper bound.  The
+  sandwich inequality applied to the exact c gives a further lower bound.
 """
 from __future__ import annotations
 
@@ -52,11 +59,27 @@ class AngleResult:
     witness: Optional[np.ndarray] = None  # block coefficient vector (brute force)
 
 
+#: The dual certifies ell_hat when upper - lower <= CERTIFY_TOL * max(1, upper).
+CERTIFY_TOL = 1e-12
+#: Newton iterations of the dual before the restarts take over.
+DUAL_MAX_ITER = 50
+#: lambda_1 - lambda_0 below this (relative to max(1, |lambda_0|)) counts as a
+#: multiple lambda_min: the dual is not smooth there and Newton stops.
+DUAL_SEPARATION_TOL = 1e-7
+#: A Newton step may close at most this share of lambda_1 - lambda_0 (to first
+#: order), so lambda_min stays simple over the step.  Where the optimum has a
+#: multiple lambda_min, the separation then shrinks tenfold per step and the
+#: stop above is reached after a few eigh calls.
+DUAL_SEPARATION_SHARE = 0.9
+
+
 @dataclass(frozen=True)
 class InclinationResult:
-    value: float
+    value: float  # ell_hat, an upper bound on ell
     witness: np.ndarray  # function values by flat state, dist(witness, M) = 1
-    restarts: int
+    restarts: int  # optimizer restarts run; 0 when the dual certified value
+    lower: float  # sqrt of the dual, a lower bound on ell
+    certified: bool  # value^2 - lower^2 <= CERTIFY_TOL * max(1, value^2)
 
 
 def subspace_basis(i: int, pi: TargetDistribution) -> SubspaceBasis:
@@ -166,15 +189,97 @@ def _smoothed_objective(w: np.ndarray, forms: np.ndarray, beta: float):
     return val, grad_w
 
 
+def _simplex_newton_step(w: np.ndarray, g: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Ascent step p with sum(p) = 0 maximizing g^T p + p^T h p / 2.
+
+    Weights at 0 that the step would push negative are held at 0 and the
+    step is solved again on the rest.
+    """
+    free = np.ones(w.shape[0], dtype=bool)
+    while True:
+        k = int(free.sum())
+        kkt = np.zeros((k + 1, k + 1))
+        kkt[:k, :k] = -h[np.ix_(free, free)]
+        kkt[:k, k] = kkt[k, :k] = 1.0
+        sol = np.linalg.lstsq(kkt, np.append(g[free], 0.0), rcond=None)[0]
+        p = np.zeros_like(w)
+        p[free] = sol[:k]
+        stuck = free & (w <= 0.0) & (p < 0.0)
+        if not stuck.any():
+            return p
+        free &= ~stuck
+
+
+def _bracket_closed(lower: float, upper: float) -> bool:
+    return upper - lower <= CERTIFY_TOL * max(1.0, upper)
+
+
+def _eigh_at(forms: np.ndarray, w: np.ndarray):
+    return np.linalg.eigh(np.tensordot(w, forms, axes=1))
+
+
+def inclination_dual(forms: np.ndarray) -> tuple[float, float, np.ndarray]:
+    """Bracket lower <= ell^2 <= upper from the random-scan dual, and its witness.
+
+    Maximizes lambda_min(sum_i w_i A_i) over the simplex by projected Newton
+    from uniform w: with the eigenpairs (lambda_k, u_k) and v = u_0, the
+    gradient is g_i = v^T A_i v and the Hessian
+    H_ij = 2 sum_{k>=1} (v^T A_i u_k)(u_k^T A_j v)/(lambda_0 - lambda_k).
+    Returns (lower, upper, v) at the final w: lower = lambda_min, and
+    upper = max_i v^T A_i v for its eigenvector v.  Each step
+    is cut short where it would leave the simplex or, to first order, close
+    more than DUAL_SEPARATION_SHARE of lambda_1 - lambda_0, then halved until
+    lambda_min does not fall.  Stops when the bracket closes, when lambda_min
+    turns multiple, or after DUAL_MAX_ITER steps.
+    """
+    d = forms.shape[0]
+    w = np.full(d, 1.0 / d)
+    lam, u = _eigh_at(forms, w)
+    for _ in range(DUAL_MAX_ITER):
+        v = u[:, 0]
+        b = u.T @ (forms @ v).T  # b[k, i] = u_k^T A_i v
+        g = b[0]
+        scale = max(1.0, abs(lam[0]))
+        if _bracket_closed(lam[0], g.max()):
+            break
+        sep = lam[1:] - lam[0]
+        if sep.size == 0 or sep[0] <= DUAL_SEPARATION_TOL * scale:
+            break
+        h = 2.0 * (b[1:] / -sep[:, None]).T @ b[1:]
+        p = _simplex_newton_step(w, g, h)
+        shrink = p < 0.0
+        step = min(1.0, float(np.min(w[shrink] / -p[shrink]))) if shrink.any() else 1.0
+        closing = float(p @ ((forms @ u[:, 1]) @ u[:, 1] - g))  # d(lambda_1 - lambda_0)
+        if step * closing < -DUAL_SEPARATION_SHARE * sep[0]:
+            step = DUAL_SEPARATION_SHARE * sep[0] / -closing
+        for _ in range(30):  # halvings
+            trial = np.maximum(w + step * p, 0.0)
+            trial /= trial.sum()
+            lam_t, u_t = _eigh_at(forms, trial)
+            if lam_t[0] >= lam[0] - 4.0 * np.finfo(float).eps * scale:
+                break
+            step *= 0.5
+        else:
+            break
+        if np.array_equal(trial, w):
+            break
+        w, lam, u = trial, lam_t, u_t
+    v = u[:, 0]
+    return float(lam[0]), _max_form(forms, v), v
+
+
 def inclination(pi: TargetDistribution, restarts: int = 32,
                 seed: int = 0) -> InclinationResult:
-    """Best-effort upper bound on the inclination, with witness.
+    """The inclination bracketed by the random-scan dual, with a witness.
 
-    Multi-restart minimization of max_i dist(f, M_i) over the unit sphere of
-    mean-zero functions, via log-sum-exp smoothing with a sharpening
-    temperature schedule, polished by a derivative-free local search in low
-    dimension.  Restarts use seeded starts; ties resolve to the lowest
-    restart index, so the result is schedule-independent.
+    ``inclination_dual`` runs first.  If its bracket closes, ell_hat is the
+    witness's value sqrt(max_i v^T A_i v), certified to CERTIFY_TOL, and no
+    restart runs.  Otherwise ell_hat comes from a multi-restart minimization
+    of max_i dist(f, M_i) over the unit sphere of mean-zero functions, via
+    log-sum-exp smoothing with a sharpening temperature schedule, polished
+    by a derivative-free local search in low dimension.  Restarts use seeded
+    starts; ties resolve to the lowest restart index, so the result is
+    schedule-independent.  Either way ``lower`` is sqrt of the dual.
     """
     if restarts < 1:
         raise ValidationError("restarts must be >= 1, got %d" % restarts)
@@ -185,7 +290,13 @@ def inclination(pi: TargetDistribution, restarts: int = 32,
     if m == 0:
         # single-state space: no mean-zero directions exist
         return InclinationResult(value=0.0, witness=np.zeros(pi.space.total_states),
-                                 restarts=restarts)
+                                 restarts=0, lower=0.0, certified=True)
+    s = np.sqrt(pi.pmf)
+    lower, upper, v = inclination_dual(forms)
+    ell_lower = float(np.sqrt(max(lower, 0.0)))
+    if _bracket_closed(lower, upper):
+        return InclinationResult(value=float(np.sqrt(max(upper, 0.0))), witness=(q @ v) / s,
+                                 restarts=0, lower=ell_lower, certified=True)
     rng = np.random.default_rng(seed)
     best_val = np.inf
     best_v = None
@@ -211,9 +322,9 @@ def inclination(pi: TargetDistribution, restarts: int = 32,
             best_val = val
             best_v = w.copy()
     ell_hat = float(np.sqrt(max(best_val, 0.0)))
-    s = np.sqrt(pi.pmf)
     witness = (q @ best_v) / s
-    return InclinationResult(value=ell_hat, witness=witness, restarts=restarts)
+    return InclinationResult(value=ell_hat, witness=witness, restarts=restarts,
+                             lower=ell_lower, certified=False)
 
 
 def inclination_lower_bound(c: float, d: int) -> float:

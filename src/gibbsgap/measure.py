@@ -188,6 +188,11 @@ def equicorrelated_binary(d: int, epsilon: float) -> TargetDistribution:
 _MODEL_BUILDERS = {
     "equicorrelated_binary": equicorrelated_binary,
 }
+#: Values per coordinate of each model family, so a model's state count is
+#: known before its pmf is built.
+_MODEL_VALUES = {
+    "equicorrelated_binary": 2,
+}
 
 
 def model_builder(name: str):
@@ -195,6 +200,12 @@ def model_builder(name: str):
     if name not in _MODEL_BUILDERS:
         raise ValidationError("unknown model %r; known: %s" % (name, sorted(_MODEL_BUILDERS)))
     return _MODEL_BUILDERS[name]
+
+
+def model_states(name: str, d: int) -> int:
+    """State count of a named model family at dimension d, without building it."""
+    model_builder(name)
+    return _MODEL_VALUES[name] ** d
 
 
 def parse_target(spec_text: str) -> TargetDistribution:

@@ -141,8 +141,10 @@ def run_chain(op: MarkovOperator, n: int, seed: int,
 def clt_variance_bound(rho: float, f: np.ndarray, pi: TargetDistribution) -> float:
     """((1 + rho)/(1 - rho)) Var_pi(f): the asymptotic-variance ceiling.
 
-    For a random scan pass rho = ||RSG - Pi|| (exact); for a deterministic
-    scan pass a certified rho <= ||DSG - Pi||.
+    rho must be an upper bound on the norm: for a random scan pass
+    rho = ||RSG - Pi|| (exact); for a deterministic scan pass a certified
+    rho >= ||DSG - Pi|| (not its spectral radius, which can lie below the
+    norm).
     """
     if not 0.0 <= rho < 1.0:
         raise ValidationError("rho must lie in [0, 1) for a finite bound, got %g" % rho)

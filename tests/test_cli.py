@@ -6,7 +6,7 @@ from collections import Counter
 
 import pytest
 
-from gibbsgap import cli, geometry, operators, sampler
+from gibbsgap import cli, geometry, measure, operators, sampler
 from gibbsgap.cli import main, parse_scan
 from gibbsgap.errors import ValidationError
 from gibbsgap.measure import random_target
@@ -80,6 +80,24 @@ class TestAnalyzeCommand:
         assert (a_dir / "analyze.json").read_bytes() == (b_dir / "analyze.json").read_bytes()
         assert (a_dir / "bounds.csv").read_bytes() == (b_dir / "bounds.csv").read_bytes()
 
+    def test_inclination_bracket_published(self, tmp_path):
+        code = main(["analyze", "--model", "equicorrelated_binary", "--d", "3",
+                     "--epsilon", "0.25", "--out-dir", str(tmp_path), "--restarts", "4"])
+        assert code == 0
+        doc = json.loads((tmp_path / "analyze.json").read_text())
+        rep = doc["report"]
+        assert doc["config"]["restarts"] == 4
+        assert rep["inclination_certified"]
+        assert rep["inclination_restarts"] == 0
+        lower, upper = rep["inclination_lower_bound_dual"], rep["inclination_upper_bound"]
+        assert upper ** 2 - lower ** 2 <= 1e-12
+        via_dual = [e for e in rep["bounds"] if e["name"] == "dsg_norm_bound_via_dual_l"]
+        via_c = [e for e in rep["bounds"] if e["name"] == "dsg_norm_bound_via_certified_l"]
+        assert len(via_dual) == len(via_c) == 1
+        for dual_entry, c_entry in zip(via_dual, via_c):
+            assert dual_entry["inputs"]["ell_lower"] == lower
+            assert 0.0 <= dual_entry["slack"] <= c_entry["slack"]
+
     def test_target_file_input(self, tmp_path):
         spec_file = tmp_path / "target.json"
         spec_file.write_text('{"dims": [2, 2], "pmf": [0.25, 0.25, 0.25, 0.25]}')
@@ -122,6 +140,57 @@ class TestAnalyzeCommand:
         # 3! sweep orders and 3! palindromes; uniform plus 8 sampled random scans
         assert counts == {"dsg": 6, "rsg": 9, "symmetrized_sweep": 6,
                           "l2_norm_centered": 21, "spectral_radius_centered": 2}
+
+
+def _model_builder_fails(monkeypatch):
+    def fail(d, epsilon):
+        raise AssertionError("built the pmf of an over-cap model")
+
+    monkeypatch.setitem(measure._MODEL_BUILDERS, "equicorrelated_binary", fail)
+
+
+class TestModelStateCap:
+    @pytest.mark.parametrize("command", ["analyze", "sample"])
+    def test_refused_before_the_pmf_is_built(self, tmp_path, monkeypatch, command):
+        _model_builder_fails(monkeypatch)
+        code = main([command, "--model", "equicorrelated_binary", "--d", "20",
+                     "--epsilon", "0.25", "--state-cap", "100", "--out-dir", str(tmp_path)])
+        assert code == 3
+
+    def test_sweep_refused_before_any_pmf_is_built(self, tmp_path, monkeypatch):
+        _model_builder_fails(monkeypatch)
+        code = main(["sweep", "--d-list", "2,3,20", "--state-cap", "100",
+                     "--out-dir", str(tmp_path)])
+        assert code == 3
+        assert not (tmp_path / "sweep.json").exists()
+
+    def test_model_states(self):
+        assert measure.model_states("equicorrelated_binary", 20) == 2 ** 20
+        with pytest.raises(ValidationError):
+            measure.model_states("nonsense", 2)
+
+
+class TestParser:
+    def test_built_once_per_process(self, tmp_path, monkeypatch):
+        cli._parser.cache_clear()
+        calls = []
+        original = cli.build_parser
+
+        def counted():
+            calls.append(1)
+            return original()
+
+        monkeypatch.setattr(cli, "build_parser", counted)
+        for _ in range(3):
+            assert main(["counterexample", "--N", "3", "--out-dir", str(tmp_path)]) == 0
+        assert len(calls) == 1
+        cli._parser.cache_clear()
+
+    def test_out_dir_default_read_at_call_time(self, tmp_path, monkeypatch):
+        assert main(["counterexample", "--N", "3", "--out-dir", str(tmp_path / "first")]) == 0
+        monkeypatch.setenv("GIBBSGAP_OUT", str(tmp_path / "env"))
+        assert main(["counterexample", "--N", "3"]) == 0
+        assert (tmp_path / "env" / "counterexample.json").exists()
 
 
 class TestSweepCommand:

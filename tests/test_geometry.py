@@ -1,8 +1,13 @@
 import numpy as np
 import pytest
+import scipy.optimize
 
 from gibbsgap.errors import ValidationError
 from gibbsgap.geometry import (
+    CERTIFY_TOL,
+    _inclination_forms,
+    _max_form,
+    _smoothed_objective,
     check_sandwich,
     friedrichs_angle_bruteforce,
     friedrichs_angle_from_norm,
@@ -10,7 +15,7 @@ from gibbsgap.geometry import (
     inclination_lower_bound,
     subspace_basis,
 )
-from gibbsgap.measure import equicorrelated_binary, random_target
+from gibbsgap.measure import ProductSpace, TargetDistribution, equicorrelated_binary, random_target
 
 
 class TestSubspaceBasis:
@@ -99,6 +104,97 @@ class TestInclination:
     def test_rejects_bad_restarts(self, eps_pair):
         with pytest.raises(ValidationError):
             inclination(eps_pair, restarts=0)
+
+
+def _restart_loop(pi, restarts, seed):
+    """The seeded multi-restart optimizer alone, as it ran before the dual:
+    (ell_hat, witness)."""
+    forms, q = _inclination_forms(pi)
+    rng = np.random.default_rng(seed)
+    best_val, best_v = np.inf, None
+    for _ in range(restarts):
+        w = rng.standard_normal(q.shape[1])
+        w /= np.linalg.norm(w)
+        for beta in (4.0, 32.0, 256.0, 2048.0, 16384.0):
+            res = scipy.optimize.minimize(
+                _smoothed_objective, w, args=(forms, beta), jac=True,
+                method="L-BFGS-B", options={"maxiter": 500, "ftol": 1e-14, "gtol": 1e-12},
+            )
+            w = res.x / np.linalg.norm(res.x)
+        if q.shape[1] <= 12:
+            polish = scipy.optimize.minimize(
+                lambda x: _max_form(forms, x / np.linalg.norm(x)), w,
+                method="Nelder-Mead",
+                options={"xatol": 1e-12, "fatol": 1e-14, "maxiter": 4000},
+            )
+            if polish.fun < _max_form(forms, w):
+                w = polish.x / np.linalg.norm(polish.x)
+        val = _max_form(forms, w)
+        if val < best_val - 1e-15:
+            best_val, best_v = val, w.copy()
+    return float(np.sqrt(max(best_val, 0.0))), (q @ best_v) / np.sqrt(pi.pmf)
+
+
+@pytest.fixture(scope="module")
+def suite_inclinations(target_suite):
+    return [inclination(pi, restarts=2, seed=0) for pi in target_suite]
+
+
+@pytest.fixture
+def open_target():
+    """A random 2x2x2x2 pmf drawn like the benchmark pool's: lambda_min is
+    double at the dual optimum and the dual stays below ell^2."""
+    g = np.random.default_rng([2]).gamma(1.0, size=16)
+    return TargetDistribution(ProductSpace((2, 2, 2, 2)), g / g.sum())
+
+
+class TestInclinationDual:
+    def test_dual_never_exceeds_ell_hat(self, suite_inclinations):
+        for res in suite_inclinations:
+            assert 0.0 < res.lower
+            assert res.lower ** 2 <= res.value ** 2 + 1e-15
+
+    def test_bracket_closes_on_suite(self, target_suite, suite_inclinations):
+        closed = [res.certified for res in suite_inclinations]
+        assert all(c for pi, c in zip(target_suite, closed) if pi.space.d == 2)
+        assert sum(closed) >= 90
+        for res in suite_inclinations:
+            assert res.restarts == (0 if res.certified else 2)
+            if res.certified:
+                width = res.value ** 2 - res.lower ** 2
+                assert width <= CERTIFY_TOL * max(1.0, res.value ** 2) + 1e-15
+
+    def test_certified_witness(self, target_suite, suite_inclinations):
+        for pi, res in list(zip(target_suite, suite_inclinations))[:10]:
+            if res.certified:
+                forms, q = _inclination_forms(pi)
+                v = q.T @ (np.sqrt(pi.pmf) * res.witness)
+                assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
+                assert np.sqrt(_max_form(forms, v)) == pytest.approx(res.value, abs=1e-14)
+
+    def test_closed_no_worse_than_restarts(self, target_suite, suite_inclinations):
+        closed = [pi for pi, res in zip(target_suite, suite_inclinations) if res.certified]
+        for pi in closed[:4]:
+            value, _ = _restart_loop(pi, restarts=4, seed=0)
+            assert inclination(pi, restarts=4, seed=0).value <= value + 1e-12
+
+    def test_open_bracket_falls_back_to_restarts(self, open_target):
+        res = inclination(open_target, restarts=4, seed=0)
+        value, witness = _restart_loop(open_target, restarts=4, seed=0)
+        assert not res.certified
+        assert res.restarts == 4
+        assert res.value == value
+        np.testing.assert_array_equal(res.witness, witness)
+        assert res.lower ** 2 < res.value ** 2 - 1e-3
+
+    def test_uniform_weights_give_the_angle(self, target_suite):
+        # sum_i A_i = d (I - RSG_uniform) on mean-zero functions
+        for pi in target_suite[:40]:
+            d = pi.space.d
+            forms, _ = _inclination_forms(pi)
+            c = friedrichs_angle_from_norm(pi).value
+            lam_min = np.linalg.eigvalsh(forms.sum(axis=0))[0]
+            assert lam_min / d == pytest.approx((d - 1.0) * (1.0 - c) / d, abs=1e-12)
 
 
 class TestSandwich:

@@ -10,7 +10,8 @@ Commands::
 Exit status: 0 success, 1 an asserted inequality or simulation bound was
 violated beyond tolerance, 2 usage or validation error, 3 state-count cap
 exceeded (every command checks it before any work on the target, and
-before it builds a ``--model`` pmf).
+before it builds the pmf of a ``--model`` or of a ``model`` entry in a
+``--target-file``).
 
 Scan mini-grammar: ``dsg:i1,i2,...,id`` (update order, 1-based) and
 ``rsg:uniform`` or ``rsg:w1,w2,...,wd``.
@@ -27,15 +28,8 @@ import numpy as np
 from . import __version__, geometry, bounds as bounds_mod
 from .counterexample import LadderChainSpec, reversibilization_gap_sweep
 from .errors import StateCapError, ValidationError
-from .measure import TargetDistribution, model_builder, model_states, parse_target
-from .operators import (
-    DEFAULT_STATE_CAP,
-    DeterministicScan,
-    RandomScan,
-    Spectra,
-    check_state_cap,
-    scan_operator,
-)
+from .measure import TargetDistribution, check_state_cap, model_builder, model_states, parse_target
+from .operators import DEFAULT_STATE_CAP, DeterministicScan, RandomScan, Spectra, scan_operator
 from .reporting import default_output_dir, report_document, write_csv, write_json
 from .sampler import (
     asymptotic_variance_estimate,
@@ -79,7 +73,7 @@ def _load_target(args) -> TargetDistribution:
         raise ValidationError("give exactly one of --target-file and --model")
     if args.target_file:
         with open(args.target_file, "r", encoding="utf-8") as fh:
-            return parse_target(fh.read())
+            return parse_target(fh.read(), state_cap=args.state_cap)
     if args.model:
         build = model_builder(args.model)
         if args.d is None or args.epsilon is None:
@@ -100,6 +94,9 @@ def cmd_analyze(args) -> int:
     spectra = Spectra(pi, state_cap=args.state_cap)
     d = pi.space.d
     scans = _requested_scans(args, d)
+    # the brute-force angle's dense Gram matrix is the peak of the command;
+    # taking it before spectra holds the small steps keeps them out of it
+    angle_bf = geometry.friedrichs_angle_bruteforce(pi)
 
     scan_rows = []
     for scan in scans:
@@ -118,7 +115,6 @@ def cmd_analyze(args) -> int:
     bound_report = bounds_mod.verify_bounds(spectra, sigma_list=sigma_list,
                                             weight_list=weight_list, seed=args.seed,
                                             ell_lower=incl.lower)
-    angle_bf = geometry.friedrichs_angle_bruteforce(pi)
     sandwich = geometry.check_sandwich(bound_report.angle, incl.value, d)
 
     # numeric surrogates for the six equivalent gap conditions
@@ -157,6 +153,7 @@ def cmd_analyze(args) -> int:
         "inclination_upper_bound": incl.value,
         "inclination_lower_bound_dual": incl.lower,
         "inclination_certified": incl.certified,
+        "inclination_kkt_residual": incl.kkt_residual,
         "inclination_restarts": incl.restarts,
         "sandwich": sandwich,
         "scans": scan_rows,

@@ -18,9 +18,13 @@ to each other:
   eigenvector of the final w is a witness whose max_i v^T A_i v bounds ell^2
   from above, so [sqrt(dual), ell_hat] brackets ell.  When the bracket closes
   ell_hat is certified.  When it stays open (lambda_min multiple at the dual
-  optimum, where a genuine duality gap can lie) ell_hat comes from a seeded
-  multi-restart smoothed min-max optimizer and is only an upper bound.  The
-  sandwich inequality applied to the exact c gives a further lower bound.
+  optimum, where a genuine duality gap can lie) the primal optimum is an
+  eigenvector u_j of sum_i mu_i A_i with j >= 1 and equal forms over
+  supp(mu); ell_hat then comes from seeded restarts of a smoothed min-max
+  optimizer, each finished by Newton on that eigenvalue branch at such a
+  first-order KKT point.  It is an upper bound, not certified as the global
+  minimum.  The sandwich inequality applied to the exact c gives a further
+  lower bound.
 """
 from __future__ import annotations
 
@@ -71,6 +75,15 @@ DUAL_SEPARATION_TOL = 1e-7
 #: multiple lambda_min, the separation then shrinks tenfold per step and the
 #: stop above is reached after a few eigh calls.
 DUAL_SEPARATION_SHARE = 0.9
+#: An open-bracket restart is finished by ``_branch_polish`` when the KKT
+#: residual falls to POLISH_KKT_TOL * max(1, lambda_j) ...
+POLISH_KKT_TOL = 1e-13
+#: ... at an eigenvector whose overlap |<v, w>| with the annealed iterate w is
+#: at least this, so the polish keeps the KKT point the restart was heading
+#: for instead of jumping to a worse one ...
+POLISH_MIN_OVERLAP = 0.999
+#: ... within this many Newton steps.
+POLISH_MAX_ITER = 10
 
 
 @dataclass(frozen=True)
@@ -80,6 +93,10 @@ class InclinationResult:
     restarts: int  # optimizer restarts run; 0 when the dual certified value
     lower: float  # sqrt of the dual, a lower bound on ell
     certified: bool  # value^2 - lower^2 <= CERTIFY_TOL * max(1, value^2)
+    #: max_i v^T A_i v - lambda at the witness v, an eigenvector of
+    #: sum_i mu_i A_i with eigenvalue lambda; None when the best restart's
+    #: polish never passed
+    kkt_residual: Optional[float]
 
 
 def subspace_basis(i: int, pi: TargetDistribution) -> SubspaceBasis:
@@ -268,6 +285,50 @@ def inclination_dual(forms: np.ndarray) -> tuple[float, float, np.ndarray]:
     return float(lam[0]), _max_form(forms, v), v
 
 
+def _branch_polish(forms: np.ndarray, w: np.ndarray, beta: float):
+    """Newton on the eigenvalue branch through an annealed iterate w.
+
+    Starts from the softmax weights mu of the smoothed objective at w and the
+    eigenvector u_j of A(mu) = sum_i mu_i A_i that overlaps w most, then
+    drives mu to a critical point of lambda_j on the simplex: gradient
+    g_i = u_j^T A_i u_j, Hessian 2 sum_{k != j} b_k b_k^T / (lambda_j -
+    lambda_k) with b_k[i] = u_k^T A_i u_j, the branch followed by eigenvector
+    overlap.  Returns (v, residual) once the KKT residual
+    max_i v^T A_i v - lambda_j is at most POLISH_KKT_TOL * max(1, lambda_j),
+    v overlaps w by POLISH_MIN_OVERLAP and its value is no worse than w's;
+    None if that does not happen within POLISH_MAX_ITER steps.
+    """
+    q = np.einsum("i,kij,j->k", w, forms, w)
+    mu = np.exp(beta * (q - q.max()))
+    mu /= mu.sum()
+    lam, u = _eigh_at(forms, mu)
+    j = int(np.argmax(np.abs(u.T @ w)))
+    others = np.arange(lam.shape[0]) != j
+    for _ in range(POLISH_MAX_ITER):
+        v = u[:, j]
+        b = u.T @ (forms @ v).T  # b[k, i] = u_k^T A_i v
+        g = b[j]
+        t = lam[j]
+        residual = float(g.max() - t)
+        if residual <= POLISH_KKT_TOL * max(1.0, t):
+            overlap = float(v @ w)
+            if abs(overlap) >= POLISH_MIN_OVERLAP and g.max() <= _max_form(forms, w):
+                return np.copysign(1.0, overlap) * v, residual
+            return None
+        sep = t - lam[others]
+        if np.min(np.abs(sep)) <= DUAL_SEPARATION_TOL * max(1.0, abs(t)):
+            return None
+        p = _simplex_newton_step(mu, g, 2.0 * (b[others] / sep[:, None]).T @ b[others])
+        shrink = p < 0.0
+        step = min(1.0, float(np.min(mu[shrink] / -p[shrink]))) if shrink.any() else 1.0
+        mu = np.maximum(mu + step * p, 0.0)
+        mu /= mu.sum()
+        lam, u = _eigh_at(forms, mu)
+        j = int(np.argmax(np.abs(u.T @ v)))
+        others = np.arange(lam.shape[0]) != j
+    return None
+
+
 def inclination(pi: TargetDistribution, restarts: int = 32,
                 seed: int = 0) -> InclinationResult:
     """The inclination bracketed by the random-scan dual, with a witness.
@@ -276,10 +337,17 @@ def inclination(pi: TargetDistribution, restarts: int = 32,
     witness's value sqrt(max_i v^T A_i v), certified to CERTIFY_TOL, and no
     restart runs.  Otherwise ell_hat comes from a multi-restart minimization
     of max_i dist(f, M_i) over the unit sphere of mean-zero functions, via
-    log-sum-exp smoothing with a sharpening temperature schedule, polished
-    by a derivative-free local search in low dimension.  Restarts use seeded
-    starts; ties resolve to the lowest restart index, so the result is
-    schedule-independent.  Either way ``lower`` is sqrt of the dual.
+    log-sum-exp smoothing with a sharpening temperature schedule.  After each
+    stage ``_branch_polish`` tries to finish the restart at a first-order
+    KKT point of the primal (an eigenvector of sum_i mu_i A_i whose forms are
+    equal over supp(mu)); the first polish that passes ends the restart's
+    schedule.  A restart whose polish never passes runs the whole schedule
+    and, in low dimension, a derivative-free local search.  Restarts use
+    seeded starts; ties resolve to the lowest restart index, so the result is
+    schedule-independent.  Either way ``lower`` is sqrt of the dual, and
+    ``kkt_residual`` is max_i v^T A_i v - lambda for the witness v and the
+    eigenvalue lambda it was certified or polished at (None after the
+    fallback).
     """
     if restarts < 1:
         raise ValidationError("restarts must be >= 1, got %d" % restarts)
@@ -290,41 +358,50 @@ def inclination(pi: TargetDistribution, restarts: int = 32,
     if m == 0:
         # single-state space: no mean-zero directions exist
         return InclinationResult(value=0.0, witness=np.zeros(pi.space.total_states),
-                                 restarts=0, lower=0.0, certified=True)
+                                 restarts=0, lower=0.0, certified=True, kkt_residual=0.0)
     s = np.sqrt(pi.pmf)
     lower, upper, v = inclination_dual(forms)
     ell_lower = float(np.sqrt(max(lower, 0.0)))
     if _bracket_closed(lower, upper):
         return InclinationResult(value=float(np.sqrt(max(upper, 0.0))), witness=(q @ v) / s,
-                                 restarts=0, lower=ell_lower, certified=True)
+                                 restarts=0, lower=ell_lower, certified=True,
+                                 kkt_residual=upper - lower)
     rng = np.random.default_rng(seed)
     best_val = np.inf
     best_v = None
+    best_residual = None
     for _ in range(restarts):
         w = rng.standard_normal(m)
         w /= np.linalg.norm(w)
+        residual = None
         for beta in (4.0, 32.0, 256.0, 2048.0, 16384.0):
             res = scipy.optimize.minimize(
                 _smoothed_objective, w, args=(forms, beta), jac=True,
                 method="L-BFGS-B", options={"maxiter": 500, "ftol": 1e-14, "gtol": 1e-12},
             )
             w = res.x / np.linalg.norm(res.x)
-        if m <= 12:
-            polish = scipy.optimize.minimize(
-                lambda x: _max_form(forms, x / np.linalg.norm(x)), w,
-                method="Nelder-Mead",
-                options={"xatol": 1e-12, "fatol": 1e-14, "maxiter": 4000},
-            )
-            if polish.fun < _max_form(forms, w):
-                w = polish.x / np.linalg.norm(polish.x)
+            polished = _branch_polish(forms, w, beta)
+            if polished is not None:
+                w, residual = polished
+                break
+        else:  # no polish passed: finish with a derivative-free search
+            if m <= 12:
+                polish = scipy.optimize.minimize(
+                    lambda x: _max_form(forms, x / np.linalg.norm(x)), w,
+                    method="Nelder-Mead",
+                    options={"xatol": 1e-12, "fatol": 1e-14, "maxiter": 4000},
+                )
+                if polish.fun < _max_form(forms, w):
+                    w = polish.x / np.linalg.norm(polish.x)
         val = _max_form(forms, w)
         if val < best_val - 1e-15:
             best_val = val
             best_v = w.copy()
+            best_residual = residual
     ell_hat = float(np.sqrt(max(best_val, 0.0)))
     witness = (q @ best_v) / s
     return InclinationResult(value=ell_hat, witness=witness, restarts=restarts,
-                             lower=ell_lower, certified=False)
+                             lower=ell_lower, certified=False, kkt_residual=best_residual)
 
 
 def inclination_lower_bound(c: float, d: int) -> float:

@@ -9,11 +9,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import SpaceMismatchError, ValidationError
+from .errors import SpaceMismatchError, StateCapError, ValidationError
 
 #: |sum(pmf) - 1| below this is considered exactly normalized.
 NORMALIZATION_TOL = 1e-12
@@ -208,10 +208,17 @@ def model_states(name: str, d: int) -> int:
     return _MODEL_VALUES[name] ** d
 
 
-def parse_target(spec_text: str) -> TargetDistribution:
+def check_state_cap(n_states: int, state_cap: int) -> None:
+    """Refuse a target of n_states states above the cap (StateCapError)."""
+    if n_states > state_cap:
+        raise StateCapError("target has %d states, above the cap of %d" % (n_states, state_cap))
+
+
+def parse_target(spec_text: str, state_cap: Optional[int] = None) -> TargetDistribution:
     """Parse a JSON target spec with `dims` and exactly one of `pmf`/`model`.
 
-    Examples::
+    Given ``state_cap``, a `model` entry is checked against it before its
+    pmf is built.  Examples::
 
         {"dims": [2, 2], "pmf": [0.25, 0.25, 0.25, 0.25]}
         {"dims": [2, 2], "model": {"name": "equicorrelated_binary", "epsilon": 0.25}}
@@ -242,6 +249,8 @@ def parse_target(spec_text: str) -> TargetDistribution:
     if "epsilon" not in model:
         raise ValidationError("model %r needs 'epsilon'" % name)
     d = int(model.get("d", len(dims)))
+    if state_cap is not None:
+        check_state_cap(model_states(name, d), state_cap)
     target = build(d, float(model["epsilon"]))
     if target.space.dims != space.dims:
         raise ValidationError("dims %r inconsistent with %s d=%d" % (dims, name, d))

@@ -28,13 +28,14 @@ ill-conditioned (see ``counterexample.ladder_gap`` for the ladder chain).
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Sequence, Union
 
 import numpy as np
 
-from .errors import NumericError, StateCapError, ValidationError
-from .measure import TargetDistribution
+from .errors import NumericError, ValidationError
+from .measure import TargetDistribution, check_state_cap
 
 #: Row sums and stationarity are enforced to this tolerance.
 STOCHASTICITY_TOL = 1e-10
@@ -134,12 +135,6 @@ class RandomScan:
 ScanSpec = Union[DeterministicScan, RandomScan]
 
 
-def check_state_cap(n_states: int, state_cap: int) -> None:
-    """Refuse a target of n_states states above the cap (StateCapError)."""
-    if n_states > state_cap:
-        raise StateCapError("target has %d states, above the cap of %d" % (n_states, state_cap))
-
-
 def pi_kernel(pi_vec: np.ndarray) -> np.ndarray:
     """The rank-one kernel with every row equal to pi (the mean projector)."""
     pi_vec = np.asarray(pi_vec, dtype=float).reshape(-1)
@@ -183,33 +178,44 @@ def _checked_scan(spec, kind: type, pi: TargetDistribution, state_cap: int):
     return scan
 
 
-def _sweep(path: Sequence[int], pi: TargetDistribution) -> np.ndarray:
+def _sweep(path: Sequence[int], steps: Sequence[np.ndarray]) -> np.ndarray:
     """Kernel of the small steps P_path[0], ..., P_path[-1] run in time order."""
-    kernel = _small_step_kernel(path[0], pi)
+    kernel = steps[path[0] - 1]
     for i in path[1:]:
-        kernel = kernel @ _small_step_kernel(i, pi)
+        kernel = kernel @ steps[i - 1]
     return kernel
 
 
+def _small_steps(pi: TargetDistribution, steps) -> Sequence[np.ndarray]:
+    """The kernels of P_1..P_d: `steps` when given, else built from pi."""
+    if steps is None:
+        steps = [_small_step_kernel(i, pi) for i in range(1, pi.space.d + 1)]
+    return steps
+
+
 def dsg(sigma: Sequence[int], pi: TargetDistribution,
-        state_cap: int = DEFAULT_STATE_CAP) -> MarkovOperator:
-    """Deterministic scan: one full sweep updating sigma(1) first, sigma(d) last."""
+        state_cap: int = DEFAULT_STATE_CAP, *, steps=None) -> MarkovOperator:
+    """Deterministic scan: one full sweep updating sigma(1) first, sigma(d) last.
+
+    ``steps``, the kernels of P_1..P_d of pi, skips building them again.
+    """
     scan = _checked_scan(sigma, DeterministicScan, pi, state_cap)
-    return MarkovOperator(_sweep(scan.order, pi), pi.pmf, label="DSG sigma=%s" % (scan.order,))
+    return MarkovOperator(_sweep(scan.order, _small_steps(pi, steps)), pi.pmf,
+                          label="DSG sigma=%s" % (scan.order,))
 
 
 def rsg(weights: Union[RandomScan, Sequence[float]], pi: TargetDistribution,
-        state_cap: int = DEFAULT_STATE_CAP) -> MarkovOperator:
+        state_cap: int = DEFAULT_STATE_CAP, *, steps=None) -> MarkovOperator:
     """Random scan: the convex combination sum_i w_i P_i; reversible w.r.t. pi."""
     scan = _checked_scan(weights, RandomScan, pi, state_cap)
     kernel = np.zeros((pi.space.total_states,) * 2)
-    for i, w in enumerate(scan.weights, start=1):
-        kernel += w * _small_step_kernel(i, pi)
+    for w, step in zip(scan.weights, _small_steps(pi, steps)):
+        kernel += w * step
     return MarkovOperator(kernel, pi.pmf, label="RSG w=%s" % (scan.weights,))
 
 
 def symmetrized_sweep(sigma: Sequence[int], pi: TargetDistribution,
-                      state_cap: int = DEFAULT_STATE_CAP) -> MarkovOperator:
+                      state_cap: int = DEFAULT_STATE_CAP, *, steps=None) -> MarkovOperator:
     """The palindromic sweep sigma(1),...,sigma(d),sigma(d-1),...,sigma(1).
 
     Self-adjoint in L2(pi): it is T* T for the plain sweep T up to the
@@ -217,7 +223,8 @@ def symmetrized_sweep(sigma: Sequence[int], pi: TargetDistribution,
     """
     scan = _checked_scan(sigma, DeterministicScan, pi, state_cap)
     path = scan.order + scan.order[-2::-1]
-    return MarkovOperator(_sweep(path, pi), pi.pmf, label="SYM sigma=%s" % (scan.order,))
+    return MarkovOperator(_sweep(path, _small_steps(pi, steps)), pi.pmf,
+                          label="SYM sigma=%s" % (scan.order,))
 
 
 def scan_operator(pi: TargetDistribution, scan: ScanSpec, **kw) -> MarkovOperator:
@@ -285,9 +292,10 @@ def spectral_radius_centered(op: MarkovOperator) -> float:
 class Spectra:
     """Centered norms and radii of the DSG, RSG and palindromic scans of pi.
 
-    The state cap is checked once, on creation.  Values are memoized as
-    floats (no kernel is kept); ``norm_and_radius`` takes both from one
-    build of the operator.
+    The state cap is checked once, on creation.  The d small steps are built
+    once, on first use, and every scan kernel is composed from them.  Values
+    are memoized as floats (no scan kernel is kept); ``norm_and_radius``
+    takes both from one build of the operator.
     """
 
     def __init__(self, pi: TargetDistribution, state_cap: int = DEFAULT_STATE_CAP):
@@ -295,6 +303,14 @@ class Spectra:
         self.pi = pi
         self.state_cap = state_cap
         self._memo: dict = {}
+
+    @functools.cached_property
+    def steps(self) -> tuple[np.ndarray, ...]:
+        """The kernels of P_1..P_d, read-only."""
+        steps = tuple(_small_steps(self.pi, None))
+        for step in steps:
+            step.flags.writeable = False
+        return steps
 
     def norm(self, scan: ScanSpec) -> float:
         """||K - Pi|| for the kernel K that the scan simulates."""
@@ -314,8 +330,9 @@ class Spectra:
     def _measure(self, kind: str, scan: ScanSpec, names: tuple) -> tuple:
         missing = [name for name in names if (kind, scan, name) not in self._memo]
         if missing:
-            op = (symmetrized_sweep(scan, self.pi, state_cap=self.state_cap) if kind == "sym"
-                  else scan_operator(self.pi, scan, state_cap=self.state_cap))
+            kw = {"state_cap": self.state_cap, "steps": self.steps}
+            op = (symmetrized_sweep(scan, self.pi, **kw) if kind == "sym"
+                  else scan_operator(self.pi, scan, **kw))
             for name in missing:
                 self._memo[kind, scan, name] = (l2_norm_centered(op) if name == "norm"
                                                 else spectral_radius_centered(op))

@@ -4,6 +4,7 @@ import subprocess
 import sys
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from gibbsgap import cli, geometry, measure, operators, sampler
@@ -98,6 +99,30 @@ class TestAnalyzeCommand:
             assert dual_entry["inputs"]["ell_lower"] == lower
             assert 0.0 <= dual_entry["slack"] <= c_entry["slack"]
 
+    def test_kkt_residual_published(self, tmp_path, monkeypatch):
+        certified = tmp_path / "certified"
+        assert main(["analyze", "--model", "equicorrelated_binary", "--d", "3", "--epsilon",
+                     "0.25", "--out-dir", str(certified), "--restarts", "1"]) == 0
+        rep = json.loads((certified / "analyze.json").read_text())["report"]
+        lower, upper = rep["inclination_lower_bound_dual"], rep["inclination_upper_bound"]
+        assert rep["inclination_kkt_residual"] == pytest.approx(upper ** 2 - lower ** 2, abs=1e-15)
+        # a random 2x2x2x2 pmf whose dual bracket stays open
+        g = np.random.default_rng([2]).gamma(1.0, size=16)
+        spec = tmp_path / "open.json"
+        spec.write_text(json.dumps({"dims": [2] * 4, "pmf": (g / g.sum()).tolist()}))
+        args = ["analyze", "--target-file", str(spec), "--restarts", "2", "--out-dir"]
+        for polish_fails in (False, True):
+            if polish_fails:
+                monkeypatch.setattr(geometry, "_branch_polish", lambda forms, w, beta: None)
+            out = tmp_path / str(polish_fails)
+            assert main(args + [str(out)]) == 0
+            rep = json.loads((out / "analyze.json").read_text())["report"]
+            assert not rep["inclination_certified"]
+            if polish_fails:
+                assert rep["inclination_kkt_residual"] is None
+            else:
+                assert abs(rep["inclination_kkt_residual"]) <= 1e-12
+
     def test_target_file_input(self, tmp_path):
         spec_file = tmp_path / "target.json"
         spec_file.write_text('{"dims": [2, 2], "pmf": [0.25, 0.25, 0.25, 0.25]}')
@@ -155,6 +180,15 @@ class TestModelStateCap:
         _model_builder_fails(monkeypatch)
         code = main([command, "--model", "equicorrelated_binary", "--d", "20",
                      "--epsilon", "0.25", "--state-cap", "100", "--out-dir", str(tmp_path)])
+        assert code == 3
+
+    def test_target_file_model_refused_before_the_pmf_is_built(self, tmp_path, monkeypatch):
+        _model_builder_fails(monkeypatch)
+        spec = tmp_path / "target.json"
+        spec.write_text(json.dumps({"dims": [2] * 20, "model": {
+            "name": "equicorrelated_binary", "epsilon": 0.25}}))
+        code = main(["sample", "--target-file", str(spec), "--state-cap", "100",
+                     "--out-dir", str(tmp_path)])
         assert code == 3
 
     def test_sweep_refused_before_any_pmf_is_built(self, tmp_path, monkeypatch):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.optimize
 
+from gibbsgap import geometry
 from gibbsgap.errors import ValidationError
 from gibbsgap.geometry import (
     CERTIFY_TOL,
@@ -180,11 +181,9 @@ class TestInclinationDual:
 
     def test_open_bracket_falls_back_to_restarts(self, open_target):
         res = inclination(open_target, restarts=4, seed=0)
-        value, witness = _restart_loop(open_target, restarts=4, seed=0)
         assert not res.certified
         assert res.restarts == 4
-        assert res.value == value
-        np.testing.assert_array_equal(res.witness, witness)
+        assert res.kkt_residual is not None
         assert res.lower ** 2 < res.value ** 2 - 1e-3
 
     def test_uniform_weights_give_the_angle(self, target_suite):
@@ -195,6 +194,68 @@ class TestInclinationDual:
             c = friedrichs_angle_from_norm(pi).value
             lam_min = np.linalg.eigvalsh(forms.sum(axis=0))[0]
             assert lam_min / d == pytest.approx((d - 1.0) * (1.0 - c) / d, abs=1e-12)
+
+
+#: Suite targets whose dual bracket stays open.
+OPEN_SUITE = (8, 46, 64, 83, 98)
+
+
+def _first_order_residual(forms, v):
+    """Independent stationarity check of a witness v of min_v max_i v^T A_i v:
+    the distance from 0 to the convex hull of the sphere gradients
+    A_i v - (v^T A_i v) v of the forms active at v."""
+    g = np.einsum("i,kij,j->k", v, forms, v)
+    active = g >= g.max() - 1e-9
+    grads = (forms[active] @ v - g[active, None] * v).T
+    big = 1e3
+    a = np.vstack([grads, np.full(active.sum(), big)])
+    mu, _ = scipy.optimize.nnls(a, np.append(np.zeros(v.shape[0]), big))
+    return float(np.linalg.norm(grads @ mu)), float(g.max() - g[active].min())
+
+
+class TestBranchPolish:
+    @pytest.mark.parametrize("index", OPEN_SUITE)
+    def test_open_suite_target_no_worse_and_stationary(self, index, target_suite,
+                                                       suite_inclinations):
+        pi, res = target_suite[index], suite_inclinations[index]
+        value, _ = _restart_loop(pi, restarts=2, seed=0)
+        assert not res.certified
+        assert res.value ** 2 <= value ** 2 + 1e-12
+        assert 0.0 <= res.kkt_residual + 1e-15 <= 1e-12
+        forms, q = _inclination_forms(pi)
+        v = q.T @ (np.sqrt(pi.pmf) * res.witness)
+        assert np.sqrt(_max_form(forms, v)) == pytest.approx(res.value, abs=1e-14)
+        grad, spread = _first_order_residual(forms, v)
+        assert grad <= 1e-10 and spread <= 1e-12
+
+    def test_open_target_no_worse_and_stationary(self, open_target):
+        res = inclination(open_target, restarts=4, seed=0)
+        value, _ = _restart_loop(open_target, restarts=4, seed=0)
+        assert res.value ** 2 <= value ** 2 + 1e-12
+        assert 0.0 <= res.kkt_residual + 1e-15 <= 1e-12
+        forms, q = _inclination_forms(open_target)
+        grad, spread = _first_order_residual(forms, q.T @ (np.sqrt(open_target.pmf) * res.witness))
+        assert grad <= 1e-10 and spread <= 1e-12
+
+    def test_relabelings_agree(self, open_target):
+        tensor = open_target.as_tensor()
+        values = []
+        for axes, flips in [((0, 1, 2, 3), ()), ((3, 2, 1, 0), ()), ((1, 0, 2, 3), ()),
+                            ((0, 1, 3, 2), (0,)), ((0, 1, 2, 3), (0, 1, 2, 3)),
+                            ((2, 3, 0, 1), (1,)), ((1, 2, 3, 0), (2, 3)), ((3, 0, 1, 2), (0, 2))]:
+            relabeled = np.flip(np.transpose(tensor, axes), axis=flips)
+            pi = TargetDistribution(open_target.space, relabeled.reshape(-1).copy())
+            values.append(inclination(pi, restarts=4, seed=0).value)
+        assert max(values) - min(values) <= 1e-12
+
+    def test_failed_polish_runs_the_restart_loop(self, open_target, monkeypatch):
+        monkeypatch.setattr(geometry, "_branch_polish", lambda forms, w, beta: None)
+        res = inclination(open_target, restarts=4, seed=0)
+        value, witness = _restart_loop(open_target, restarts=4, seed=0)
+        assert res.value == value
+        np.testing.assert_array_equal(res.witness, witness)
+        assert res.kkt_residual is None
+        assert not res.certified and res.restarts == 4
 
 
 class TestSandwich:

@@ -239,6 +239,20 @@ class TestSpectra:
             spectra.sym_norm((2, 1))
         assert sorted(built) == ["dsg", "rsg", "symmetrized_sweep"]
 
+    def test_small_steps_built_once(self, monkeypatch):
+        pi = random_target(4, (2, 3, 2))
+        built = []
+        original = operators._small_step_kernel
+        monkeypatch.setattr(operators, "_small_step_kernel",
+                            lambda i, pi: built.append(i) or original(i, pi))
+        spectra = Spectra(pi)
+        for sigma in ((1, 2, 3), (3, 1, 2)):
+            spectra.norm_and_radius(DeterministicScan(sigma))
+            spectra.sym_norm(sigma)
+        spectra.norm(RandomScan.uniform(3))
+        spectra.radius(RandomScan((0.2, 0.3, 0.5)))
+        assert built == [1, 2, 3]
+
     def test_rejects_mismatched_scan(self, eps_pair):
         with pytest.raises(ValidationError):
             Spectra(eps_pair).norm(DeterministicScan((1, 2, 3)))

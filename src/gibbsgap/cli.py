@@ -94,9 +94,6 @@ def cmd_analyze(args) -> int:
     spectra = Spectra(pi, state_cap=args.state_cap)
     d = pi.space.d
     scans = _requested_scans(args, d)
-    # the brute-force angle's dense Gram matrix is the peak of the command;
-    # taking it before spectra holds the small steps keeps them out of it
-    angle_bf = geometry.friedrichs_angle_bruteforce(pi)
 
     scan_rows = []
     for scan in scans:
@@ -115,6 +112,7 @@ def cmd_analyze(args) -> int:
     bound_report = bounds_mod.verify_bounds(spectra, sigma_list=sigma_list,
                                             weight_list=weight_list, seed=args.seed,
                                             ell_lower=incl.lower)
+    angle_bf = geometry.friedrichs_angle_bruteforce(pi)
     sandwich = geometry.check_sandwich(bound_report.angle, incl.value, d)
 
     # numeric surrogates for the six equivalent gap conditions

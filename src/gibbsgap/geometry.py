@@ -84,6 +84,10 @@ POLISH_KKT_TOL = 1e-13
 POLISH_MIN_OVERLAP = 0.999
 #: ... within this many Newton steps.
 POLISH_MAX_ITER = 10
+#: The polish is first tried after the stage of this temperature.  After the
+#: beta = 4 stage the iterate is still far from the point its restart ends
+#: at, and on the open targets measured every polish from there failed.
+POLISH_MIN_BETA = 32.0
 
 
 @dataclass(frozen=True)
@@ -338,11 +342,12 @@ def inclination(pi: TargetDistribution, restarts: int = 32,
     restart runs.  Otherwise ell_hat comes from a multi-restart minimization
     of max_i dist(f, M_i) over the unit sphere of mean-zero functions, via
     log-sum-exp smoothing with a sharpening temperature schedule.  After each
-    stage ``_branch_polish`` tries to finish the restart at a first-order
-    KKT point of the primal (an eigenvector of sum_i mu_i A_i whose forms are
-    equal over supp(mu)); the first polish that passes ends the restart's
-    schedule.  A restart whose polish never passes runs the whole schedule
-    and, in low dimension, a derivative-free local search.  Restarts use
+    stage from POLISH_MIN_BETA on, ``_branch_polish`` tries to finish the
+    restart at a first-order KKT point of the primal (an eigenvector of
+    sum_i mu_i A_i whose forms are equal over supp(mu)); the first polish
+    that passes ends the restart's schedule.  A restart whose polish never
+    passes runs the whole schedule and, in low dimension, a derivative-free
+    local search.  Restarts use
     seeded starts; ties resolve to the lowest restart index, so the result is
     schedule-independent.  Either way ``lower`` is sqrt of the dual, and
     ``kkt_residual`` is max_i v^T A_i v - lambda for the witness v and the
@@ -380,7 +385,7 @@ def inclination(pi: TargetDistribution, restarts: int = 32,
                 method="L-BFGS-B", options={"maxiter": 500, "ftol": 1e-14, "gtol": 1e-12},
             )
             w = res.x / np.linalg.norm(res.x)
-            polished = _branch_polish(forms, w, beta)
+            polished = _branch_polish(forms, w, beta) if beta >= POLISH_MIN_BETA else None
             if polished is not None:
                 w, residual = polished
                 break

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -24,6 +24,8 @@ RENORMALIZE_LIMIT = 1e-6
 #: resulting pmf keeps full support (epsilon = 0 would put zero mass on
 #: disagreeing configurations).
 EPSILON_FLOOR = 1e-12
+#: Default refusal threshold for dense state spaces.
+DEFAULT_STATE_CAP = 20_000
 
 
 @dataclass(frozen=True)
@@ -214,11 +216,11 @@ def check_state_cap(n_states: int, state_cap: int) -> None:
         raise StateCapError("target has %d states, above the cap of %d" % (n_states, state_cap))
 
 
-def parse_target(spec_text: str, state_cap: Optional[int] = None) -> TargetDistribution:
+def parse_target(spec_text: str, state_cap: int = DEFAULT_STATE_CAP) -> TargetDistribution:
     """Parse a JSON target spec with `dims` and exactly one of `pmf`/`model`.
 
-    Given ``state_cap``, a `model` entry is checked against it before its
-    pmf is built.  Examples::
+    A `model` entry is checked against ``state_cap`` before its pmf is
+    built.  Examples::
 
         {"dims": [2, 2], "pmf": [0.25, 0.25, 0.25, 0.25]}
         {"dims": [2, 2], "model": {"name": "equicorrelated_binary", "epsilon": 0.25}}
@@ -249,8 +251,7 @@ def parse_target(spec_text: str, state_cap: Optional[int] = None) -> TargetDistr
     if "epsilon" not in model:
         raise ValidationError("model %r needs 'epsilon'" % name)
     d = int(model.get("d", len(dims)))
-    if state_cap is not None:
-        check_state_cap(model_states(name, d), state_cap)
+    check_state_cap(model_states(name, d), state_cap)
     target = build(d, float(model["epsilon"]))
     if target.space.dims != space.dims:
         raise ValidationError("dims %r inconsistent with %s d=%d" % (dims, name, d))

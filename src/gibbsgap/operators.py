@@ -30,19 +30,18 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Callable, Sequence, Union
 
 import numpy as np
+import scipy.sparse
 
 from .errors import NumericError, ValidationError
-from .measure import TargetDistribution, check_state_cap
+from .measure import DEFAULT_STATE_CAP, TargetDistribution, check_state_cap
 
 #: Row sums and stationarity are enforced to this tolerance.
 STOCHASTICITY_TOL = 1e-10
 #: Kernel entries more negative than this are an error; dust above it is clamped.
 NEGATIVE_DUST_TOL = 1e-14
-#: Default refusal threshold for dense state spaces.
-DEFAULT_STATE_CAP = 20_000
 #: Weight vectors must sum to 1 within this.
 WEIGHT_TOL = 1e-12
 
@@ -178,29 +177,34 @@ def _checked_scan(spec, kind: type, pi: TargetDistribution, state_cap: int):
     return scan
 
 
-def _sweep(path: Sequence[int], steps: Sequence[np.ndarray]) -> np.ndarray:
+def _sweep(path: Sequence[int], step: Callable[[int], np.ndarray]) -> np.ndarray:
     """Kernel of the small steps P_path[0], ..., P_path[-1] run in time order."""
-    kernel = steps[path[0] - 1]
+    kernel = step(path[0])
     for i in path[1:]:
-        kernel = kernel @ steps[i - 1]
+        kernel = kernel @ step(i)
     return kernel
 
 
-def _small_steps(pi: TargetDistribution, steps) -> Sequence[np.ndarray]:
-    """The kernels of P_1..P_d: `steps` when given, else built from pi."""
+def _step_source(pi: TargetDistribution, steps) -> Callable[[int], np.ndarray]:
+    """i -> the dense kernel of P_i: `steps[i - 1]` densified, else built.
+
+    `steps` are sparse, so either way a sweep holds at most three dense
+    kernels at once.
+    """
     if steps is None:
-        steps = [_small_step_kernel(i, pi) for i in range(1, pi.space.d + 1)]
-    return steps
+        return lambda i: _small_step_kernel(i, pi)
+    return lambda i: steps[i - 1].toarray()
 
 
 def dsg(sigma: Sequence[int], pi: TargetDistribution,
         state_cap: int = DEFAULT_STATE_CAP, *, steps=None) -> MarkovOperator:
     """Deterministic scan: one full sweep updating sigma(1) first, sigma(d) last.
 
-    ``steps``, the kernels of P_1..P_d of pi, skips building them again.
+    ``steps``, the sparse kernels of P_1..P_d of pi (``Spectra.steps``),
+    skips building them again.
     """
     scan = _checked_scan(sigma, DeterministicScan, pi, state_cap)
-    return MarkovOperator(_sweep(scan.order, _small_steps(pi, steps)), pi.pmf,
+    return MarkovOperator(_sweep(scan.order, _step_source(pi, steps)), pi.pmf,
                           label="DSG sigma=%s" % (scan.order,))
 
 
@@ -208,9 +212,10 @@ def rsg(weights: Union[RandomScan, Sequence[float]], pi: TargetDistribution,
         state_cap: int = DEFAULT_STATE_CAP, *, steps=None) -> MarkovOperator:
     """Random scan: the convex combination sum_i w_i P_i; reversible w.r.t. pi."""
     scan = _checked_scan(weights, RandomScan, pi, state_cap)
+    step = _step_source(pi, steps)
     kernel = np.zeros((pi.space.total_states,) * 2)
-    for w, step in zip(scan.weights, _small_steps(pi, steps)):
-        kernel += w * step
+    for i, w in enumerate(scan.weights, start=1):
+        kernel += w * step(i)
     return MarkovOperator(kernel, pi.pmf, label="RSG w=%s" % (scan.weights,))
 
 
@@ -223,7 +228,7 @@ def symmetrized_sweep(sigma: Sequence[int], pi: TargetDistribution,
     """
     scan = _checked_scan(sigma, DeterministicScan, pi, state_cap)
     path = scan.order + scan.order[-2::-1]
-    return MarkovOperator(_sweep(path, _small_steps(pi, steps)), pi.pmf,
+    return MarkovOperator(_sweep(path, _step_source(pi, steps)), pi.pmf,
                           label="SYM sigma=%s" % (scan.order,))
 
 
@@ -293,9 +298,9 @@ class Spectra:
     """Centered norms and radii of the DSG, RSG and palindromic scans of pi.
 
     The state cap is checked once, on creation.  The d small steps are built
-    once, on first use, and every scan kernel is composed from them.  Values
-    are memoized as floats (no scan kernel is kept); ``norm_and_radius``
-    takes both from one build of the operator.
+    once, on first use, and held sparse; every scan kernel is composed from
+    them.  Values are memoized as floats (no scan kernel is kept);
+    ``norm_and_radius`` takes both from one build of the operator.
     """
 
     def __init__(self, pi: TargetDistribution, state_cap: int = DEFAULT_STATE_CAP):
@@ -305,12 +310,10 @@ class Spectra:
         self._memo: dict = {}
 
     @functools.cached_property
-    def steps(self) -> tuple[np.ndarray, ...]:
-        """The kernels of P_1..P_d, read-only."""
-        steps = tuple(_small_steps(self.pi, None))
-        for step in steps:
-            step.flags.writeable = False
-        return steps
+    def steps(self) -> tuple[scipy.sparse.csr_array, ...]:
+        """The kernels of P_1..P_d as sparse arrays (n * dims[i] nonzeros each)."""
+        return tuple(scipy.sparse.csr_array(_small_step_kernel(i, self.pi))
+                     for i in range(1, self.pi.space.d + 1))
 
     def norm(self, scan: ScanSpec) -> float:
         """||K - Pi|| for the kernel K that the scan simulates."""

@@ -123,6 +123,13 @@ class TestAnalyzeCommand:
             else:
                 assert abs(rep["inclination_kkt_residual"]) <= 1e-12
 
+    def test_wrong_length_scan_refused_before_the_geometry(self, tmp_path, monkeypatch):
+        for name in ("inclination", "friedrichs_angle_bruteforce"):
+            monkeypatch.setattr(geometry, name, lambda *a, **kw: pytest.fail("geometry ran"))
+        code = main(["analyze", "--model", "equicorrelated_binary", "--d", "3", "--epsilon",
+                     "0.25", "--scan", "dsg:1,2", "--out-dir", str(tmp_path)])
+        assert code == 2
+
     def test_target_file_input(self, tmp_path):
         spec_file = tmp_path / "target.json"
         spec_file.write_text('{"dims": [2, 2], "pmf": [0.25, 0.25, 0.25, 0.25]}')

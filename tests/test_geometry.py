@@ -248,6 +248,14 @@ class TestBranchPolish:
             values.append(inclination(pi, restarts=4, seed=0).value)
         assert max(values) - min(values) <= 1e-12
 
+    def test_first_polish_after_the_beta_32_stage(self, open_target, monkeypatch):
+        betas = []
+        polish = geometry._branch_polish
+        monkeypatch.setattr(geometry, "_branch_polish",
+                            lambda forms, w, beta: betas.append(beta) or polish(forms, w, beta))
+        inclination(open_target, restarts=4, seed=0)
+        assert len(betas) >= 4 and min(betas) == 32.0
+
     def test_failed_polish_runs_the_restart_loop(self, open_target, monkeypatch):
         monkeypatch.setattr(geometry, "_branch_polish", lambda forms, w, beta: None)
         res = inclination(open_target, restarts=4, seed=0)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gibbsgap.errors import SpaceMismatchError, ValidationError
+from gibbsgap.errors import SpaceMismatchError, StateCapError, ValidationError
 from gibbsgap.measure import (
     PiFunction,
     ProductSpace,
@@ -187,6 +187,14 @@ class TestParseTarget:
     def test_bad_json(self):
         with pytest.raises(ValidationError, match="JSON"):
             parse_target("{not json")
+
+    def test_model_checked_against_the_default_cap(self):
+        spec = '{"dims": %s, "model": {"name": "equicorrelated_binary", "epsilon": 0.25}}'
+        with pytest.raises(StateCapError):
+            parse_target(spec % ([2] * 15))
+        with pytest.raises(StateCapError):
+            parse_target(spec % ([2] * 4), state_cap=15)
+        assert parse_target(spec % ([2] * 4), state_cap=16).space.total_states == 16
 
 
 class TestEquicorrelatedBinary:

@@ -19,6 +19,7 @@ from gibbsgap.operators import (
     pi_kernel,
     power_norm_sequence,
     rsg,
+    scan_operator,
     small_step,
     spectral_radius_centered,
     symmetrized_sweep,
@@ -252,6 +253,21 @@ class TestSpectra:
         spectra.norm(RandomScan.uniform(3))
         spectra.radius(RandomScan((0.2, 0.3, 0.5)))
         assert built == [1, 2, 3]
+
+    def test_small_steps_held_sparse(self):
+        pi = random_target(5, (2, 3, 2, 2))
+        n = pi.space.total_states
+        spectra = Spectra(pi)
+        spectra.norm_and_radius(DeterministicScan((4, 2, 1, 3)))
+        held = 0
+        for i, step in enumerate(spectra.steps, start=1):
+            assert step.nnz == n * pi.space.dims[i - 1]
+            assert (step.toarray() == _small_step_kernel(i, pi)).all()
+            held += step.data.nbytes + step.indices.nbytes + step.indptr.nbytes
+        assert held < 8 * n * n  # all d steps together cost less than one dense kernel
+        for scan in (DeterministicScan((4, 2, 1, 3)), RandomScan((0.1, 0.2, 0.3, 0.4))):
+            shared = scan_operator(pi, scan, steps=spectra.steps).kernel
+            assert (shared == scan_operator(pi, scan).kernel).all()
 
     def test_rejects_mismatched_scan(self, eps_pair):
         with pytest.raises(ValidationError):

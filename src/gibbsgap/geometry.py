@@ -60,7 +60,6 @@ class AngleResult:
     value: float
     method: str  # "closed_form" | "brute_force"
     degenerate: bool = False
-    witness: Optional[np.ndarray] = None  # block coefficient vector (brute force)
 
 
 #: The dual certifies ell_hat when upper - lower <= CERTIFY_TOL * max(1, upper).
@@ -150,7 +149,10 @@ def friedrichs_angle_bruteforce(pi: TargetDistribution) -> AngleResult:
     With orthonormal bases Y_i of the M_i cap M-perp blocks (in the
     symmetrized coordinates), the numerator quadratic form over block
     coefficients u is u^T (Y^T Y - I) u and the denominator is
-    (d-1) u^T u, so c is the top eigenvalue of (Y^T Y - I) / (d-1).
+    (d-1) u^T u, so c is (lambda_max(Y^T Y) - 1) / (d-1).  The top
+    eigenvalue is taken from the n x n matrix Y Y^T, which has the same
+    nonzero spectrum and is smaller than the Gram matrix Y^T Y whenever the
+    blocks hold more than n basis vectors together.
     """
     d = pi.space.d
     s = np.sqrt(pi.pmf)
@@ -164,12 +166,8 @@ def friedrichs_angle_bruteforce(pi: TargetDistribution) -> AngleResult:
         # supremum runs over an empty set and c is defined as 0
         return AngleResult(value=0.0, method="brute_force", degenerate=True)
     y = np.hstack(blocks)
-    gram = y.T @ y
-    gram = 0.5 * (gram + gram.T)
-    cross = gram - np.eye(gram.shape[0])
-    vals, vecs = np.linalg.eigh(cross)
-    c = float(vals[-1] / (d - 1.0))
-    return AngleResult(value=c, method="brute_force", witness=vecs[:, -1].copy())
+    top = np.linalg.eigvalsh(y @ y.T)[-1]
+    return AngleResult(value=float((top - 1.0) / (d - 1.0)), method="brute_force")
 
 
 def _inclination_forms(pi: TargetDistribution) -> tuple[np.ndarray, np.ndarray]:

@@ -4,10 +4,16 @@ Flat indexing convention: multi-index (x_1, ..., x_d) maps to a flat index
 with the *last* coordinate varying fastest (C order), so a pmf written as a
 flat list is portable across tools.  Coordinate indices in the public API are
 1-based, matching the usual mathematical labelling of the coordinates.
+
+A TargetDistribution carries its table of full conditionals
+(``TargetDistribution.conditionals``), built once on first use: the data of
+every small step P_i, which ``gibbsgap.operators`` densifies on demand.
 """
 from __future__ import annotations
 
+import functools
 import json
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -48,7 +54,7 @@ class ProductSpace:
 
     @property
     def total_states(self) -> int:
-        return int(np.prod(self.dims))
+        return math.prod(self.dims)
 
     def flat_index(self, multi: Sequence[int]) -> int:
         """Flat index of a multi-index; last coordinate fastest."""
@@ -98,6 +104,27 @@ class TargetDistribution:
     def as_tensor(self) -> np.ndarray:
         """pmf reshaped to the product-space shape."""
         return self.pmf.reshape(self.space.dims)
+
+    @functools.cached_property
+    def conditionals(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """The full conditionals, as one (cells, cond) pair per coordinate.
+
+        For coordinate i (entry i - 1), each row of ``cells`` holds the flat
+        states of one x_{-i} cell in x_i order, and the same row of ``cond``
+        holds pi(x_i | x_{-i}) over them: 2 n numbers per coordinate.  Built
+        once per target, on first use.
+        """
+        dims = self.space.dims
+        w = self.as_tensor()
+        flat = np.arange(self.pmf.shape[0]).reshape(dims)
+        table = []
+        for axis, size in enumerate(dims):
+            cond = w / w.sum(axis=axis, keepdims=True)
+            cells = np.moveaxis(flat, axis, -1).reshape(-1, size)
+            cond = np.moveaxis(cond, axis, -1).reshape(cells.shape)
+            cells.flags.writeable = cond.flags.writeable = False
+            table.append((cells, cond))
+        return tuple(table)
 
 
 @dataclass(frozen=True)

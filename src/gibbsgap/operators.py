@@ -2,7 +2,10 @@
 
 Every scan is built from the small steps P_1..P_d: ``dsg`` and
 ``symmetrized_sweep`` multiply them along an update path, ``rsg`` mixes
-them.  ``Spectra`` serves the norms and radii of all scans of one target.
+them.  Each step is densified on demand from the target's table of full
+conditionals (``TargetDistribution.conditionals``), so a sweep holds at most
+three dense kernels at once.  ``Spectra`` serves the norms and radii of all
+scans of one target.
 
 Order convention: ``dsg(sigma, pi)`` returns the kernel of the chain that
 updates coordinate sigma(1) *first in time* and sigma(d) last, i.e. the
@@ -28,12 +31,10 @@ ill-conditioned (see ``counterexample.ladder_gap`` for the ladder chain).
 """
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
-from typing import Callable, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
-import scipy.sparse
 
 from .errors import NumericError, ValidationError
 from .measure import DEFAULT_STATE_CAP, TargetDistribution, check_state_cap
@@ -72,14 +73,13 @@ class MarkovOperator:
         low = kernel.min()
         if low < -NEGATIVE_DUST_TOL:
             raise ValidationError("kernel has entry %g below the dust tolerance" % low)
-        kernel = np.clip(kernel, 0.0, None)
+        kernel = np.clip(kernel, 0.0, None)  # a fresh array, safe to freeze
         row_err = np.abs(kernel.sum(axis=1) - 1.0).max()
         if row_err > STOCHASTICITY_TOL:
             raise ValidationError("kernel rows sum to 1 only within %g" % row_err)
         stat_err = np.abs(pi @ kernel - pi).max()
         if stat_err > STOCHASTICITY_TOL:
             raise ValidationError("stationarity violated: max |pi^T P - pi^T| = %g" % stat_err)
-        kernel = kernel.copy()
         kernel.flags.writeable = False
         pi = pi.copy()
         pi.flags.writeable = False
@@ -154,17 +154,11 @@ def small_step(i: int, pi: TargetDistribution, state_cap: int = DEFAULT_STATE_CA
 
 
 def _small_step_kernel(i: int, pi: TargetDistribution) -> np.ndarray:
-    dims = pi.space.dims
-    n = pi.space.total_states
-    axis = i - 1
-    w = pi.as_tensor()
-    cond = w / w.sum(axis=axis, keepdims=True)
-    # kernel(x, y) = cond(y_i | x_{-i}) if y_{-i} == x_{-i} else 0; each row
-    # of `cells` holds the flat states of one x_{-i} cell, in y_i order
-    cells = np.moveaxis(np.arange(n).reshape(dims), axis, -1).reshape(-1, dims[axis])
-    cond_rows = np.moveaxis(cond, axis, -1).reshape(cells.shape)
-    kernel = np.zeros((n, n))
-    kernel[cells[:, :, None], cells[:, None, :]] = cond_rows[:, None, :]
+    """The dense kernel of P_i, from the target's table of full conditionals."""
+    # kernel(x, y) = pi(y_i | x_{-i}) if y_{-i} == x_{-i} else 0
+    cells, cond = pi.conditionals[i - 1]
+    kernel = np.zeros((cells.size,) * 2)
+    kernel[cells[:, :, None], cells[:, None, :]] = cond[:, None, :]
     return kernel
 
 
@@ -177,50 +171,33 @@ def _checked_scan(spec, kind: type, pi: TargetDistribution, state_cap: int):
     return scan
 
 
-def _sweep(path: Sequence[int], step: Callable[[int], np.ndarray]) -> np.ndarray:
+def _sweep(path: Sequence[int], pi: TargetDistribution) -> np.ndarray:
     """Kernel of the small steps P_path[0], ..., P_path[-1] run in time order."""
-    kernel = step(path[0])
+    kernel = _small_step_kernel(path[0], pi)
     for i in path[1:]:
-        kernel = kernel @ step(i)
+        kernel = kernel @ _small_step_kernel(i, pi)
     return kernel
 
 
-def _step_source(pi: TargetDistribution, steps) -> Callable[[int], np.ndarray]:
-    """i -> the dense kernel of P_i: `steps[i - 1]` densified, else built.
-
-    `steps` are sparse, so either way a sweep holds at most three dense
-    kernels at once.
-    """
-    if steps is None:
-        return lambda i: _small_step_kernel(i, pi)
-    return lambda i: steps[i - 1].toarray()
-
-
 def dsg(sigma: Sequence[int], pi: TargetDistribution,
-        state_cap: int = DEFAULT_STATE_CAP, *, steps=None) -> MarkovOperator:
-    """Deterministic scan: one full sweep updating sigma(1) first, sigma(d) last.
-
-    ``steps``, the sparse kernels of P_1..P_d of pi (``Spectra.steps``),
-    skips building them again.
-    """
+        state_cap: int = DEFAULT_STATE_CAP) -> MarkovOperator:
+    """Deterministic scan: one full sweep updating sigma(1) first, sigma(d) last."""
     scan = _checked_scan(sigma, DeterministicScan, pi, state_cap)
-    return MarkovOperator(_sweep(scan.order, _step_source(pi, steps)), pi.pmf,
-                          label="DSG sigma=%s" % (scan.order,))
+    return MarkovOperator(_sweep(scan.order, pi), pi.pmf, label="DSG sigma=%s" % (scan.order,))
 
 
 def rsg(weights: Union[RandomScan, Sequence[float]], pi: TargetDistribution,
-        state_cap: int = DEFAULT_STATE_CAP, *, steps=None) -> MarkovOperator:
+        state_cap: int = DEFAULT_STATE_CAP) -> MarkovOperator:
     """Random scan: the convex combination sum_i w_i P_i; reversible w.r.t. pi."""
     scan = _checked_scan(weights, RandomScan, pi, state_cap)
-    step = _step_source(pi, steps)
     kernel = np.zeros((pi.space.total_states,) * 2)
     for i, w in enumerate(scan.weights, start=1):
-        kernel += w * step(i)
+        kernel += w * _small_step_kernel(i, pi)
     return MarkovOperator(kernel, pi.pmf, label="RSG w=%s" % (scan.weights,))
 
 
 def symmetrized_sweep(sigma: Sequence[int], pi: TargetDistribution,
-                      state_cap: int = DEFAULT_STATE_CAP, *, steps=None) -> MarkovOperator:
+                      state_cap: int = DEFAULT_STATE_CAP) -> MarkovOperator:
     """The palindromic sweep sigma(1),...,sigma(d),sigma(d-1),...,sigma(1).
 
     Self-adjoint in L2(pi): it is T* T for the plain sweep T up to the
@@ -228,8 +205,7 @@ def symmetrized_sweep(sigma: Sequence[int], pi: TargetDistribution,
     """
     scan = _checked_scan(sigma, DeterministicScan, pi, state_cap)
     path = scan.order + scan.order[-2::-1]
-    return MarkovOperator(_sweep(path, _step_source(pi, steps)), pi.pmf,
-                          label="SYM sigma=%s" % (scan.order,))
+    return MarkovOperator(_sweep(path, pi), pi.pmf, label="SYM sigma=%s" % (scan.order,))
 
 
 def scan_operator(pi: TargetDistribution, scan: ScanSpec, **kw) -> MarkovOperator:
@@ -281,14 +257,12 @@ def l2_norm_centered(op: MarkovOperator) -> float:
 
 def spectral_radius_centered(op: MarkovOperator) -> float:
     """Largest eigenvalue modulus of P - Pi (complex eigenvalues allowed)."""
-    pi = op.stationary
-    centered = op.kernel - pi_kernel(pi)
     try:
         if is_reversible(op):
             a = _centered_conjugated(op)
             vals = np.linalg.eigvalsh(0.5 * (a + a.T))
         else:
-            vals = np.linalg.eigvals(centered)
+            vals = np.linalg.eigvals(op.kernel - pi_kernel(op.stationary))
     except np.linalg.LinAlgError as exc:
         raise NumericError("eigensolver failed for %s: %s" % (op.label, exc)) from exc
     return float(np.abs(vals).max()) if vals.size else 0.0
@@ -297,10 +271,9 @@ def spectral_radius_centered(op: MarkovOperator) -> float:
 class Spectra:
     """Centered norms and radii of the DSG, RSG and palindromic scans of pi.
 
-    The state cap is checked once, on creation.  The d small steps are built
-    once, on first use, and held sparse; every scan kernel is composed from
-    them.  Values are memoized as floats (no scan kernel is kept);
-    ``norm_and_radius`` takes both from one build of the operator.
+    The state cap is checked once, on creation.  Values are memoized as
+    floats (no scan kernel is kept); ``norm_and_radius`` takes both from one
+    build of the operator.
     """
 
     def __init__(self, pi: TargetDistribution, state_cap: int = DEFAULT_STATE_CAP):
@@ -308,12 +281,6 @@ class Spectra:
         self.pi = pi
         self.state_cap = state_cap
         self._memo: dict = {}
-
-    @functools.cached_property
-    def steps(self) -> tuple[scipy.sparse.csr_array, ...]:
-        """The kernels of P_1..P_d as sparse arrays (n * dims[i] nonzeros each)."""
-        return tuple(scipy.sparse.csr_array(_small_step_kernel(i, self.pi))
-                     for i in range(1, self.pi.space.d + 1))
 
     def norm(self, scan: ScanSpec) -> float:
         """||K - Pi|| for the kernel K that the scan simulates."""
@@ -333,9 +300,8 @@ class Spectra:
     def _measure(self, kind: str, scan: ScanSpec, names: tuple) -> tuple:
         missing = [name for name in names if (kind, scan, name) not in self._memo]
         if missing:
-            kw = {"state_cap": self.state_cap, "steps": self.steps}
-            op = (symmetrized_sweep(scan, self.pi, **kw) if kind == "sym"
-                  else scan_operator(self.pi, scan, **kw))
+            op = (symmetrized_sweep(scan, self.pi, state_cap=self.state_cap) if kind == "sym"
+                  else scan_operator(self.pi, scan, state_cap=self.state_cap))
             for name in missing:
                 self._memo[kind, scan, name] = (l2_norm_centered(op) if name == "norm"
                                                 else spectral_radius_centered(op))

@@ -33,7 +33,7 @@ def _jsonable(obj: Any) -> Any:
 
 
 def report_document(command: str, config: Mapping[str, Any], body: Mapping[str, Any]) -> dict:
-    """Assemble the canonical report envelope."""
+    """Assemble the canonical report envelope, converted to plain JSON data."""
     return {
         "tool": "gibbsgap",
         "version": __version__,
@@ -44,8 +44,9 @@ def report_document(command: str, config: Mapping[str, Any], body: Mapping[str, 
 
 
 def write_json(doc: Mapping[str, Any], path: str) -> None:
+    """Write plain JSON data, such as a ``report_document``, as sorted JSON."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(_jsonable(doc), fh, indent=2, sort_keys=True)
+        json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 

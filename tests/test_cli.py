@@ -1,3 +1,4 @@
+import functools
 import importlib
 import json
 import subprocess
@@ -52,6 +53,21 @@ def _count_calls(monkeypatch, names):
 
         _patch_everywhere(monkeypatch, original, counted)
     return counts
+
+
+def _count_table_builds(monkeypatch):
+    """The targets whose table of full conditionals gets built, once per build."""
+    built = []
+    build = measure.TargetDistribution.__dict__["conditionals"].func
+
+    def counted(pi):
+        built.append(pi)
+        return build(pi)
+
+    prop = functools.cached_property(counted)
+    prop.__set_name__(measure.TargetDistribution, "conditionals")
+    monkeypatch.setattr(measure.TargetDistribution, "conditionals", prop)
+    return built
 
 
 class TestAnalyzeCommand:
@@ -172,6 +188,30 @@ class TestAnalyzeCommand:
         # 3! sweep orders and 3! palindromes; uniform plus 8 sampled random scans
         assert counts == {"dsg": 6, "rsg": 9, "symmetrized_sweep": 6,
                           "l2_norm_centered": 21, "spectral_radius_centered": 2}
+
+    def test_conditionals_built_once_per_target(self, tmp_path, monkeypatch):
+        built = _count_table_builds(monkeypatch)
+        stepped = []
+        original = operators._small_step_kernel
+        _patch_everywhere(monkeypatch, original,
+                          lambda i, pi: stepped.append(pi) or original(i, pi))
+        code = main(["analyze", "--model", "equicorrelated_binary", "--d", "3",
+                     "--epsilon", "0.25", "--out-dir", str(tmp_path)])
+        assert code == 0
+        # the forms, every sweep and every random scan read one table
+        assert len(built) == 1
+        assert len(stepped) > 3 and all(pi is built[0] for pi in stepped)
+        code = main(["sweep", "--d-list", "2,3,4", "--out-dir", str(tmp_path)])
+        assert code == 0
+        assert [pi.space.d for pi in built[1:]] == [2, 3, 4]
+
+    def test_state_count_beyond_int64_exit_2(self, tmp_path, capsys):
+        # 4611686018427387905 * 4 wraps to 4 in int64
+        spec = tmp_path / "target.json"
+        spec.write_text(json.dumps({"dims": [4611686018427387905, 4], "pmf": [0.25] * 4}))
+        code = main(["analyze", "--target-file", str(spec), "--out-dir", str(tmp_path)])
+        assert code == 2
+        assert "pmf has 4 entries, space has 18446744073709551620 states" in capsys.readouterr().err
 
 
 def _model_builder_fails(monkeypatch):

@@ -59,6 +59,18 @@ class TestFriedrichsAngle:
             bf = friedrichs_angle_bruteforce(pi).value
             assert cf == pytest.approx(bf, abs=1e-8)
 
+    def test_bruteforce_equals_gram_form(self, target_suite):
+        # c = lambda_max(Y^T Y - I) / (d - 1) over the stacked bases Y, as the
+        # block-coefficient eigenproblem states it
+        for pi in target_suite[:40]:
+            d = pi.space.d
+            s = np.sqrt(pi.pmf)
+            y = np.hstack([subspace_basis(i, pi).vectors * s[:, None] for i in range(1, d + 1)])
+            gram = y.T @ y
+            cross = 0.5 * (gram + gram.T) - np.eye(gram.shape[0])
+            c = np.linalg.eigvalsh(cross)[-1] / (d - 1.0)
+            assert friedrichs_angle_bruteforce(pi).value == pytest.approx(c, abs=1e-12)
+
     def test_angle_in_valid_range(self, target_suite):
         for pi in target_suite[:40]:
             d = pi.space.d

@@ -22,6 +22,10 @@ class TestProductSpace:
     def test_total_states(self):
         assert ProductSpace((2, 3, 4)).total_states == 24
 
+    def test_total_states_exact_beyond_int64(self):
+        assert ProductSpace((2,) * 64).total_states == 2 ** 64
+        assert ProductSpace((4611686018427387905, 4)).total_states == 4611686018427387905 * 4
+
     def test_rejects_single_coordinate(self):
         with pytest.raises(ValidationError):
             ProductSpace((5,))
@@ -57,6 +61,16 @@ class TestTargetDistribution:
     def test_rejects_large_drift(self):
         with pytest.raises(ValidationError, match="renormalization"):
             TargetDistribution(ProductSpace((2, 2)), np.full(4, 0.3))
+
+    def test_conditionals_built_once_and_frozen(self):
+        pi = random_target(7, (2, 3, 2))
+        table = pi.conditionals
+        assert pi.conditionals is table and len(table) == 3
+        for cells, cond in table:
+            with pytest.raises(ValueError):
+                cond[0, 0] = 0.5
+            with pytest.raises(ValueError):
+                cells[0, 0] = 1
 
     def test_pmf_immutable(self, uniform_2x2):
         with pytest.raises(ValueError):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,6 @@ from gibbsgap.operators import (
     pi_kernel,
     power_norm_sequence,
     rsg,
-    scan_operator,
     small_step,
     spectral_radius_centered,
     symmetrized_sweep,
@@ -146,6 +147,47 @@ class TestSweeps:
         np.testing.assert_allclose(sym.kernel, k1 @ k2 @ k1, atol=1e-14)
         assert is_reversible(sym)
 
+    @pytest.mark.parametrize("dims", [(2, 3, 4), (4, 2, 2, 3)])
+    def test_products_equal_cell_loop_products(self, dims):
+        pi = random_target(22, dims)
+        d = len(dims)
+        steps = [_cell_loop_kernel(i, pi) for i in range(1, d + 1)]
+        for sigma in (tuple(range(1, d + 1)), tuple(range(d, 0, -1)), (2, 1) + tuple(range(3, d + 1))):
+            path = sigma + sigma[-2::-1]
+            product = steps[path[0] - 1]
+            for k, i in enumerate(path[1:], start=2):
+                product = product @ steps[i - 1]
+                if k == d:
+                    assert (dsg(sigma, pi).kernel == product).all()
+            assert (symmetrized_sweep(sigma, pi).kernel == product).all()
+        weights = tuple(np.arange(1.0, d + 1) / (d * (d + 1) / 2))
+        mixture = np.zeros_like(steps[0])
+        for w, step in zip(weights, steps):
+            mixture += w * step
+        assert (rsg(weights, pi).kernel == mixture).all()
+
+    @pytest.mark.parametrize("build", [
+        lambda pi, d: dsg(tuple(range(1, d + 1)), pi),
+        lambda pi, d: symmetrized_sweep(tuple(range(d, 0, -1)), pi),
+        lambda pi, d: rsg(RandomScan.uniform(d), pi),
+    ], ids=["dsg", "symmetrized_sweep", "rsg"])
+    def test_peak_memory_three_dense_kernels(self, build):
+        pi = random_target(23, (4, 4, 4, 4, 4))
+        n = pi.space.total_states
+        assert n == 1024
+        pi.conditionals  # the O(n d) table is the target's, not the sweep's
+        tracemalloc.start()
+        try:
+            op = build(pi, pi.space.d)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert op.n_states == n
+        dense = 8 * n * n
+        # the product so far, the next step and their product; the index
+        # and row-sum vectors add well under a hundredth of a kernel
+        assert peak <= 3 * dense + dense // 100
+
     def test_adjoint_of_sweep_is_reversed_sweep(self):
         pi = random_target(9, (2, 3, 2))
         fwd = dsg((1, 2, 3), pi)
@@ -240,34 +282,17 @@ class TestSpectra:
             spectra.sym_norm((2, 1))
         assert sorted(built) == ["dsg", "rsg", "symmetrized_sweep"]
 
-    def test_small_steps_built_once(self, monkeypatch):
-        pi = random_target(4, (2, 3, 2))
-        built = []
-        original = operators._small_step_kernel
-        monkeypatch.setattr(operators, "_small_step_kernel",
-                            lambda i, pi: built.append(i) or original(i, pi))
-        spectra = Spectra(pi)
-        for sigma in ((1, 2, 3), (3, 1, 2)):
-            spectra.norm_and_radius(DeterministicScan(sigma))
-            spectra.sym_norm(sigma)
-        spectra.norm(RandomScan.uniform(3))
-        spectra.radius(RandomScan((0.2, 0.3, 0.5)))
-        assert built == [1, 2, 3]
-
-    def test_small_steps_held_sparse(self):
+    def test_conditionals_smaller_than_one_dense_kernel(self):
         pi = random_target(5, (2, 3, 2, 2))
         n = pi.space.total_states
-        spectra = Spectra(pi)
-        spectra.norm_and_radius(DeterministicScan((4, 2, 1, 3)))
+        Spectra(pi).norm_and_radius(DeterministicScan((4, 2, 1, 3)))
         held = 0
-        for i, step in enumerate(spectra.steps, start=1):
-            assert step.nnz == n * pi.space.dims[i - 1]
-            assert (step.toarray() == _small_step_kernel(i, pi)).all()
-            held += step.data.nbytes + step.indices.nbytes + step.indptr.nbytes
-        assert held < 8 * n * n  # all d steps together cost less than one dense kernel
-        for scan in (DeterministicScan((4, 2, 1, 3)), RandomScan((0.1, 0.2, 0.3, 0.4))):
-            shared = scan_operator(pi, scan, steps=spectra.steps).kernel
-            assert (shared == scan_operator(pi, scan).kernel).all()
+        for size, (cells, cond) in zip(pi.space.dims, pi.conditionals):
+            assert cells.shape == cond.shape == (n // size, size)
+            assert sorted(cells.reshape(-1)) == list(range(n))
+            np.testing.assert_allclose(cond.sum(axis=1), 1.0, atol=1e-15)
+            held += cells.nbytes + cond.nbytes
+        assert held < 8 * n * n  # all d coordinates together cost less than one dense kernel
 
     def test_rejects_mismatched_scan(self, eps_pair):
         with pytest.raises(ValidationError):

@@ -8,7 +8,8 @@ Commands::
     gibbsgap counterexample  ladder-chain truncation sweep
 
 Exit status: 0 success, 1 an asserted inequality or simulation bound was
-violated beyond tolerance, 2 usage or validation error, 3 state-count cap
+violated beyond tolerance (the report is written first), 2 usage or
+validation error (no report is written), 3 state-count cap
 exceeded (every command checks it before any work on the target, and
 before it builds the pmf of a ``--model`` or of a ``model`` entry in a
 ``--target-file``).
@@ -72,8 +73,12 @@ def _load_target(args) -> TargetDistribution:
     if args.target_file and args.model:
         raise ValidationError("give exactly one of --target-file and --model")
     if args.target_file:
-        with open(args.target_file, "r", encoding="utf-8") as fh:
-            return parse_target(fh.read(), state_cap=args.state_cap)
+        try:
+            with open(args.target_file, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ValidationError("cannot read --target-file: %s" % exc) from exc
+        return parse_target(text, state_cap=args.state_cap)
     if args.model:
         build = model_builder(args.model)
         if args.d is None or args.epsilon is None:
@@ -160,21 +165,13 @@ def cmd_analyze(args) -> int:
                    for e in bound_report.entries],
         "equivalence_panel": panel,
     }
-    doc = report_document("analyze", _config_dict(args), body)
-    os.makedirs(args.out_dir, exist_ok=True)
-    write_json(doc, os.path.join(args.out_dir, "analyze.json"))
-    if "csv" in args.formats:
-        write_csv(body["bounds"], os.path.join(args.out_dir, "bounds.csv"),
-                  columns=["name", "bound", "exact", "slack", "sharp"])
-
     violations = bound_report.violations()
+    failure = None
     if violations or not sandwich["left_pass"] or not panel["all_conditions_agree"]:
-        print("assertion failure: %d bound violations, sandwich left pass=%s, panel agree=%s"
-              % (len(violations), sandwich["left_pass"], panel["all_conditions_agree"]),
-              file=sys.stderr)
-        return 1
-    print("analyze: report written to %s" % os.path.join(args.out_dir, "analyze.json"))
-    return 0
+        failure = ("%d bound violations, sandwich left pass=%s, panel agree=%s"
+                   % (len(violations), sandwich["left_pass"], panel["all_conditions_agree"]))
+    return _report(args, "analyze", body, failure,
+                   csv=("bounds.csv", body["bounds"], ["name", "bound", "exact", "slack", "sharp"]))
 
 
 def cmd_sweep(args) -> int:
@@ -188,6 +185,9 @@ def cmd_sweep(args) -> int:
     for d in d_list:
         spectra = Spectra(build(d, args.epsilon), state_cap=args.state_cap)
         gap_rsg = 1.0 - spectra.norm(RandomScan.uniform(d))
+        if gap_rsg <= GAP_POSITIVE_TOL:
+            raise ValidationError("random-scan gap %.3g at d=%d is not above %g: no decay rate "
+                                  "can be fitted" % (gap_rsg, d, GAP_POSITIVE_TOL))
         perms = bounds_mod.sample_permutations(d, seed=args.seed)
         gaps = [1.0 - spectra.radius(DeterministicScan(s)) for s in perms]
         rows.append({
@@ -202,28 +202,19 @@ def cmd_sweep(args) -> int:
     slope, intercept = np.polyfit(logd, logg, 1)
     beta = float(max(-slope, 1e-12))
     gamma = float(min(np.exp(logg + beta * logd)))  # largest gamma with gap >= gamma d^-beta
-    ok = True
     for r in rows:
         r["floor"] = bounds_mod.rapid_mixing_transfer(beta, gamma, r["d"])
         r["floor_ok"] = bool(r["gap_dsg_worst"] >= r["floor"] - 1e-12)
-        ok = ok and r["floor_ok"]
-    body = {"rows": rows, "beta_fit": beta, "gamma_fit": gamma}
-    doc = report_document("sweep", _config_dict(args), body)
-    os.makedirs(args.out_dir, exist_ok=True)
-    write_json(doc, os.path.join(args.out_dir, "sweep.json"))
-    write_csv(rows, os.path.join(args.out_dir, "sweep.csv"),
-              columns=["d", "gap_rsg", "gap_dsg_worst", "gap_dsg_best",
-                       "permutations_checked", "floor", "floor_ok"])
-    if not ok:
-        print("assertion failure: deterministic-scan gap below the transfer floor", file=sys.stderr)
-        return 1
-    print("sweep: wrote %s" % os.path.join(args.out_dir, "sweep.csv"))
-    return 0
+    failure = (None if all(r["floor_ok"] for r in rows)
+               else "deterministic-scan gap below the transfer floor")
+    return _report(args, "sweep", {"rows": rows, "beta_fit": beta, "gamma_fit": gamma}, failure,
+                   csv=("sweep.csv", rows, ["d", "gap_rsg", "gap_dsg_worst", "gap_dsg_best",
+                                            "permutations_checked", "floor", "floor_ok"]))
 
 
 def _indicator(pi: TargetDistribution, spec_text: str) -> np.ndarray:
     kind, _, rest = spec_text.partition(":")
-    if kind != "coord":
+    if kind != "coord" or not rest.isdecimal():
         raise ValidationError("function spec must be coord:i, got %r" % spec_text)
     i = int(rest)
     if not 1 <= i <= pi.space.d:
@@ -261,14 +252,8 @@ def cmd_sample(args) -> int:
             "tails": tails, "pass": panel_pass,
         })
     body = {"function": args.function, "panels": panels, "all_pass": all_pass}
-    doc = report_document("sample", _config_dict(args), body)
-    os.makedirs(args.out_dir, exist_ok=True)
-    write_json(doc, os.path.join(args.out_dir, "sample.json"))
-    if not all_pass:
-        print("assertion failure: a simulation panel exceeded its bound", file=sys.stderr)
-        return 1
-    print("sample: wrote %s" % os.path.join(args.out_dir, "sample.json"))
-    return 0
+    return _report(args, "sample", body,
+                   None if all_pass else "a simulation panel exceeded its bound")
 
 
 def cmd_counterexample(args) -> int:
@@ -280,32 +265,34 @@ def cmd_counterexample(args) -> int:
     for N in args.N:
         check_state_cap(LadderChainSpec(N, args.q).n_states, args.state_cap)
     rows = reversibilization_gap_sweep(args.q, args.N, b_list=args.b)
-    csv_rows = []
-    cheeger_ok = True
-    for r in rows:
-        cheeger_ok = cheeger_ok and r["cheeger_upper_ok"]
-        out = {k: r[k] for k in ("N", "n_states", "gap_K", "gap_P", "gap_P_star",
-                                 "root_residual", "kappa_upper", "cheeger_upper_ok")}
-        for b in args.b:
-            out["moment_b%g" % b] = r["moment_b%g" % b]
-            out["moment_b%g_analytic_finite" % b] = r["moment_b%g_analytic_finite" % b]
-        csv_rows.append(out)
-    body = {"rows": rows}
-    doc = report_document("counterexample", _config_dict(args), body)
-    os.makedirs(args.out_dir, exist_ok=True)
-    write_json(doc, os.path.join(args.out_dir, "counterexample.json"))
-    write_csv(csv_rows, os.path.join(args.out_dir, "counterexample.csv"))
-    if not cheeger_ok:
-        print("assertion failure: gap(K) exceeded 2*conductance", file=sys.stderr)
-        return 1
-    print("counterexample: wrote %s" % os.path.join(args.out_dir, "counterexample.csv"))
-    return 0
+    columns = ["N", "n_states", "gap_K", "gap_P", "gap_P_star", "root_residual", "kappa_upper",
+               "cheeger_upper_ok"]
+    columns += [name % b for b in args.b for name in ("moment_b%g", "moment_b%g_analytic_finite")]
+    failure = None if all(r["cheeger_upper_ok"] for r in rows) else "gap(K) exceeded 2*conductance"
+    # a repeated --b names one moment key of a row, so it gets one column
+    return _report(args, "counterexample", {"rows": rows}, failure,
+                   csv=("counterexample.csv", rows, list(dict.fromkeys(columns))))
 
 
-def _config_dict(args) -> dict:
+def _report(args, command: str, body: dict, failure: str | None, csv=None) -> int:
+    """Write ``<command>.json`` and the optional CSV to --out-dir; return the exit code.
+
+    ``failure`` names the claim that failed (exit 1), or is None (exit 0).
+    ``csv`` is a (file name, rows, columns) triple.
+    """
     # out_dir is a host path, not part of the reproducible configuration
-    skip = {"func", "out_dir"}
-    return {k: v for k, v in sorted(vars(args).items()) if k not in skip}
+    config = {k: v for k, v in sorted(vars(args).items()) if k not in ("func", "out_dir")}
+    os.makedirs(args.out_dir, exist_ok=True)
+    path = os.path.join(args.out_dir, command + ".json")
+    write_json(report_document(command, config, body), path)
+    if csv is not None:
+        name, rows, columns = csv
+        write_csv(rows, os.path.join(args.out_dir, name), columns=columns)
+    if failure is not None:
+        print("assertion failure: " + failure, file=sys.stderr)
+        return 1
+    print("%s: wrote %s" % (command, path))
+    return 0
 
 
 def _int_list(text: str) -> list[int]:
@@ -339,7 +326,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scan", action="append", help="dsg:1,2,... or rsg:uniform or rsg:w1,...")
     p.add_argument("--restarts", type=int, default=32)
     p.add_argument("--weight-samples", type=int, default=8)
-    p.add_argument("--formats", default="json,csv")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("sweep", help="dimension sweep with transfer floor")

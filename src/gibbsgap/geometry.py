@@ -37,7 +37,7 @@ import scipy.optimize
 
 from .errors import ValidationError
 from .measure import TargetDistribution
-from .operators import RandomScan, _small_step_kernel, l2_norm_centered, rsg
+from .operators import RandomScan, l2_norm_centered, rsg
 
 #: Rank cut for Gram-Schmidt of the M_i cap M-perp bases.
 RANK_TOL = 1e-10
@@ -47,7 +47,6 @@ RANK_TOL = 1e-10
 class SubspaceBasis:
     """Orthonormal (in L2(pi)) basis of M_i cap M-perp for one coordinate."""
 
-    i: int
     vectors: np.ndarray  # (n_states, dim) columns, orthonormal under <.,.>_pi
 
     @property
@@ -58,7 +57,6 @@ class SubspaceBasis:
 @dataclass(frozen=True)
 class AngleResult:
     value: float
-    method: str  # "closed_form" | "brute_force"
     degenerate: bool = False
 
 
@@ -125,7 +123,7 @@ def subspace_basis(i: int, pi: TargetDistribution) -> SubspaceBasis:
     u, svals, _ = np.linalg.svd(y, full_matrices=False)
     rank = int(np.sum(svals > RANK_TOL))
     basis = u[:, :rank] / s[:, None]
-    return SubspaceBasis(i=i, vectors=basis)
+    return SubspaceBasis(vectors=basis)
 
 
 def angle_from_uniform_norm(norm: float, d: int) -> float:
@@ -140,7 +138,7 @@ def friedrichs_angle_from_norm(pi: TargetDistribution) -> AngleResult:
     """c recovered from the exact uniform-weight random-scan norm."""
     d = pi.space.d
     norm = l2_norm_centered(rsg(RandomScan.uniform(d), pi))
-    return AngleResult(value=angle_from_uniform_norm(norm, d), method="closed_form")
+    return AngleResult(value=angle_from_uniform_norm(norm, d))
 
 
 def friedrichs_angle_bruteforce(pi: TargetDistribution) -> AngleResult:
@@ -164,29 +162,26 @@ def friedrichs_angle_bruteforce(pi: TargetDistribution) -> AngleResult:
     if not blocks:
         # only possible when every cross-section is a single cell: the
         # supremum runs over an empty set and c is defined as 0
-        return AngleResult(value=0.0, method="brute_force", degenerate=True)
+        return AngleResult(value=0.0, degenerate=True)
     y = np.hstack(blocks)
     top = np.linalg.eigvalsh(y @ y.T)[-1]
-    return AngleResult(value=float((top - 1.0) / (d - 1.0)), method="brute_force")
+    return AngleResult(value=float((top - 1.0) / (d - 1.0)))
 
 
 def _inclination_forms(pi: TargetDistribution) -> tuple[np.ndarray, np.ndarray]:
     """Quadratic forms A_i on the mean-zero sphere, plus the chart Q.
 
     In coordinates y = D^{1/2} f restricted to the orthogonal complement of
-    sqrt(pi), dist(f, M_i)^2 = v^T A_i v for y = Q v.
+    sqrt(pi), dist(f, M_i)^2 = v^T A_i v for y = Q v.  D^{1/2} P_i D^{-1/2}
+    is C_i C_i^T, whose columns are the unit vectors sqrt(pi(x_i | x_{-i}))
+    of the x_{-i} cells, so A_i = I - (Q^T C_i)(Q^T C_i)^T, exactly symmetric.
     """
-    d = pi.space.d
-    n = pi.space.total_states
-    s = np.sqrt(pi.pmf)
-    q = scipy.linalg.null_space(s[None, :])
-    forms = np.empty((d, n - 1, n - 1))
-    for i in range(1, d + 1):
-        k = _small_step_kernel(i, pi)
-        proj = k * s[:, None] / s[None, :]
-        resid = np.eye(n) - 0.5 * (proj + proj.T)
-        a = q.T @ resid @ q
-        forms[i - 1] = 0.5 * (a + a.T)
+    q = scipy.linalg.null_space(np.sqrt(pi.pmf)[None, :])
+    m = q.shape[1]
+    forms = np.empty((pi.space.d, m, m))
+    for form, (cells, cond) in zip(forms, pi.conditionals):
+        qc = np.einsum("ckm,ck->mc", q[cells], np.sqrt(cond))
+        np.subtract(np.eye(m), qc @ qc.T, out=form)
     return forms, q
 
 

@@ -97,10 +97,6 @@ class TargetDistribution:
         pmf.flags.writeable = False
         object.__setattr__(self, "pmf", pmf)
 
-    @property
-    def d(self) -> int:
-        return self.space.d
-
     def as_tensor(self) -> np.ndarray:
         """pmf reshaped to the product-space shape."""
         return self.pmf.reshape(self.space.dims)

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import importlib
 import json
@@ -8,7 +9,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from gibbsgap import cli, geometry, measure, operators, sampler
+from gibbsgap import bounds, cli, geometry, measure, operators, sampler
 from gibbsgap.cli import main, parse_scan
 from gibbsgap.errors import ValidationError
 from gibbsgap.measure import random_target
@@ -205,6 +206,12 @@ class TestAnalyzeCommand:
         assert code == 0
         assert [pi.space.d for pi in built[1:]] == [2, 3, 4]
 
+    @pytest.mark.parametrize("command", ["analyze", "sample"])
+    def test_missing_target_file_exit_2(self, tmp_path, command):
+        code = main([command, "--target-file", str(tmp_path / "missing.json"),
+                     "--out-dir", str(tmp_path)])
+        assert code == 2
+
     def test_state_count_beyond_int64_exit_2(self, tmp_path, capsys):
         # 4611686018427387905 * 4 wraps to 4 in int64
         spec = tmp_path / "target.json"
@@ -296,6 +303,14 @@ class TestSweepCommand:
         assert code == 2
         assert not (tmp_path / "sweep.json").exists()
 
+    @pytest.mark.parametrize("epsilon", ["0", "1e-6"])
+    def test_gap_too_small_to_fit_exit_2(self, tmp_path, epsilon):
+        # random-scan gaps down to 1e-16: no decay rate can be fitted through them
+        code = main(["sweep", "--epsilon", epsilon, "--d-list", "2,3,4",
+                     "--out-dir", str(tmp_path)])
+        assert code == 2
+        assert not (tmp_path / "sweep.json").exists()
+
 
 class TestSampleCommand:
     def test_end_to_end(self, tmp_path):
@@ -373,6 +388,14 @@ class TestSampleCommand:
                      "--function", "coord:9", "--n", "1000", "--replicas", "10"])
         assert code == 2
 
+    @pytest.mark.parametrize("function", ["coord:x", "coord"])
+    def test_malformed_function_exit_2(self, tmp_path, function):
+        code = main(["sample", "--model", "equicorrelated_binary", "--d", "2",
+                     "--epsilon", "0.25", "--out-dir", str(tmp_path),
+                     "--function", function, "--n", "1000", "--replicas", "10"])
+        assert code == 2
+        assert not (tmp_path / "sample.json").exists()
+
 
 class TestCounterexampleCommand:
     def test_end_to_end(self, tmp_path):
@@ -408,6 +431,59 @@ class TestCounterexampleCommand:
                      "--out-dir", str(tmp_path)])
         assert code == 0
         assert (tmp_path / "counterexample.json").exists()
+
+
+def _tampered(monkeypatch, module, name, tamper):
+    """Make module.name return tamper(what the original returns)."""
+    original = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *a, **kw: tamper(original(*a, **kw)))
+
+
+_SMALL_RUNS = {
+    "analyze": ["--model", "equicorrelated_binary", "--d", "2", "--epsilon", "0.25",
+                "--restarts", "2"],
+    "sweep": ["--d-list", "2,3,4"],
+    "sample": ["--model", "equicorrelated_binary", "--d", "2", "--epsilon", "0.25",
+               "--n", "2000", "--replicas", "50", "--n-grid", "100"],
+    "counterexample": ["--N", "3,5", "--b", "1.5,2"],
+}
+
+
+class TestReportContract:
+    """Every command writes its report, then exits 1 on a failed claim, else 0."""
+
+    @pytest.mark.parametrize("command, module, name, tamper", [
+        ("analyze", geometry, "check_sandwich", lambda s: {**s, "left_pass": False}),
+        ("analyze", bounds, "verify_bounds", lambda r: dataclasses.replace(
+            r, entries=tuple(dataclasses.replace(e, exact=e.bound + 1.0) for e in r.entries))),
+        ("sweep", bounds, "rapid_mixing_transfer", lambda floor: 1.0),
+        ("sample", cli, "clt_variance_bound", lambda bound: -1.0),
+        ("counterexample", cli, "reversibilization_gap_sweep",
+         lambda rows: [{**r, "cheeger_upper_ok": False} for r in rows]),
+    ])
+    def test_failed_claim_exit_1_after_the_report(self, tmp_path, monkeypatch, capsys,
+                                                 command, module, name, tamper):
+        _tampered(monkeypatch, module, name, tamper)
+        code = main([command, *_SMALL_RUNS[command], "--out-dir", str(tmp_path)])
+        assert (tmp_path / (command + ".json")).exists()
+        err = capsys.readouterr().err.splitlines()
+        assert len([line for line in err if line.startswith("assertion failure:")]) == 1
+        assert code == 1
+
+    def test_csv_headers(self, tmp_path):
+        for command in ("analyze", "sweep", "counterexample"):
+            assert main([command, *_SMALL_RUNS[command], "--out-dir", str(tmp_path)]) == 0
+        headers = {name: (tmp_path / name).read_text().splitlines()[0]
+                   for name in ("bounds.csv", "sweep.csv", "counterexample.csv")}
+        assert headers == {
+            "bounds.csv": "name,bound,exact,slack,sharp",
+            "sweep.csv": "d,gap_rsg,gap_dsg_worst,gap_dsg_best,permutations_checked,"
+                         "floor,floor_ok",
+            "counterexample.csv": "N,n_states,gap_K,gap_P,gap_P_star,root_residual,"
+                                  "kappa_upper,cheeger_upper_ok,moment_b1.5,"
+                                  "moment_b1.5_analytic_finite,moment_b2,"
+                                  "moment_b2_analytic_finite",
+        }
 
 
 class TestEntryPoint:

@@ -16,7 +16,14 @@ from gibbsgap.geometry import (
     inclination_lower_bound,
     subspace_basis,
 )
-from gibbsgap.measure import ProductSpace, TargetDistribution, equicorrelated_binary, random_target
+from gibbsgap.measure import (
+    PiFunction,
+    ProductSpace,
+    TargetDistribution,
+    conditional_mean,
+    equicorrelated_binary,
+    random_target,
+)
 
 
 class TestSubspaceBasis:
@@ -117,6 +124,20 @@ class TestInclination:
     def test_rejects_bad_restarts(self, eps_pair):
         with pytest.raises(ValidationError):
             inclination(eps_pair, restarts=0)
+
+
+class TestInclinationForms:
+    @pytest.mark.parametrize("dims", [(2, 2), (3, 1, 2), (2, 3, 4), (2, 2, 2, 2)])
+    def test_forms_are_the_squared_distances(self, dims):
+        # v^T A_i v = ||f - E[f | x_{-i}]||^2 for f = D^{-1/2} Q v, A_i exactly symmetric
+        pi = random_target(seed=len(dims), dims=dims)
+        forms, q = _inclination_forms(pi)
+        assert (forms == forms.transpose(0, 2, 1)).all()
+        for v in np.random.default_rng(0).standard_normal((3, q.shape[1])):
+            f = PiFunction(pi.space, q @ v / np.sqrt(pi.pmf))
+            for i, a in enumerate(forms, start=1):
+                r = f.values - conditional_mean(f, i, pi).values
+                assert v @ a @ v == pytest.approx(pi.pmf @ r ** 2, abs=1e-13 * (v @ v))
 
 
 def _restart_loop(pi, restarts, seed):

@@ -23,6 +23,8 @@ from .operators import DeterministicScan, RandomScan, Spectra
 SLACK_TOL = 1e-9
 #: Permutations are enumerated exhaustively up to this dimension, sampled beyond.
 EXHAUSTIVE_PERM_DIM = 5
+#: Permutations sampled above EXHAUSTIVE_PERM_DIM (the identity and its reverse included).
+SAMPLED_PERMS = 24
 
 
 @dataclass(frozen=True)
@@ -99,13 +101,13 @@ def rapid_mixing_transfer(beta: float, gamma: float, d: int) -> float:
     return (gamma ** 2 / 32.0) * float(d) ** (-2.0 * beta - 2.0)
 
 
-def sample_permutations(d: int, seed: int = 0, count: int = 24) -> list[tuple[int, ...]]:
+def sample_permutations(d: int, seed: int = 0) -> list[tuple[int, ...]]:
     """All d! permutations for small d, a seeded sample beyond."""
     if d <= EXHAUSTIVE_PERM_DIM:
         return [tuple(p) for p in itertools.permutations(range(1, d + 1))]
     rng = np.random.default_rng(seed)
     out = {tuple(range(1, d + 1)), tuple(range(d, 0, -1))}
-    while len(out) < count:
+    while len(out) < SAMPLED_PERMS:
         out.add(tuple(int(x) + 1 for x in rng.permutation(d)))
     return sorted(out)
 

@@ -41,6 +41,8 @@ from .sampler import (
 )
 
 GAP_POSITIVE_TOL = 1e-9
+#: Seeded random weight vectors the equivalence panel checks besides the uniform scan.
+WEIGHT_SAMPLES = 8
 
 
 def parse_scan(text: str, d: int):
@@ -125,7 +127,7 @@ def cmd_analyze(args) -> int:
     perm_norms = {",".join(map(str, s)): spectra.norm(DeterministicScan(s)) for s in perms}
     rng = np.random.default_rng(args.seed)
     weight_norms = []
-    for _ in range(args.weight_samples):
+    for _ in range(WEIGHT_SAMPLES):
         w = rng.dirichlet(np.ones(d))
         w = np.maximum(w, 1e-9)
         w = w / w.sum()
@@ -176,8 +178,8 @@ def cmd_analyze(args) -> int:
 
 def cmd_sweep(args) -> int:
     d_list = args.d_list
-    if len(d_list) < 3:
-        raise ValidationError("sweep needs at least 3 dimension points to fit a rate")
+    if len(set(d_list)) < 3:
+        raise ValidationError("sweep needs at least 3 distinct dimensions to fit a rate")
     build = model_builder(args.model)
     for d in d_list:
         check_state_cap(model_states(args.model, d), args.state_cap)
@@ -236,8 +238,7 @@ def cmd_sample(args) -> int:
     for scan in scans:
         op = scan_operator(pi, scan, state_cap=args.state_cap)
         rho = scan_rho(scan, op)
-        trace = run_chain(op, args.n, seed=args.seed)
-        est, se = asymptotic_variance_estimate(trace, f)
+        est, se = asymptotic_variance_estimate(run_chain(op, args.n, seed=args.seed), f)
         bound = clt_variance_bound(rho, f, pi)
         clt_pass = bool(est <= bound + 3.0 * se)
         tails = [{"n": t.n, "eps": t.eps, "frequency": t.frequency,
@@ -325,7 +326,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--scan", action="append", help="dsg:1,2,... or rsg:uniform or rsg:w1,...")
     p.add_argument("--restarts", type=int, default=32)
-    p.add_argument("--weight-samples", type=int, default=8)
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("sweep", help="dimension sweep with transfer floor")

@@ -7,7 +7,7 @@ ascending and k ascending inside each n; 1 + N(N+1)/2 states in total.
 
 Dynamics: from the origin jump to (n, n) with probability p(n) (n = 0 maps
 back to the origin); from (n, k) walk deterministically down to (n, k-1)
-and from (n, 1) back to the origin.  The default p is geometric with ratio
+and from (n, 1) back to the origin.  The jump law p is geometric with ratio
 q, renormalized to {0..N}; the stationary law is flat across each rung:
 pi(0,0) = 1/E[tau], pi(n, k) = p(n)/E[tau] with E[tau] = sum (n+1) p(n).
 
@@ -25,7 +25,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -43,36 +43,24 @@ EXHAUSTIVE_CUT_LIMIT = 20
 
 @dataclass(frozen=True)
 class LadderChainSpec:
-    """Truncated ladder chain with jump distribution p on {0..N}."""
+    """Truncated ladder chain with geometric jump distribution p on {0..N}."""
 
     N: int
     q: float = 0.5
-    p_values: Optional[tuple[float, ...]] = None  # overrides the geometric family
 
     def __post_init__(self):
         if self.N < 1:
             raise ValidationError("truncation N must be >= 1, got %d" % self.N)
-        if self.p_values is None:
-            if not 0.0 < self.q < 1.0:
-                raise ValidationError("geometric ratio q must lie in (0, 1), got %g" % self.q)
-        else:
-            p = tuple(float(x) for x in self.p_values)
-            if len(p) != self.N + 1:
-                raise ValidationError("p_values must have N + 1 = %d entries" % (self.N + 1))
-            if any(x <= 0 for x in p):
-                raise ValidationError("every p(n) must be > 0")
-            object.__setattr__(self, "p_values", p)
+        if not 0.0 < self.q < 1.0:
+            raise ValidationError("geometric ratio q must lie in (0, 1), got %g" % self.q)
 
     @property
     def n_states(self) -> int:
         return 1 + self.N * (self.N + 1) // 2
 
     def jump_pmf(self) -> np.ndarray:
-        """p renormalized to {0..N}."""
-        if self.p_values is not None:
-            p = np.asarray(self.p_values, dtype=float)
-        else:
-            p = (1.0 - self.q) * self.q ** np.arange(self.N + 1)
+        """p(n) proportional to q^n, renormalized to {0..N}."""
+        p = (1.0 - self.q) * self.q ** np.arange(self.N + 1)
         return p / p.sum()
 
     def state_index(self, n: int, k: int) -> int:
@@ -82,16 +70,6 @@ class LadderChainSpec:
         if not (1 <= k <= n <= self.N):
             raise ValidationError("invalid ladder state (%d, %d)" % (n, k))
         return 1 + n * (n - 1) // 2 + (k - 1)
-
-    def state_label(self, flat: int) -> tuple[int, int]:
-        if flat == 0:
-            return (0, 0)
-        flat -= 1
-        n = 1
-        while flat >= n:
-            flat -= n
-            n += 1
-        return (n, flat + 1)
 
     def rung(self, n: int) -> list[int]:
         """Flat indices of the cut A_n = {(n, k): k = 1..n}."""
@@ -142,8 +120,8 @@ def return_time_moment(spec: LadderChainSpec, b: float,
                        truncated: bool = True) -> tuple[float, bool]:
     """E[b^tau | X_0 = origin] = sum_n b^(n+1) p(n); (value, finite).
 
-    With truncated=False and the geometric family the analytic series is
-    summed: finite iff b q < 1, with value b(1-q)/(1-bq).
+    With truncated=False the untruncated geometric series is summed: finite
+    iff b q < 1, with value b(1-q)/(1-bq).
     """
     if b <= 1.0:
         raise ValidationError("b must be > 1, got %g" % b)
@@ -151,8 +129,6 @@ def return_time_moment(spec: LadderChainSpec, b: float,
         p = spec.jump_pmf()
         value = float(np.sum(b ** (np.arange(spec.N + 1) + 1.0) * p))
         return value, True
-    if spec.p_values is not None:
-        raise ValidationError("analytic moment only available for the geometric family")
     if b * spec.q >= 1.0:
         return math.inf, False
     return b * (1.0 - spec.q) / (1.0 - b * spec.q), True
@@ -162,7 +138,7 @@ def ladder_gap(spec: LadderChainSpec) -> tuple[float, float]:
     """(gap, root residual) of the ladder kernel P, which is also the gap of P*.
 
     The roots of the renewal polynomial are found with the substitution
-    lambda = r / nu, r = (p(N)/p(0))^(1/N) (r = q for the geometric family):
+    lambda = r / nu, r = (p(N)/p(0))^(1/N) (r = q up to rounding):
     nu solves g(nu) = sum_n p(n) r^-(n+1) nu^(n+1) - 1 = 0, whose coefficients
     are balanced, so the float64 companion solve is accurate where the one on
     the unscaled polynomial is not.  One Newton step polishes the roots.  The
@@ -250,12 +226,7 @@ def reversibilization_gap_sweep(q: float, n_list: Sequence[int],
             "pi_origin": float(p_op.stationary[0]),
         }
         for b in b_list:
-            value, finite = return_time_moment(spec, b, truncated=True)
-            row["moment_b%g" % b] = value
-            _, finite_analytic = (
-                return_time_moment(spec, b, truncated=False)
-                if spec.p_values is None else (None, True)
-            )
-            row["moment_b%g_analytic_finite" % b] = finite_analytic
+            row["moment_b%g" % b] = return_time_moment(spec, b, truncated=True)[0]
+            row["moment_b%g_analytic_finite" % b] = return_time_moment(spec, b, truncated=False)[1]
         rows.append(row)
     return rows

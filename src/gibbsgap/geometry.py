@@ -41,17 +41,8 @@ from .operators import RandomScan, l2_norm_centered, rsg
 
 #: Rank cut for Gram-Schmidt of the M_i cap M-perp bases.
 RANK_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class SubspaceBasis:
-    """Orthonormal (in L2(pi)) basis of M_i cap M-perp for one coordinate."""
-
-    vectors: np.ndarray  # (n_states, dim) columns, orthonormal under <.,.>_pi
-
-    @property
-    def dim(self) -> int:
-        return self.vectors.shape[1]
+#: The sandwich inequalities are checked to this tolerance.
+SANDWICH_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -100,8 +91,9 @@ class InclinationResult:
     kkt_residual: Optional[float]
 
 
-def subspace_basis(i: int, pi: TargetDistribution) -> SubspaceBasis:
-    """Basis of mean-zero functions constant in coordinate i (1-based).
+def subspace_basis(i: int, pi: TargetDistribution) -> np.ndarray:
+    """Basis of mean-zero functions constant in coordinate i (1-based): an
+    (n_states, dim) array whose columns are orthonormal in L2(pi).
 
     Built by orthonormalizing the mean-centered indicators of the x_{-i}
     cells in the pi inner product, with rank tolerance RANK_TOL.
@@ -122,8 +114,7 @@ def subspace_basis(i: int, pi: TargetDistribution) -> SubspaceBasis:
     y = span * s[:, None]
     u, svals, _ = np.linalg.svd(y, full_matrices=False)
     rank = int(np.sum(svals > RANK_TOL))
-    basis = u[:, :rank] / s[:, None]
-    return SubspaceBasis(vectors=basis)
+    return u[:, :rank] / s[:, None]
 
 
 def angle_from_uniform_norm(norm: float, d: int) -> float:
@@ -157,8 +148,8 @@ def friedrichs_angle_bruteforce(pi: TargetDistribution) -> AngleResult:
     blocks = []
     for i in range(1, d + 1):
         b = subspace_basis(i, pi)
-        if b.dim > 0:
-            blocks.append(b.vectors * s[:, None])
+        if b.shape[1] > 0:
+            blocks.append(b * s[:, None])
     if not blocks:
         # only possible when every cross-section is a single cell: the
         # supremum runs over an empty set and c is defined as 0
@@ -407,7 +398,7 @@ def inclination_lower_bound(c: float, d: int) -> float:
     return max(0.0, (d - 1.0) * (1.0 - c) / (2.0 * d))
 
 
-def check_sandwich(c: float, ell_hat: float, d: int, tol: float = 1e-9) -> dict:
+def check_sandwich(c: float, ell_hat: float, d: int) -> dict:
     """Check the angle/inclination sandwich with an *upper bound* ell_hat.
 
     The left inequality 1 - (2d/(d-1)) ell <= c remains valid when ell is
@@ -419,9 +410,9 @@ def check_sandwich(c: float, ell_hat: float, d: int, tol: float = 1e-9) -> dict:
     right_rhs = 1.0 - ell_hat ** 2 / (d - 1.0)
     return {
         "left_lhs": left_lhs,
-        "left_pass": bool(left_lhs <= c + tol),
+        "left_pass": bool(left_lhs <= c + SANDWICH_TOL),
         "left_slack": c - left_lhs,
         "right_rhs": right_rhs,
-        "right_advisory_pass": bool(c <= right_rhs + tol),
+        "right_advisory_pass": bool(c <= right_rhs + SANDWICH_TOL),
         "right_slack": right_rhs - c,
     }

@@ -83,7 +83,7 @@ class TargetDistribution:
             raise ValidationError(
                 "pmf has %d entries, space has %d states" % (pmf.shape[0], self.space.total_states)
             )
-        if np.any(pmf <= 0.0):
+        if not np.all(pmf > 0.0):  # also refuses NaN entries
             bad = int(np.argmin(pmf))
             raise ValidationError(
                 "pmf must have full support; entry %d is %g" % (bad, pmf[bad])
@@ -257,7 +257,7 @@ def parse_target(spec_text: str, state_cap: int = DEFAULT_STATE_CAP) -> TargetDi
     if "dims" not in doc:
         raise ValidationError("target spec is missing 'dims'")
     dims = doc["dims"]
-    if not isinstance(dims, list) or not all(isinstance(n, int) for n in dims):
+    if not isinstance(dims, list) or not all(type(n) is int for n in dims):  # no booleans
         raise ValidationError("'dims' must be a list of integers")
     has_pmf = "pmf" in doc
     has_model = "model" in doc
@@ -273,7 +273,7 @@ def parse_target(spec_text: str, state_cap: int = DEFAULT_STATE_CAP) -> TargetDi
     build = model_builder(name)
     if "epsilon" not in model:
         raise ValidationError("model %r needs 'epsilon'" % name)
-    d = int(model.get("d", len(dims)))
+    d = len(dims)
     check_state_cap(model_states(name, d), state_cap)
     target = build(d, float(model["epsilon"]))
     if target.space.dims != space.dims:
@@ -281,16 +281,15 @@ def parse_target(spec_text: str, state_cap: int = DEFAULT_STATE_CAP) -> TargetDi
     return target
 
 
-def random_target(seed: int, dims: Sequence[int], concentration: float = 1.0) -> TargetDistribution:
-    """Reproducible full-support pmf via a symmetric-Dirichlet-style draw.
+def random_target(seed: int, dims: Sequence[int]) -> TargetDistribution:
+    """Reproducible full-support pmf drawn uniformly from the simplex
+    (normalized unit-shape gamma draws, a flat Dirichlet).
 
     Identical seed gives a bit-for-bit identical pmf.
     """
-    if concentration <= 0:
-        raise ValidationError("concentration must be > 0, got %g" % concentration)
     space = ProductSpace(tuple(dims))
     rng = np.random.default_rng(seed)
-    g = rng.gamma(shape=concentration, scale=1.0, size=space.total_states)
+    g = rng.gamma(shape=1.0, scale=1.0, size=space.total_states)
     # gamma draws are positive a.s.; guard against underflow to exact zero
     g = np.maximum(g, 1e-300)
     return TargetDistribution(space, g / g.sum())

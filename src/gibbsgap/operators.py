@@ -68,17 +68,18 @@ class MarkovOperator:
             raise ValidationError(
                 "kernel shape %r does not match stationary law of length %d" % (kernel.shape, n)
             )
-        if np.any(pi <= 0):
+        if not np.all(pi > 0):
             raise ValidationError("stationary law must have full support")
         low = kernel.min()
         if low < -NEGATIVE_DUST_TOL:
             raise ValidationError("kernel has entry %g below the dust tolerance" % low)
         kernel = np.clip(kernel, 0.0, None)  # a fresh array, safe to freeze
+        # "not err <= tol", so that a NaN entry fails the checks
         row_err = np.abs(kernel.sum(axis=1) - 1.0).max()
-        if row_err > STOCHASTICITY_TOL:
+        if not row_err <= STOCHASTICITY_TOL:
             raise ValidationError("kernel rows sum to 1 only within %g" % row_err)
         stat_err = np.abs(pi @ kernel - pi).max()
-        if stat_err > STOCHASTICITY_TOL:
+        if not stat_err <= STOCHASTICITY_TOL:
             raise ValidationError("stationarity violated: max |pi^T P - pi^T| = %g" % stat_err)
         kernel.flags.writeable = False
         pi = pi.copy()
@@ -231,10 +232,10 @@ def additive_reversibilization(op: MarkovOperator) -> MarkovOperator:
                           label="reversibilization(%s)" % op.label)
 
 
-def is_reversible(op: MarkovOperator, tol: float = STOCHASTICITY_TOL) -> bool:
-    """Detailed balance check pi(x) P(x,y) = pi(y) P(y,x) within tol."""
+def is_reversible(op: MarkovOperator) -> bool:
+    """Detailed balance check pi(x) P(x,y) = pi(y) P(y,x) within STOCHASTICITY_TOL."""
     flow = op.stationary[:, None] * op.kernel
-    return bool(np.abs(flow - flow.T).max() <= tol)
+    return bool(np.abs(flow - flow.T).max() <= STOCHASTICITY_TOL)
 
 
 def _centered_conjugated(op: MarkovOperator) -> np.ndarray:

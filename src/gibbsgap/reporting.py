@@ -50,11 +50,9 @@ def write_json(doc: Mapping[str, Any], path: str) -> None:
         fh.write("\n")
 
 
-def write_csv(rows: Sequence[Mapping[str, Any]], path: str,
-              columns: Sequence[str] | None = None) -> None:
-    """CSV with a header row, '.' decimal separator, repr-exact floats."""
-    if columns is None:
-        columns = list(rows[0].keys()) if rows else []
+def write_csv(rows: Sequence[Mapping[str, Any]], path: str, columns: Sequence[str]) -> None:
+    """CSV of the given columns with a header row, '.' decimal separator,
+    repr-exact floats; a column a row lacks is left empty."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(columns)

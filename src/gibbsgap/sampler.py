@@ -6,10 +6,12 @@ full sweep for a deterministic scan (there are no records inside a sweep),
 one record per single-coordinate update for a random scan.  The caller
 builds that operator once (``scan_operator``, under its state cap) and
 passes it, with its rate ``rho``, to every simulation.
-Each call draws from one numpy Generator seeded with its seed: a chain takes
-one uniform per recorded step, and the replicas of a tail check share one
-stream (start states first, then one uniform per replica per step), so they
-are simulated serially and in a fixed order.
+Every chain starts from the stationary law op.stationary, so the tail bound
+carries no ||d nu/d pi|| factor.  Each call draws from one numpy Generator
+seeded with its seed: a chain takes its start state and then one uniform per
+recorded step, and the replicas of a tail check share one stream (start
+states first, then one uniform per replica per step), so they are simulated
+serially and in a fixed order.
 
 A scan's whole tail grid comes from one simulation of ``replicas`` chains
 over the longest horizon: shorter horizons are prefixes of it, and every
@@ -20,7 +22,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
@@ -38,23 +40,6 @@ from .operators import (
 #: Uniforms drawn per rng call in run_chain; the stream equals one scalar
 #: draw per step, and memory stays flat in n.
 _UNIFORM_BLOCK = 4096
-
-
-@dataclass(frozen=True)
-class ChainTrace:
-    """A realized trajectory: states[t] is the state after t+1 recorded steps."""
-
-    states: np.ndarray
-    seed: int
-    init: int  # flat initial state X_0 (not included in states)
-
-    def __post_init__(self):
-        states = np.asarray(self.states, dtype=np.int64)
-        states.flags.writeable = False
-        object.__setattr__(self, "states", states)
-
-    def __len__(self) -> int:
-        return self.states.shape[0]
 
 
 @dataclass(frozen=True)
@@ -120,22 +105,15 @@ def _walk(rows: list[memoryview], x: int, n: int, rng: np.random.Generator) -> n
     return states
 
 
-def run_chain(op: MarkovOperator, n: int, seed: int,
-              init: Union[int, str] = "stationary") -> ChainTrace:
-    """Simulate n steps of op's kernel; identical inputs give identical traces.
-
-    init is a flat state or "stationary" (draw X_0 from op.stationary).
-    """
+def run_chain(op: MarkovOperator, n: int, seed: int) -> np.ndarray:
+    """n steps of op's kernel from X_0 drawn from op.stationary: states[t] is
+    the state after t + 1 recorded steps.  Identical inputs give identical
+    states."""
     if n < 1:
         raise ValidationError("n must be >= 1, got %d" % n)
     rng = np.random.default_rng(seed)
-    if init == "stationary":
-        x0 = int(rng.choice(op.n_states, p=op.stationary))
-    else:
-        x0 = int(init)
-        if not 0 <= x0 < op.n_states:
-            raise ValidationError("initial state %d out of range" % x0)
-    return ChainTrace(states=_walk(_rows(op.kernel), x0, n, rng), seed=seed, init=x0)
+    x0 = int(rng.choice(op.n_states, p=op.stationary))
+    return _walk(_rows(op.kernel), x0, n, rng)
 
 
 def clt_variance_bound(rho: float, f: np.ndarray, pi: TargetDistribution) -> float:
@@ -156,19 +134,16 @@ def clt_variance_bound(rho: float, f: np.ndarray, pi: TargetDistribution) -> flo
     return (1.0 + rho) / (1.0 - rho) * var
 
 
-def asymptotic_variance_estimate(trace: ChainTrace, f: np.ndarray,
-                                 batch_count: int | None = None) -> tuple[float, float]:
-    """Nonoverlapping batch-means estimate of the asymptotic variance of f,
-    with a jackknife standard error.  Default batch count is floor(sqrt(n))."""
+def asymptotic_variance_estimate(states: np.ndarray, f: np.ndarray) -> tuple[float, float]:
+    """Nonoverlapping batch-means estimate of the asymptotic variance of f
+    along a chain's states, with a jackknife standard error.  The batch count
+    is floor(sqrt(n)), so n >= 100 gives at least 10 batches of 10 steps."""
     f = np.asarray(f, dtype=float).reshape(-1)
-    y = f[trace.states]
+    y = f[states]
     n = y.shape[0]
-    if batch_count is None:
-        batch_count = int(np.sqrt(n))
-    if batch_count < 10:
-        raise ValidationError("batch_count must be >= 10, got %d" % batch_count)
-    if n < 10 * batch_count:
-        raise ValidationError("trace of length %d too short for %d batches" % (n, batch_count))
+    if n < 100:
+        raise ValidationError("chain of length %d too short for batch means (need >= 100)" % n)
+    batch_count = int(np.sqrt(n))
     b = n // batch_count
     used = b * batch_count
     means = y[:used].reshape(batch_count, b).mean(axis=1)
@@ -184,15 +159,13 @@ def asymptotic_variance_estimate(trace: ChainTrace, f: np.ndarray,
     return float(est), se
 
 
-def hoeffding_bound(rho: float, n: int, eps: float, nu_density_norm: float = 1.0) -> float:
-    """Tail bound  ||d nu/d pi|| * exp(-((1-rho)/(1+rho)) n eps^2)."""
+def hoeffding_bound(rho: float, n: int, eps: float) -> float:
+    """Tail bound  exp(-((1-rho)/(1+rho)) n eps^2)  for a chain started from pi."""
     if not 0.0 <= rho < 1.0:
         raise ValidationError("rho must lie in [0, 1), got %g" % rho)
     if eps <= 0:
         raise ValidationError("eps must be > 0")
-    if nu_density_norm < 1.0:
-        raise ValidationError("nu density norm must be >= 1, got %g" % nu_density_norm)
-    return nu_density_norm * float(np.exp(-(1.0 - rho) / (1.0 + rho) * n * eps ** 2))
+    return float(np.exp(-(1.0 - rho) / (1.0 + rho) * n * eps ** 2))
 
 
 def empirical_tails(op: MarkovOperator, rho: float, f: np.ndarray,
@@ -202,8 +175,7 @@ def empirical_tails(op: MarkovOperator, rho: float, f: np.ndarray,
     chains of op, for every n in n_grid (outer) and eps in eps_grid (inner),
     in that order; each is checked against the tail bound with rate rho.
 
-    f must be valued in [0, 1]; the chains start from nu = op.stationary, so
-    the density-norm factor in the bound is 1.  Pass criterion: frequency <=
+    f must be valued in [0, 1].  Pass criterion: frequency <=
     bound + 3 binomial standard errors.  One set of replicas runs to the
     longest horizon; its partial sums at each n serve every eps, exactly as
     separate runs from the same seed would.
@@ -240,7 +212,7 @@ def empirical_tails(op: MarkovOperator, rho: float, f: np.ndarray,
     for n in n_grid:
         for eps in eps_grid:
             freq = float(np.mean(snapshots[n] >= n * (mu + eps) - 1e-12))
-            bound = hoeffding_bound(rho, n, eps, 1.0)
+            bound = hoeffding_bound(rho, n, eps)
             se = float(np.sqrt(max(freq * (1.0 - freq), 1.0 / replicas) / replicas))
             checks.append(TailCheck(n=n, eps=eps, frequency=freq, bound=bound, std_error=se,
                                     passed=freq <= bound + 3.0 * se))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from gibbsgap.bounds import (
+    SAMPLED_PERMS,
     BoundEntry,
     dsg_norm_bound_from_c,
     dsg_norm_bound_from_l,
@@ -84,8 +85,8 @@ class TestSamplePermutations:
         assert (1, 2, 3) in perms and (3, 2, 1) in perms
 
     def test_sampled_large_d(self):
-        perms = sample_permutations(8, seed=1, count=10)
-        assert len(perms) == 10
+        perms = sample_permutations(8, seed=1)
+        assert len(perms) == SAMPLED_PERMS
         assert tuple(range(1, 9)) in perms
         assert tuple(range(8, 0, -1)) in perms
         assert all(sorted(p) == list(range(1, 9)) for p in perms)

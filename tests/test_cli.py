@@ -212,6 +212,27 @@ class TestAnalyzeCommand:
                      "--out-dir", str(tmp_path)])
         assert code == 2
 
+    @pytest.mark.parametrize("command", ["analyze", "sample"])
+    @pytest.mark.parametrize("text", [
+        # json.loads accepts NaN, and NaN fails no "<= 0" test
+        '{"dims": [2, 2], "pmf": [NaN, 0.25, 0.25, 0.25]}',
+        # True is an int to isinstance
+        '{"dims": [true, 2], "pmf": [0.5, 0.5]}',
+    ], ids=["nan_pmf", "bool_dims"])
+    def test_invalid_target_file_exit_2_without_report(self, tmp_path, command, text):
+        spec = tmp_path / "target.json"
+        spec.write_text(text)
+        out = tmp_path / "out"
+        code = main([command, "--target-file", str(spec), "--out-dir", str(out)])
+        assert code == 2
+        assert not (out / (command + ".json")).exists()
+
+    def test_weight_samples_is_not_an_option(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", "--model", "equicorrelated_binary", "--d", "2", "--epsilon",
+                  "0.25", "--weight-samples", "3", "--out-dir", str(tmp_path)])
+        assert exc.value.code == 2
+
     def test_state_count_beyond_int64_exit_2(self, tmp_path, capsys):
         # 4611686018427387905 * 4 wraps to 4 in int64
         spec = tmp_path / "target.json"
@@ -259,6 +280,21 @@ class TestModelStateCap:
 
 
 class TestParser:
+    def test_option_strings(self):
+        # every option a command takes; a new knob shows up here
+        (sub,) = [a for a in cli.build_parser()._actions if a.choices and a.dest == "command"]
+        options = {name: [s for a in p._actions for s in a.option_strings]
+                   for name, p in sub.choices.items()}
+        target = ["--target-file", "--model", "--d", "--epsilon"]
+        common = ["--out-dir", "--seed", "--state-cap"]
+        assert options == {
+            "analyze": ["-h", "--help", *target, *common, "--scan", "--restarts"],
+            "sweep": ["-h", "--help", *common, "--model", "--epsilon", "--d-list"],
+            "sample": ["-h", "--help", *target, *common, "--scan", "--n", "--replicas",
+                       "--function", "--n-grid", "--eps-grid"],
+            "counterexample": ["-h", "--help", *common, "--q", "--N", "--b"],
+        }
+
     def test_built_once_per_process(self, tmp_path, monkeypatch):
         cli._parser.cache_clear()
         calls = []
@@ -296,6 +332,12 @@ class TestSweepCommand:
     def test_too_few_points_exit_2(self, tmp_path):
         code = main(["sweep", "--d-list", "2,3", "--out-dir", str(tmp_path)])
         assert code == 2
+
+    @pytest.mark.parametrize("d_list", ["3,3,3", "2,3,3"])
+    def test_too_few_distinct_dimensions_exit_2(self, tmp_path, d_list):
+        code = main(["sweep", "--d-list", d_list, "--out-dir", str(tmp_path)])
+        assert code == 2
+        assert not (tmp_path / "sweep.json").exists()
 
     def test_unknown_model_exit_2(self, tmp_path):
         code = main(["sweep", "--model", "nonsense", "--d-list", "2,3,4",

@@ -28,9 +28,9 @@ class TestLadderChainSpec:
 
     def test_index_roundtrip(self):
         spec = LadderChainSpec(N=5)
-        for flat in range(spec.n_states):
-            n, k = spec.state_label(flat)
-            assert spec.state_index(n, k) == flat
+        flat = [spec.state_index(0, 0)]
+        flat += [spec.state_index(n, k) for n in range(1, spec.N + 1) for k in range(1, n + 1)]
+        assert flat == list(range(spec.n_states))
 
     def test_rung_indices(self):
         spec = LadderChainSpec(N=3)
@@ -43,19 +43,11 @@ class TestLadderChainSpec:
         assert p.sum() == pytest.approx(1.0)
         assert p[1] / p[0] == pytest.approx(0.5)
 
-    def test_custom_p_values(self):
-        spec = LadderChainSpec(N=2, p_values=(0.2, 0.3, 0.5))
-        np.testing.assert_allclose(spec.jump_pmf(), [0.2, 0.3, 0.5])
-
     def test_validation(self):
         with pytest.raises(ValidationError):
             LadderChainSpec(N=0)
         with pytest.raises(ValidationError):
             LadderChainSpec(N=2, q=1.0)
-        with pytest.raises(ValidationError):
-            LadderChainSpec(N=2, p_values=(0.5, 0.5))
-        with pytest.raises(ValidationError):
-            LadderChainSpec(N=1, p_values=(1.0, 0.0))
 
 
 class TestLadderStationary:
@@ -124,9 +116,7 @@ class TestReturnTimeMoment:
 
 
 class TestLadderGap:
-    SMALL_SPECS = [LadderChainSpec(N=n, q=0.5) for n in (1, 2, 5, 10, 20)] + [
-        LadderChainSpec(N=6, p_values=(0.1, 0.3, 0.05, 0.2, 0.15, 0.1, 0.1)),
-    ]
+    SMALL_SPECS = [LadderChainSpec(N=n, q=0.5) for n in (1, 2, 5, 10, 20)]
 
     @pytest.mark.parametrize("spec", SMALL_SPECS, ids=lambda s: "N=%d" % s.N)
     def test_matches_dense_solve_when_small(self, spec):

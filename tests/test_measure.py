@@ -188,6 +188,20 @@ class TestParseTarget:
         with pytest.raises(ValidationError, match="full support"):
             parse_target('{"dims": [2, 2], "pmf": [0.5, 0.5, 0.0, 0.0]}')
 
+    def test_nan_entry_rejected(self):
+        with pytest.raises(ValidationError, match="full support"):
+            parse_target('{"dims": [2, 2], "pmf": [NaN, 0.25, 0.25, 0.25]}')
+
+    def test_boolean_dims_rejected(self):
+        with pytest.raises(ValidationError, match="integers"):
+            parse_target('{"dims": [true, 2], "pmf": [0.5, 0.5]}')
+
+    def test_model_dimension_from_dims(self):
+        spec = '{"dims": [2, 2, 2], "model": {"name": "equicorrelated_binary", "epsilon": 0.25}}'
+        assert parse_target(spec).space.dims == (2, 2, 2)
+        with pytest.raises(ValidationError, match="inconsistent"):
+            parse_target(spec.replace("[2, 2, 2]", "[2, 3]"))
+
     def test_unknown_model(self):
         with pytest.raises(ValidationError, match="unknown model"):
             parse_target('{"dims": [2, 2], "model": {"name": "ising"}}')
@@ -237,13 +251,9 @@ class TestRandomTarget:
         assert np.array_equal(a.pmf, b.pmf)
 
     def test_valid_pmf(self):
-        t = random_target(42, (3, 3, 2), concentration=0.5)
+        t = random_target(42, (3, 3, 2))
         assert t.pmf.min() > 0
         assert abs(t.pmf.sum() - 1.0) <= 1e-12
 
     def test_seeds_differ(self):
         assert not np.array_equal(random_target(1, (2, 2)).pmf, random_target(2, (2, 2)).pmf)
-
-    def test_rejects_nonpositive_concentration(self):
-        with pytest.raises(ValidationError):
-            random_target(1, (2, 2), concentration=0.0)

@@ -63,6 +63,13 @@ class TestMarkovOperator:
         op = MarkovOperator(k, uniform_2x2.pmf)
         assert op.kernel.min() >= 0.0
 
+    @pytest.mark.parametrize("entry", ["all", "one"])
+    def test_rejects_nan_kernel(self, uniform_2x2, entry):
+        k = np.full((4, 4), np.nan if entry == "all" else 0.25)
+        k[0, 0] = np.nan
+        with pytest.raises(ValidationError):
+            MarkovOperator(k, uniform_2x2.pmf)
+
     def test_rejects_large_negative(self, uniform_2x2):
         k = np.full((4, 4), 0.25)
         k[0, 0] = -0.1

@@ -23,20 +23,16 @@ from gibbsgap.sampler import (
 )
 
 
-def _reference_chain(pi, scan, n, seed, init="stationary"):
+def _reference_chain(pi, scan, n, seed):
     """The scalar np.searchsorted step loop run_chain must reproduce exactly."""
     rng = np.random.default_rng(seed)
-    if init == "stationary":
-        x0 = int(rng.choice(pi.space.total_states, p=pi.pmf))
-    else:
-        x0 = int(init)
+    x = int(rng.choice(pi.space.total_states, p=pi.pmf))
     cum = np.cumsum(scan_operator(pi, scan).kernel, axis=1)
     states = np.empty(n, dtype=np.int64)
-    x = x0
     for t in range(n):
         x = int(np.searchsorted(cum[x], rng.random(), side="right"))
         states[t] = x
-    return x0, states
+    return states
 
 
 def _op_rho(pi, scan):
@@ -59,7 +55,7 @@ def _reference_tail(pi, scan, f, n, eps, replicas, seed):
         states = (rng.random(replicas)[:, None] > cum[states]).sum(axis=1)
         sums += f[states]
     freq = float(np.mean(sums >= n * (mu + eps) - 1e-12))
-    bound = hoeffding_bound(rho, n, eps, 1.0)
+    bound = hoeffding_bound(rho, n, eps)
     se = float(np.sqrt(max(freq * (1.0 - freq), 1.0 / replicas) / replicas))
     return sampler.TailCheck(n=n, eps=eps, frequency=freq, bound=bound, std_error=se,
                              passed=freq <= bound + 3.0 * se)
@@ -84,37 +80,22 @@ SHORT_ROW_KERNEL = np.array([[0.5, 0.5 - 2e-16, 0.0],
 class TestRunChain:
     def test_deterministic_given_seed(self, eps_pair):
         op = scan_operator(eps_pair, RandomScan.uniform(2))
-        a = run_chain(op, 50, seed=7)
-        b = run_chain(op, 50, seed=7)
-        np.testing.assert_array_equal(a.states, b.states)
-        assert a.init == b.init
+        np.testing.assert_array_equal(run_chain(op, 50, seed=7), run_chain(op, 50, seed=7))
 
     def test_seeds_differ(self, eps_pair):
         op = scan_operator(eps_pair, RandomScan.uniform(2))
-        a = run_chain(op, 200, seed=1)
-        b = run_chain(op, 200, seed=2)
-        assert not np.array_equal(a.states, b.states)
-
-    def test_fixed_init(self, eps_pair):
-        trace = run_chain(scan_operator(eps_pair, DeterministicScan((1, 2))), 10, seed=0, init=3)
-        assert trace.init == 3
-
-    def test_init_out_of_range(self, eps_pair):
-        with pytest.raises(ValidationError):
-            run_chain(scan_operator(eps_pair, DeterministicScan((1, 2))), 10, seed=0, init=4)
+        assert not np.array_equal(run_chain(op, 200, seed=1), run_chain(op, 200, seed=2))
 
     def test_rsg_moves_one_coordinate_per_step(self, eps_pair):
-        trace = run_chain(scan_operator(eps_pair, RandomScan.uniform(2)), 500, seed=3, init=0)
-        prev = trace.init
-        for s in trace.states:
+        states = run_chain(scan_operator(eps_pair, RandomScan.uniform(2)), 500, seed=3)
+        for prev, s in zip(states[:-1], states[1:]):
             a = eps_pair.space.multi_index(int(prev))
             b = eps_pair.space.multi_index(int(s))
             assert sum(x != y for x, y in zip(a, b)) <= 1
-            prev = s
 
     def test_stationary_marginals(self, eps_pair):
-        trace = run_chain(scan_operator(eps_pair, RandomScan.uniform(2)), 40_000, seed=11)
-        freq = np.bincount(trace.states, minlength=4) / len(trace)
+        states = run_chain(scan_operator(eps_pair, RandomScan.uniform(2)), 40_000, seed=11)
+        freq = np.bincount(states, minlength=4) / len(states)
         np.testing.assert_allclose(freq, eps_pair.pmf, atol=0.02)
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
@@ -123,12 +104,8 @@ class TestRunChain:
     def test_matches_scalar_searchsorted_loop(self, scan, seed):
         pi = random_target(seed=40 + seed, dims=(3, 2, 3))
         n = 5000  # crosses a uniform-block boundary
-        op = scan_operator(pi, scan)
-        for kw in ({}, {"init": 4}):
-            trace = run_chain(op, n, seed=seed, **kw)
-            x0, states = _reference_chain(pi, scan, n, seed, **kw)
-            assert trace.init == x0
-            np.testing.assert_array_equal(trace.states, states)
+        states = run_chain(scan_operator(pi, scan), n, seed=seed)
+        np.testing.assert_array_equal(states, _reference_chain(pi, scan, n, seed))
 
 
 class TestCumulativeTable:
@@ -181,24 +158,23 @@ class TestCltVarianceBound:
         op = scan_operator(eps_pair, scan)
         rho = l2_norm_centered(op)
         f = np.array([0.0, 0.0, 1.0, 1.0])
-        trace = run_chain(op, 100_000, seed=42)
-        est, se = asymptotic_variance_estimate(trace, f)
+        est, se = asymptotic_variance_estimate(run_chain(op, 100_000, seed=42), f)
         assert est <= clt_variance_bound(rho, f, eps_pair) + 3.0 * se
 
     def test_estimator_iid_sanity(self, uniform_2x2):
         # an iid-like fast-mixing chain: asymptotic variance near Var_pi
         scan = DeterministicScan((1, 2))
         f = np.array([0.0, 1.0, 0.0, 1.0])  # depends on the freshly drawn coordinate
-        trace = run_chain(scan_operator(uniform_2x2, scan), 50_000, seed=9)
-        est, se = asymptotic_variance_estimate(trace, f)
+        states = run_chain(scan_operator(uniform_2x2, scan), 50_000, seed=9)
+        est, se = asymptotic_variance_estimate(states, f)
         assert est == pytest.approx(0.25, abs=10.0 * se + 0.02)
 
     def test_estimator_validation(self, eps_pair):
-        trace = run_chain(scan_operator(eps_pair, RandomScan.uniform(2)), 50, seed=0)
+        # floor(sqrt(n)) batches: n = 99 gives 9 (refused), n = 100 gives 10 of 10 steps
+        states = run_chain(scan_operator(eps_pair, RandomScan.uniform(2)), 100, seed=0)
         with pytest.raises(ValidationError):
-            asymptotic_variance_estimate(trace, np.zeros(4), batch_count=5)
-        with pytest.raises(ValidationError):
-            asymptotic_variance_estimate(trace, np.zeros(4), batch_count=10)
+            asymptotic_variance_estimate(states[:99], np.zeros(4))
+        assert asymptotic_variance_estimate(states, np.zeros(4)) == (0.0, 0.0)
 
 
 class TestHoeffding:
@@ -206,17 +182,11 @@ class TestHoeffding:
         expected = float(np.exp(-10.0 / 3.0))
         assert hoeffding_bound(0.5, 1000, 0.1) == pytest.approx(expected, rel=1e-12)
 
-    def test_density_norm_scales(self):
-        assert hoeffding_bound(0.5, 100, 0.1, 2.0) == pytest.approx(
-            2.0 * hoeffding_bound(0.5, 100, 0.1), rel=1e-12)
-
     def test_validation(self):
         with pytest.raises(ValidationError):
             hoeffding_bound(1.0, 100, 0.1)
         with pytest.raises(ValidationError):
             hoeffding_bound(0.5, 100, 0.0)
-        with pytest.raises(ValidationError):
-            hoeffding_bound(0.5, 100, 0.1, 0.5)
 
 
 class TestEmpiricalTail:

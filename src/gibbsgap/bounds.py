@@ -45,8 +45,8 @@ class BoundReport:
     angle: float
     entries: tuple[BoundEntry, ...]
 
-    def violations(self, tol: float = SLACK_TOL) -> list[BoundEntry]:
-        return [e for e in self.entries if e.slack < -tol]
+    def violations(self) -> list[BoundEntry]:
+        return [e for e in self.entries if e.slack < -SLACK_TOL]
 
 
 def _check_c(c: float, d: int) -> None:

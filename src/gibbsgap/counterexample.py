@@ -22,7 +22,6 @@ eigensolver.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -36,9 +35,6 @@ from .operators import (
     is_reversible,
     spectral_radius_centered,
 )
-
-#: Exhaustive conductance search is attempted only at or below this size.
-EXHAUSTIVE_CUT_LIMIT = 20
 
 
 @dataclass(frozen=True)
@@ -102,20 +98,6 @@ def build_ladder(spec: LadderChainSpec) -> MarkovOperator:
     return MarkovOperator(kernel, ladder_stationary(spec), label="ladder N=%d" % spec.N)
 
 
-def ladder_adjoint_kernel(spec: LadderChainSpec) -> np.ndarray:
-    """Time reversal written out from the reversal rules (oracle for adjoint)."""
-    p = spec.jump_pmf()
-    m = spec.n_states
-    kernel = np.zeros((m, m))
-    kernel[0, 0] = p[0]
-    for n in range(1, spec.N + 1):
-        kernel[0, spec.state_index(n, 1)] = p[n]
-        for k in range(2, n + 1):
-            kernel[spec.state_index(n, k - 1), spec.state_index(n, k)] = 1.0
-        kernel[spec.state_index(n, n), 0] = 1.0
-    return kernel
-
-
 def return_time_moment(spec: LadderChainSpec, b: float,
                        truncated: bool = True) -> tuple[float, bool]:
     """E[b^tau | X_0 = origin] = sum_n b^(n+1) p(n); (value, finite).
@@ -155,13 +137,10 @@ def ladder_gap(spec: LadderChainSpec) -> tuple[float, float]:
     return 1.0 - float(np.abs(others).max()), residual
 
 
-def conductance(K: MarkovOperator, cuts: Sequence[Sequence[int]],
-                exhaustive: bool = False) -> tuple[float, list[float]]:
+def conductance(K: MarkovOperator, cuts: Sequence[Sequence[int]]) -> tuple[float, list[float]]:
     """Bottleneck ratios of a reversible kernel over a family of cuts.
 
-    Returns (minimum over the family, per-cut values).  With exhaustive=True
-    (refused above EXHAUSTIVE_CUT_LIMIT states) every nonempty proper subset
-    is searched instead and the per-cut list is for the supplied family.
+    Returns (minimum over the family, per-cut values).
     """
     if not is_reversible(K):
         raise ValidationError("conductance is defined here for reversible kernels only")
@@ -180,13 +159,6 @@ def conductance(K: MarkovOperator, cuts: Sequence[Sequence[int]],
 
     per_cut = [value(np.asarray(c, dtype=int)) for c in cuts]
     kappa = min(per_cut) if per_cut else math.inf
-    if exhaustive:
-        if m > EXHAUSTIVE_CUT_LIMIT:
-            raise ValidationError("exhaustive cut search refused above %d states" % EXHAUSTIVE_CUT_LIMIT)
-        states = list(range(m))
-        for r in range(1, m):
-            for subset in itertools.combinations(states, r):
-                kappa = min(kappa, value(np.asarray(subset)))
     return kappa, per_cut
 
 
@@ -200,8 +172,8 @@ def reversibilization_gap_sweep(q: float, n_list: Sequence[int],
     gap(K) <= 2 kappa, and the lower Cheeger value kappa^2/2 (reported, not
     asserted; constant conventions vary).
     """
-    if sorted(n_list) != list(n_list):
-        raise ValidationError("truncations must be increasing")
+    if any(a >= b for a, b in zip(n_list, n_list[1:])):
+        raise ValidationError("truncations must be strictly increasing")
     rows = []
     for n_trunc in n_list:
         spec = LadderChainSpec(N=int(n_trunc), q=q)

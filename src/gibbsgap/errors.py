@@ -5,10 +5,6 @@ class ValidationError(ValueError):
     """Invalid user input: bad pmf, bad scan spec, out-of-range parameter."""
 
 
-class SpaceMismatchError(ValidationError):
-    """Two objects were combined that live on different state spaces."""
-
-
 class StateCapError(RuntimeError):
     """The requested state space exceeds the dense-algebra cap."""
 

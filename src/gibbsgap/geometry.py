@@ -21,10 +21,10 @@ to each other:
   optimum, where a genuine duality gap can lie) the primal optimum is an
   eigenvector u_j of sum_i mu_i A_i with j >= 1 and equal forms over
   supp(mu); ell_hat then comes from seeded restarts of a smoothed min-max
-  optimizer, each finished by Newton on that eigenvalue branch at such a
-  first-order KKT point.  It is an upper bound, not certified as the global
-  minimum.  The sandwich inequality applied to the exact c gives a further
-  lower bound.
+  optimizer, each finished, where it converges, by Newton on that eigenvalue
+  branch at such a first-order KKT point.  It is an upper bound, not
+  certified as the global minimum.  The sandwich inequality applied to the
+  exact c gives a further lower bound.
 """
 from __future__ import annotations
 
@@ -330,24 +330,16 @@ def inclination(pi: TargetDistribution, restarts: int = 32,
     restart at a first-order KKT point of the primal (an eigenvector of
     sum_i mu_i A_i whose forms are equal over supp(mu)); the first polish
     that passes ends the restart's schedule.  A restart whose polish never
-    passes runs the whole schedule and, in low dimension, a derivative-free
-    local search.  Restarts use
-    seeded starts; ties resolve to the lowest restart index, so the result is
-    schedule-independent.  Either way ``lower`` is sqrt of the dual, and
-    ``kkt_residual`` is max_i v^T A_i v - lambda for the witness v and the
-    eigenvalue lambda it was certified or polished at (None after the
-    fallback).
+    passes runs the whole schedule and keeps its last annealed iterate.
+    Restarts use seeded starts; ties resolve to the lowest restart index, so
+    the result is schedule-independent.  Either way ``lower`` is sqrt of the
+    dual, and ``kkt_residual`` is max_i v^T A_i v - lambda for the witness v
+    and the eigenvalue lambda it was certified or polished at (None when no
+    polish passed in the best restart).
     """
     if restarts < 1:
         raise ValidationError("restarts must be >= 1, got %d" % restarts)
-    if pi.space.d < 2:
-        raise ValidationError("inclination needs d >= 2")
     forms, q = _inclination_forms(pi)
-    m = q.shape[1]
-    if m == 0:
-        # single-state space: no mean-zero directions exist
-        return InclinationResult(value=0.0, witness=np.zeros(pi.space.total_states),
-                                 restarts=0, lower=0.0, certified=True, kkt_residual=0.0)
     s = np.sqrt(pi.pmf)
     lower, upper, v = inclination_dual(forms)
     ell_lower = float(np.sqrt(max(lower, 0.0)))
@@ -360,7 +352,7 @@ def inclination(pi: TargetDistribution, restarts: int = 32,
     best_v = None
     best_residual = None
     for _ in range(restarts):
-        w = rng.standard_normal(m)
+        w = rng.standard_normal(q.shape[1])
         w /= np.linalg.norm(w)
         residual = None
         for beta in (4.0, 32.0, 256.0, 2048.0, 16384.0):
@@ -373,15 +365,6 @@ def inclination(pi: TargetDistribution, restarts: int = 32,
             if polished is not None:
                 w, residual = polished
                 break
-        else:  # no polish passed: finish with a derivative-free search
-            if m <= 12:
-                polish = scipy.optimize.minimize(
-                    lambda x: _max_form(forms, x / np.linalg.norm(x)), w,
-                    method="Nelder-Mead",
-                    options={"xatol": 1e-12, "fatol": 1e-14, "maxiter": 4000},
-                )
-                if polish.fun < _max_form(forms, w):
-                    w = polish.x / np.linalg.norm(polish.x)
         val = _max_form(forms, w)
         if val < best_val - 1e-15:
             best_val = val

@@ -1,4 +1,4 @@
-"""Product state spaces, target distributions, and the pi-weighted geometry.
+"""Product state spaces, target distributions, and how targets are read.
 
 Flat indexing convention: multi-index (x_1, ..., x_d) maps to a flat index
 with the *last* coordinate varying fastest (C order), so a pmf written as a
@@ -8,18 +8,19 @@ flat list is portable across tools.  Coordinate indices in the public API are
 A TargetDistribution carries its table of full conditionals
 (``TargetDistribution.conditionals``), built once on first use: the data of
 every small step P_i, which ``gibbsgap.operators`` densifies on demand.
+Functions on the space are plain arrays of values by flat state.
 """
 from __future__ import annotations
 
 import functools
 import json
 import math
+import sys
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .errors import SpaceMismatchError, StateCapError, ValidationError
+from .errors import StateCapError, ValidationError
 
 #: |sum(pmf) - 1| below this is considered exactly normalized.
 NORMALIZATION_TOL = 1e-12
@@ -36,7 +37,11 @@ DEFAULT_STATE_CAP = 20_000
 
 @dataclass(frozen=True)
 class ProductSpace:
-    """A finite product space X_1 x ... x X_d with |X_i| = dims[i]."""
+    """A finite product space X_1 x ... x X_d with |X_i| = dims[i].
+
+    It needs at least two states: mean-zero functions, on which every
+    norm, angle and bound here is taken, exist only then.
+    """
 
     dims: tuple[int, ...]
 
@@ -47,6 +52,8 @@ class ProductSpace:
             raise ValidationError("product space needs d >= 2 coordinates, got d=%d" % len(dims))
         if any(n < 1 for n in dims):
             raise ValidationError("every coordinate cardinality must be >= 1, got %r" % (dims,))
+        if math.prod(dims) < 2:
+            raise ValidationError("product space needs >= 2 states, got dims %r" % (dims,))
 
     @property
     def d(self) -> int:
@@ -55,14 +62,6 @@ class ProductSpace:
     @property
     def total_states(self) -> int:
         return math.prod(self.dims)
-
-    def flat_index(self, multi: Sequence[int]) -> int:
-        """Flat index of a multi-index; last coordinate fastest."""
-        return int(np.ravel_multi_index(tuple(multi), self.dims))
-
-    def multi_index(self, flat: int) -> tuple[int, ...]:
-        """Multi-index of a flat state."""
-        return tuple(int(c) for c in np.unravel_index(flat, self.dims))
 
     def all_multi_indices(self) -> np.ndarray:
         """(total_states, d) array of all multi-indices in flat order."""
@@ -123,68 +122,6 @@ class TargetDistribution:
         return tuple(table)
 
 
-@dataclass(frozen=True)
-class PiFunction:
-    """A real function on a ProductSpace, stored by flat state."""
-
-    space: ProductSpace
-    values: np.ndarray
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float).reshape(-1)
-        if values.shape[0] != self.space.total_states:
-            raise ValidationError(
-                "function has %d values, space has %d states"
-                % (values.shape[0], self.space.total_states)
-            )
-        values = values.copy()
-        values.flags.writeable = False
-        object.__setattr__(self, "values", values)
-
-
-def _check_same_space(a, b) -> None:
-    if a.space != b.space:
-        raise SpaceMismatchError("objects live on different spaces: %r vs %r" % (a.space, b.space))
-
-
-def inner_product(f: PiFunction, g: PiFunction, pi: TargetDistribution) -> float:
-    """<f, g> = sum_x f(x) g(x) pi(x)."""
-    _check_same_space(f, pi)
-    _check_same_space(g, pi)
-    return float(np.sum(f.values * g.values * pi.pmf))
-
-
-def norm(f: PiFunction, pi: TargetDistribution) -> float:
-    """L2(pi) norm of f."""
-    return float(np.sqrt(max(inner_product(f, f, pi), 0.0)))
-
-
-def mean_project(f: PiFunction, pi: TargetDistribution) -> PiFunction:
-    """Project f onto the constants: the function identically pi(f)."""
-    _check_same_space(f, pi)
-    mean = float(np.sum(f.values * pi.pmf))
-    return PiFunction(pi.space, np.full(pi.space.total_states, mean))
-
-
-def conditional_mean(f: PiFunction, i: int, pi: TargetDistribution) -> PiFunction:
-    """E_pi[f | x_{-i}] as a function on the full space (1-based coordinate i).
-
-    This is the small step applied to f: the orthogonal projection of f onto
-    the subspace of functions constant in coordinate i.
-    """
-    _check_same_space(f, pi)
-    d = pi.space.d
-    if not 1 <= i <= d:
-        raise ValidationError("coordinate index %d out of range 1..%d" % (i, d))
-    axis = i - 1
-    w = pi.as_tensor()
-    fv = f.values.reshape(pi.space.dims)
-    num = np.sum(fv * w, axis=axis, keepdims=True)
-    den = np.sum(w, axis=axis, keepdims=True)
-    cond = np.broadcast_to(num / den, pi.space.dims)
-    return PiFunction(pi.space, cond.reshape(-1))
-
-
 def equicorrelated_binary(d: int, epsilon: float) -> TargetDistribution:
     """The one-parameter binary family used for solidarity and scaling probes.
 
@@ -239,6 +176,12 @@ def check_state_cap(n_states: int, state_cap: int) -> None:
         raise StateCapError("target has %d states, above the cap of %d" % (n_states, state_cap))
 
 
+def _is_real(value) -> bool:
+    """A JSON number a float can hold: not a boolean (True is an int), and
+    not an integer beyond the float range."""
+    return isinstance(value, float) or (type(value) is int and abs(value) <= sys.float_info.max)
+
+
 def parse_target(spec_text: str, state_cap: int = DEFAULT_STATE_CAP) -> TargetDistribution:
     """Parse a JSON target spec with `dims` and exactly one of `pmf`/`model`.
 
@@ -265,31 +208,20 @@ def parse_target(spec_text: str, state_cap: int = DEFAULT_STATE_CAP) -> TargetDi
         raise ValidationError("target spec needs exactly one of 'pmf' or 'model'")
     space = ProductSpace(tuple(dims))
     if has_pmf:
-        return TargetDistribution(space, np.asarray(doc["pmf"], dtype=float))
+        pmf = doc["pmf"]
+        if not isinstance(pmf, list) or not all(_is_real(p) for p in pmf):
+            raise ValidationError("'pmf' must be a list of numbers")
+        return TargetDistribution(space, np.asarray(pmf, dtype=float))
     model = doc["model"]
-    if not isinstance(model, dict) or "name" not in model:
-        raise ValidationError("'model' must be an object with a 'name'")
+    if not isinstance(model, dict) or not isinstance(model.get("name"), str):
+        raise ValidationError("'model' must be an object with a string 'name'")
     name = model["name"]
     build = model_builder(name)
-    if "epsilon" not in model:
-        raise ValidationError("model %r needs 'epsilon'" % name)
+    if not _is_real(model.get("epsilon")):
+        raise ValidationError("model %r needs a number 'epsilon'" % name)
     d = len(dims)
     check_state_cap(model_states(name, d), state_cap)
     target = build(d, float(model["epsilon"]))
     if target.space.dims != space.dims:
         raise ValidationError("dims %r inconsistent with %s d=%d" % (dims, name, d))
     return target
-
-
-def random_target(seed: int, dims: Sequence[int]) -> TargetDistribution:
-    """Reproducible full-support pmf drawn uniformly from the simplex
-    (normalized unit-shape gamma draws, a flat Dirichlet).
-
-    Identical seed gives a bit-for-bit identical pmf.
-    """
-    space = ProductSpace(tuple(dims))
-    rng = np.random.default_rng(seed)
-    g = rng.gamma(shape=1.0, scale=1.0, size=space.total_states)
-    # gamma draws are positive a.s.; guard against underflow to exact zero
-    g = np.maximum(g, 1e-300)
-    return TargetDistribution(space, g / g.sum())

@@ -307,30 +307,3 @@ class Spectra:
                 self._memo[kind, scan, name] = (l2_norm_centered(op) if name == "norm"
                                                 else spectral_radius_centered(op))
         return tuple(self._memo[kind, scan, name] for name in names)
-
-
-def power_norm_sequence(op: MarkovOperator, n_max: int) -> list[float]:
-    """[||P^n - Pi|| for n = 1..n_max]; non-increasing and <= ||P - Pi||^n."""
-    if n_max < 1:
-        raise ValidationError("n_max must be >= 1, got %d" % n_max)
-    a = _centered_conjugated(op)
-    out = []
-    power = np.eye(a.shape[0])
-    for _ in range(n_max):
-        power = power @ a
-        svals = np.linalg.svd(power, compute_uv=False)
-        out.append(float(svals[0]))
-    return out
-
-
-def operator_report(op: MarkovOperator) -> dict:
-    """Structured invariant-check report for an operator."""
-    flow = op.stationary[:, None] * op.kernel
-    return {
-        "label": op.label,
-        "n_states": op.n_states,
-        "row_sum_error": float(np.abs(op.kernel.sum(axis=1) - 1.0).max()),
-        "stationarity_error": float(np.abs(op.stationary @ op.kernel - op.stationary).max()),
-        "detailed_balance_error": float(np.abs(flow - flow.T).max()),
-        "reversible": is_reversible(op),
-    }

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from gibbsgap.measure import ProductSpace, TargetDistribution, equicorrelated_binary, random_target
+from gibbsgap.measure import ProductSpace, TargetDistribution, equicorrelated_binary
+from oracles import random_target
 
 
 @pytest.fixture

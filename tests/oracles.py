@@ -1,0 +1,75 @@
+"""Independent oracles the tests compare the package against.
+
+Functions on a product space are plain arrays of values by flat state (last
+coordinate fastest), as everywhere in gibbsgap.
+"""
+from typing import Sequence
+
+import numpy as np
+
+from gibbsgap.counterexample import LadderChainSpec
+from gibbsgap.errors import ValidationError
+from gibbsgap.measure import ProductSpace, TargetDistribution
+from gibbsgap.operators import MarkovOperator, _centered_conjugated
+
+
+def random_target(seed: int, dims: Sequence[int]) -> TargetDistribution:
+    """Reproducible full-support pmf drawn uniformly from the simplex
+    (normalized unit-shape gamma draws, a flat Dirichlet).
+
+    Identical seed gives a bit-for-bit identical pmf.
+    """
+    space = ProductSpace(tuple(dims))
+    rng = np.random.default_rng(seed)
+    g = rng.gamma(shape=1.0, scale=1.0, size=space.total_states)
+    # gamma draws are positive a.s.; guard against underflow to exact zero
+    g = np.maximum(g, 1e-300)
+    return TargetDistribution(space, g / g.sum())
+
+
+def inner_product(f: np.ndarray, g: np.ndarray, pi: TargetDistribution) -> float:
+    """<f, g> = sum_x f(x) g(x) pi(x)."""
+    return float(np.sum(f * g * pi.pmf))
+
+
+def conditional_mean(f: np.ndarray, i: int, pi: TargetDistribution) -> np.ndarray:
+    """E_pi[f | x_{-i}] as a function on the full space (1-based coordinate i).
+
+    This is the small step applied to f, computed from the pmf tensor alone:
+    the orthogonal projection of f onto the functions constant in coordinate i.
+    """
+    d = pi.space.d
+    if not 1 <= i <= d:
+        raise ValidationError("coordinate index %d out of range 1..%d" % (i, d))
+    axis = i - 1
+    w = pi.as_tensor()
+    fv = np.asarray(f, dtype=float).reshape(pi.space.dims)
+    num = np.sum(fv * w, axis=axis, keepdims=True)
+    den = np.sum(w, axis=axis, keepdims=True)
+    return np.broadcast_to(num / den, pi.space.dims).reshape(-1)
+
+
+def power_norm_sequence(op: MarkovOperator, n_max: int) -> list[float]:
+    """[||P^n - Pi|| for n = 1..n_max]; non-increasing and <= ||P - Pi||^n."""
+    a = _centered_conjugated(op)
+    out = []
+    power = np.eye(a.shape[0])
+    for _ in range(n_max):
+        power = power @ a
+        out.append(float(np.linalg.svd(power, compute_uv=False)[0]))
+    return out
+
+
+def ladder_adjoint_kernel(spec: LadderChainSpec) -> np.ndarray:
+    """Time reversal of the ladder chain written out from the reversal rules
+    (oracle for ``operators.adjoint``)."""
+    p = spec.jump_pmf()
+    m = spec.n_states
+    kernel = np.zeros((m, m))
+    kernel[0, 0] = p[0]
+    for n in range(1, spec.N + 1):
+        kernel[0, spec.state_index(n, 1)] = p[n]
+        for k in range(2, n + 1):
+            kernel[spec.state_index(n, k - 1), spec.state_index(n, k)] = 1.0
+        kernel[spec.state_index(n, n), 0] = 1.0
+    return kernel

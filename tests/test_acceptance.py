@@ -32,13 +32,13 @@ from gibbsgap.operators import (
     dsg,
     l2_norm_centered,
     pi_kernel,
-    power_norm_sequence,
     rsg,
     spectral_radius_centered,
     symmetrized_sweep,
 )
 
 from conftest import make_suite
+from oracles import power_norm_sequence
 
 
 def _emit(cid: str, name: str, ok: bool, detail: str = "") -> None:

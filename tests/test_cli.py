@@ -12,9 +12,9 @@ import pytest
 from gibbsgap import bounds, cli, geometry, measure, operators, sampler
 from gibbsgap.cli import main, parse_scan
 from gibbsgap.errors import ValidationError
-from gibbsgap.measure import random_target
 from gibbsgap.operators import DeterministicScan, RandomScan
 from gibbsgap.reporting import write_csv, write_json
+from oracles import random_target
 
 
 class TestScanGrammar:
@@ -218,7 +218,16 @@ class TestAnalyzeCommand:
         '{"dims": [2, 2], "pmf": [NaN, 0.25, 0.25, 0.25]}',
         # True is an int to isinstance
         '{"dims": [true, 2], "pmf": [0.5, 0.5]}',
-    ], ids=["nan_pmf", "bool_dims"])
+        '{"dims": [2, 2], "pmf": {"0": 0.25, "1": 0.25, "2": 0.25, "3": 0.25}}',
+        '{"dims": [2, 2], "pmf": ["0.25", "0.25", "0.25", "0.25"]}',
+        '{"dims": [2, 2], "model": {"name": "equicorrelated_binary", "epsilon": "abc"}}',
+        '{"dims": [2, 2], "model": {"name": "equicorrelated_binary", "epsilon": true}}',
+        '{"dims": [2, 2], "model": {"name": ["x"], "epsilon": 0.25}}',
+        '{"dims": [2, 2], "pmf": [1%s, 0.25, 0.25, 0.25]}' % ("0" * 400),
+        # no mean-zero function exists on one state
+        '{"dims": [1, 1], "pmf": [1.0]}',
+    ], ids=["nan_pmf", "bool_dims", "object_pmf", "string_pmf", "string_epsilon",
+            "bool_epsilon", "list_name", "huge_int_pmf", "single_state"])
     def test_invalid_target_file_exit_2_without_report(self, tmp_path, command, text):
         spec = tmp_path / "target.json"
         spec.write_text(text)
@@ -455,6 +464,10 @@ class TestCounterexampleCommand:
 
     def test_bad_b_exit_2(self, tmp_path):
         assert main(["counterexample", "--b", "0.9", "--out-dir", str(tmp_path)]) == 2
+
+    def test_repeated_truncations_exit_2(self, tmp_path):
+        assert main(["counterexample", "--N", "10,10", "--out-dir", str(tmp_path)]) == 2
+        assert not (tmp_path / "counterexample.json").exists()
 
     def test_state_cap_exit_3_before_any_row(self, tmp_path, monkeypatch):
         def fail(*args, **kwargs):

@@ -3,19 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gibbsgap.errors import SpaceMismatchError, StateCapError, ValidationError
-from gibbsgap.measure import (
-    PiFunction,
-    ProductSpace,
-    TargetDistribution,
-    conditional_mean,
-    equicorrelated_binary,
-    inner_product,
-    mean_project,
-    norm,
-    parse_target,
-    random_target,
-)
+from gibbsgap.errors import StateCapError, ValidationError
+from gibbsgap.measure import ProductSpace, TargetDistribution, equicorrelated_binary, parse_target
+from gibbsgap.operators import pi_kernel
+from oracles import conditional_mean, inner_product, random_target
 
 
 class TestProductSpace:
@@ -35,17 +26,23 @@ class TestProductSpace:
             ProductSpace((2, 0))
 
     def test_last_coordinate_fastest(self):
-        space = ProductSpace((2, 3))
-        assert space.flat_index((0, 0)) == 0
-        assert space.flat_index((0, 1)) == 1
-        assert space.flat_index((1, 0)) == 3
+        states = ProductSpace((2, 3)).all_multi_indices()
+        assert tuple(states[0]) == (0, 0)
+        assert tuple(states[1]) == (0, 1)
+        assert tuple(states[3]) == (1, 0)
 
     @given(st.lists(st.integers(min_value=1, max_value=4), min_size=2, max_size=4))
     @settings(max_examples=50, deadline=None)
     def test_index_roundtrip(self, dims):
+        if np.prod(dims) < 2:
+            with pytest.raises(ValidationError):
+                ProductSpace(tuple(dims))
+            return
         space = ProductSpace(tuple(dims))
-        for flat in range(space.total_states):
-            assert space.flat_index(space.multi_index(flat)) == flat
+        states = space.all_multi_indices()
+        assert states.shape == (space.total_states, space.d)
+        for flat, multi in enumerate(states):
+            assert np.ravel_multi_index(tuple(multi), space.dims) == flat
 
 
 class TestTargetDistribution:
@@ -79,81 +76,70 @@ class TestTargetDistribution:
 
 class TestInnerProduct:
     def test_constants_give_one(self, eps_pair):
-        one = PiFunction(eps_pair.space, np.ones(4))
+        one = np.ones(4)
         assert inner_product(one, one, eps_pair) == pytest.approx(1.0, abs=1e-15)
 
     def test_centered_orthogonal_to_constants(self, eps_pair):
-        f = PiFunction(eps_pair.space, np.array([1.0, 1.0, 0.0, 0.0]))
-        centered = PiFunction(eps_pair.space, f.values - mean_project(f, eps_pair).values)
-        one = PiFunction(eps_pair.space, np.ones(4))
-        assert inner_product(centered, one, eps_pair) == pytest.approx(0.0, abs=1e-15)
+        f = np.array([1.0, 1.0, 0.0, 0.0])
+        centered = f - pi_kernel(eps_pair.pmf) @ f
+        assert inner_product(centered, np.ones(4), eps_pair) == pytest.approx(0.0, abs=1e-15)
 
     def test_state_indicator(self, uniform_2x2):
-        f = PiFunction(uniform_2x2.space, np.array([1.0, 0.0, 0.0, 0.0]))
+        f = np.array([1.0, 0.0, 0.0, 0.0])
         assert inner_product(f, f, uniform_2x2) == pytest.approx(0.25)
-
-    def test_space_mismatch(self, uniform_2x2):
-        other = random_target(0, (2, 3))
-        f = PiFunction(other.space, np.ones(6))
-        g = PiFunction(uniform_2x2.space, np.ones(4))
-        with pytest.raises(SpaceMismatchError):
-            inner_product(g, g, other)
-        with pytest.raises(SpaceMismatchError):
-            inner_product(f, f, uniform_2x2)
 
     @given(st.integers(min_value=0, max_value=2 ** 31))
     @settings(max_examples=25, deadline=None)
     def test_symmetric_bilinear(self, seed):
         pi = random_target(7, (2, 3))
         rng = np.random.default_rng(seed)
-        f = PiFunction(pi.space, rng.standard_normal(6))
-        g = PiFunction(pi.space, rng.standard_normal(6))
-        h = PiFunction(pi.space, rng.standard_normal(6))
+        f = rng.standard_normal(6)
+        g = rng.standard_normal(6)
+        h = rng.standard_normal(6)
         assert inner_product(f, g, pi) == pytest.approx(inner_product(g, f, pi), abs=1e-12)
-        fg = PiFunction(pi.space, 2.0 * f.values + g.values)
-        assert inner_product(fg, h, pi) == pytest.approx(
+        assert inner_product(2.0 * f + g, h, pi) == pytest.approx(
             2.0 * inner_product(f, h, pi) + inner_product(g, h, pi), abs=1e-10)
 
 
 class TestMeanProject:
+    """``operators.pi_kernel`` acting on functions: the projection onto the constants."""
+
     def test_fixes_constants(self, eps_pair):
-        c = PiFunction(eps_pair.space, np.full(4, 3.25))
-        np.testing.assert_allclose(mean_project(c, eps_pair).values, 3.25)
+        np.testing.assert_allclose(pi_kernel(eps_pair.pmf) @ np.full(4, 3.25), 3.25)
 
     def test_kills_mean_zero(self, eps_pair):
-        f = PiFunction(eps_pair.space, np.array([1.0, -3.0, -3.0, 1.0]))
-        np.testing.assert_allclose(mean_project(f, eps_pair).values, 0.0, atol=1e-15)
+        f = np.array([1.0, -3.0, -3.0, 1.0])
+        np.testing.assert_allclose(pi_kernel(eps_pair.pmf) @ f, 0.0, atol=1e-15)
 
     def test_first_coordinate_on_uniform(self, uniform_2x2):
-        f = PiFunction(uniform_2x2.space, np.array([0.0, 0.0, 1.0, 1.0]))
-        np.testing.assert_allclose(mean_project(f, uniform_2x2).values, 0.5)
+        f = np.array([0.0, 0.0, 1.0, 1.0])
+        np.testing.assert_allclose(pi_kernel(uniform_2x2.pmf) @ f, 0.5)
 
     def test_idempotent_and_contractive(self):
         pi = random_target(3, (3, 2, 2))
-        rng = np.random.default_rng(5)
-        f = PiFunction(pi.space, rng.standard_normal(12))
-        once = mean_project(f, pi)
-        twice = mean_project(once, pi)
-        np.testing.assert_allclose(once.values, twice.values, atol=1e-14)
-        assert norm(once, pi) <= norm(f, pi) + 1e-12
+        f = np.random.default_rng(5).standard_normal(12)
+        once = pi_kernel(pi.pmf) @ f
+        twice = pi_kernel(pi.pmf) @ once
+        np.testing.assert_allclose(once, twice, atol=1e-14)
+        assert inner_product(once, once, pi) <= inner_product(f, f, pi) + 1e-12
 
 
 class TestConditionalMean:
     def test_fixes_functions_constant_in_i(self, eps_pair):
-        f = PiFunction(eps_pair.space, np.array([2.0, 5.0, 2.0, 5.0]))  # depends on x2 only
-        np.testing.assert_allclose(conditional_mean(f, 1, eps_pair).values, f.values)
+        f = np.array([2.0, 5.0, 2.0, 5.0])  # depends on x2 only
+        np.testing.assert_allclose(conditional_mean(f, 1, eps_pair), f)
 
     def test_uniform_first_coordinate(self, uniform_2x2):
-        f = PiFunction(uniform_2x2.space, np.array([0.0, 0.0, 1.0, 1.0]))
-        np.testing.assert_allclose(conditional_mean(f, 1, uniform_2x2).values, 0.5)
+        f = np.array([0.0, 0.0, 1.0, 1.0])
+        np.testing.assert_allclose(conditional_mean(f, 1, uniform_2x2), 0.5)
 
     def test_agreement_indicator_on_eps_pair(self, eps_pair):
         # E[1{x1 = x2} | x2] = 1 - eps at every state
-        f = PiFunction(eps_pair.space, np.array([1.0, 0.0, 0.0, 1.0]))
-        np.testing.assert_allclose(conditional_mean(f, 1, eps_pair).values, 0.75, atol=1e-14)
+        f = np.array([1.0, 0.0, 0.0, 1.0])
+        np.testing.assert_allclose(conditional_mean(f, 1, eps_pair), 0.75, atol=1e-14)
 
     def test_index_out_of_range(self, eps_pair):
-        f = PiFunction(eps_pair.space, np.zeros(4))
+        f = np.zeros(4)
         with pytest.raises(ValidationError):
             conditional_mean(f, 0, eps_pair)
         with pytest.raises(ValidationError):
@@ -163,16 +149,15 @@ class TestConditionalMean:
         pi = random_target(11, (3, 2, 3))
         rng = np.random.default_rng(11)
         for i in range(1, 4):
-            f = PiFunction(pi.space, rng.standard_normal(18))
-            g = PiFunction(pi.space, rng.standard_normal(18))
+            f = rng.standard_normal(18)
+            g = rng.standard_normal(18)
             pf = conditional_mean(f, i, pi)
-            np.testing.assert_allclose(conditional_mean(pf, i, pi).values, pf.values, atol=1e-12)
+            np.testing.assert_allclose(conditional_mean(pf, i, pi), pf, atol=1e-12)
             assert inner_product(pf, g, pi) == pytest.approx(
                 inner_product(f, conditional_mean(g, i, pi), pi), abs=1e-12)
             # residual is orthogonal to everything constant in coordinate i
-            resid = PiFunction(pi.space, f.values - pf.values)
             h = conditional_mean(g, i, pi)
-            assert inner_product(resid, h, pi) == pytest.approx(0.0, abs=1e-12)
+            assert inner_product(f - pf, h, pi) == pytest.approx(0.0, abs=1e-12)
 
 
 class TestParseTarget:

@@ -11,14 +11,41 @@ and from (n, 1) back to the origin.  The jump law p is geometric with ratio
 q, renormalized to {0..N}; the stationary law is flat across each rung:
 pi(0,0) = 1/E[tau], pi(n, k) = p(n)/E[tau] with E[tau] = sum (n+1) p(n).
 
-Spectrum: the chain is a renewal chain (return time n + 1 to the origin with
-probability p(n)), so the nonzero eigenvalues of P are the roots of the
+Spectrum of P: the chain is a renewal chain (return time n + 1 to the origin
+with probability p(n)), so the nonzero eigenvalues of P are the roots of the
 renewal polynomial  lambda^(N+1) - sum_n p(n) lambda^(N-n),  one of them
 lambda = 1, and the time reversal P* has the same spectrum.  ``ladder_gap``
 takes gap(P) = gap(P*) from those roots.  The kernel is strongly non-normal,
 so its dense eigenvalues are ill-conditioned (off by up to 7e-2 at N = 80)
-and are not used for it; the reversible gap(K) comes from the symmetric
-eigensolver.
+and are not used for it.
+
+Spectrum of K = (P + P*)/2, without a matrix: under K each rung n closes
+with the origin into a cycle of n + 1 states walked with weight 1/2 each way
+(rung 1 steps back with weight 1), and the origin holds with p(0) and enters
+rung n at either end with p(n)/2.  S = D^{1/2} K D^{-1/2} splits into two
+exact families.
+  - Antisymmetric rung modes (odd under k -> n+1-k, so zero at the origin):
+    eigenvalues cos(2 pi k/(n+1)), k = 1..floor(n/2), n = 2..N; the largest
+    modulus is cos(pi/(N_e+1)), N_e the largest even n <= N.
+  - Symmetric modes: folding each rung at its middle leaves a "spider" tree
+    of 1 + sum ceil(n/2) nodes.  The origin has diagonal p(0); leg n has
+    ceil(n/2) nodes with zero diagonal, joined by 1/2, and is coupled to the
+    origin by sqrt(p(n)/2).  The edge into an odd rung's middle state carries
+    a factor sqrt(2) (so rung 1's one node is coupled by sqrt(p(1))), and an
+    even rung's folded tip has diagonal 1/2.
+The spider's eigenvalues below a shift are counted exactly by leaf-to-root
+LDL^T elimination (Sylvester's law of inertia; Jacobs & Trevisan, "Locating
+the eigenvalues of trees", LAA 434 (2011)).  A leg's pivots, taken from its
+tip, depend only on the rung's parity and the depth, so one recursion per
+parity serves all legs: O(N) per shift.  ``ladder_reversible_gap`` brackets
+the second-largest and the smallest spider eigenvalue by multisection.
+
+Conductance of K in closed form: the flow out of rung n is p(n)/E[tau], so
+the rung cut has 1/(n (1 - n p(n)/E[tau])), the origin singleton
+(1 - p(0))/(1 - 1/E[tau]), and each state of rung n 1/(1 - p(n)/E[tau]).
+
+``build_ladder`` and ``conductance`` build and read the dense kernel; the
+commands do not call them.
 """
 from __future__ import annotations
 
@@ -29,12 +56,11 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .operators import (
-    MarkovOperator,
-    additive_reversibilization,
-    is_reversible,
-    spectral_radius_centered,
-)
+from .operators import MarkovOperator, is_reversible
+
+# shifts per multisection round, and the pivot that stands in for an exact zero
+_MULTISECTION_POINTS = 63
+_PIVMIN = np.finfo(float).tiny
 
 
 @dataclass(frozen=True)
@@ -72,10 +98,15 @@ class LadderChainSpec:
         return [self.state_index(n, k) for k in range(1, n + 1)]
 
 
+def _expected_return_time(p: np.ndarray) -> float:
+    """E[tau] = sum_n (n + 1) p(n)."""
+    return float(np.sum((np.arange(p.size) + 1) * p))
+
+
 def ladder_stationary(spec: LadderChainSpec) -> np.ndarray:
     """Closed-form stationary law; flat across each rung."""
     p = spec.jump_pmf()
-    e_tau = float(np.sum((np.arange(spec.N + 1) + 1) * p))
+    e_tau = _expected_return_time(p)
     pi = np.empty(spec.n_states)
     pi[0] = 1.0 / e_tau
     for n in range(1, spec.N + 1):
@@ -137,6 +168,86 @@ def ladder_gap(spec: LadderChainSpec) -> tuple[float, float]:
     return 1.0 - float(np.abs(others).max()), residual
 
 
+def _spider_inertia(p: np.ndarray, shifts: np.ndarray) -> np.ndarray:
+    """Number of symmetric-mode eigenvalues of K below each shift.
+
+    Leaf-to-root LDL^T of (spider - shift): ``piv[0, t]`` and ``piv[1, t]``
+    are the pivots at depth t from the tip of an even and an odd leg.  The
+    even leg ending at depth t is rung 2t + 2, the odd one rung 2t + 1.  A
+    zero (or subnormal) pivot is replaced by -_PIVMIN, which counts the
+    eigenvalues of a perturbation far below rounding.
+    """
+    N = p.size - 1
+    s = np.asarray(shifts, dtype=float)
+    depth = (N + 1) // 2
+    piv = np.empty((2, depth, s.size))
+    piv[:, 0] = [0.5 - s, -s]
+    for t in range(depth):
+        if t:
+            off2 = np.array([[0.25], [0.5 if t == 1 else 0.25]])
+            piv[:, t] = -s - off2 / piv[:, t - 1]
+        row = piv[:, t]
+        row[np.abs(row) < _PIVMIN] = -_PIVMIN
+    below = np.cumsum(piv < 0.0, axis=1)
+    legs = np.ones((2, depth), dtype=bool)
+    legs[0, N // 2:] = False  # even rungs 2t + 2 <= N end at depths t < N // 2
+    couple = np.zeros((2, depth))  # squared coupling of each leg to the origin
+    couple[0, : N // 2] = p[2::2] / 2.0
+    couple[1] = p[1::2] / 2.0
+    couple[1, 0] = p[1]  # rung 1's one node is its middle state: the sqrt(2) fold
+    root = p[0] - s - np.sum(couple[..., None] / piv, axis=(0, 1))
+    return np.sum(below * legs[..., None], axis=(0, 1)) + (root < 0.0)
+
+
+def ladder_reversible_gap(spec: LadderChainSpec) -> float:
+    """gap(K) = 1 - max(lambda_2, -lambda_min, cos(pi/(N_e+1))) of K = (P + P*)/2.
+
+    lambda_2 and lambda_min are the second-largest and the smallest spider
+    eigenvalue, each bracketed by multisection on ``_spider_inertia`` until
+    the bracket stops shrinking; cos(pi/(N_e+1)) is the largest modulus of the
+    antisymmetric rung modes (none when N = 1).
+    """
+    p = spec.jump_pmf()
+    size = 1 + sum((n + 1) // 2 for n in range(1, spec.N + 1))
+    k = np.array([1, size - 1])  # 1-based ranks of lambda_min and lambda_2
+    lo = np.full(2, -1.0 - 2.0 ** -30)
+    hi = np.full(2, 1.0 + 2.0 ** -30)
+    frac = np.arange(1, _MULTISECTION_POINTS + 1) / (_MULTISECTION_POINTS + 1.0)
+    rows = np.arange(2)
+    while True:
+        grid = np.clip(lo[:, None] + (hi - lo)[:, None] * frac, lo[:, None], hi[:, None])
+        counts = _spider_inertia(p, grid.ravel()).reshape(grid.shape)
+        # keep count(lo) < k <= count(hi), so lambda_(k) lies in [lo, hi)
+        reached = counts >= k[:, None]
+        first = np.where(reached.any(axis=1), reached.argmax(axis=1), _MULTISECTION_POINTS)
+        new_lo = np.where(first > 0, grid[rows, first - 1], lo)
+        new_hi = np.where(first < _MULTISECTION_POINTS,
+                          grid[rows, np.minimum(first, _MULTISECTION_POINTS - 1)], hi)
+        if np.array_equal(new_lo, lo) and np.array_equal(new_hi, hi):
+            break
+        lo, hi = new_lo, new_hi
+    lam_min, lam_2 = 0.5 * (lo + hi)
+    n_even = spec.N - spec.N % 2
+    rung = math.cos(math.pi / (n_even + 1)) if n_even else 0.0
+    return 1.0 - max(lam_2, -lam_min, rung)
+
+
+def ladder_conductance(spec: LadderChainSpec) -> tuple[float, np.ndarray, np.ndarray]:
+    """Closed-form bottleneck ratios of K = (P + P*)/2 over the ladder cuts.
+
+    Returns (minimum over all cuts, per-rung values for n = 1..N, singleton
+    values): ``singletons[0]`` is the origin's and ``singletons[n]`` that of
+    every state of rung n.
+    """
+    p = spec.jump_pmf()
+    e_tau = _expected_return_time(p)
+    n = np.arange(1, spec.N + 1)
+    rungs = 1.0 / (n * (1.0 - n * p[1:] / e_tau))
+    singletons = 1.0 / (1.0 - p / e_tau)
+    singletons[0] = (1.0 - p[0]) / (1.0 - 1.0 / e_tau)
+    return float(min(rungs.min(), singletons.min())), rungs, singletons
+
+
 def conductance(K: MarkovOperator, cuts: Sequence[Sequence[int]]) -> tuple[float, list[float]]:
     """Bottleneck ratios of a reversible kernel over a family of cuts.
 
@@ -166,7 +277,7 @@ def reversibilization_gap_sweep(q: float, n_list: Sequence[int],
                                 b_list: Sequence[float] = (1.5,)) -> list[dict]:
     """Per-truncation table: gaps of K, P, P* (with the root residual of
     ``ladder_gap``), ladder-cut conductance, and exponential return-time
-    moments.
+    moments.  No kernel is built.
 
     Checks recorded per row: the reversible-side Cheeger consistency
     gap(K) <= 2 kappa, and the lower Cheeger value kappa^2/2 (reported, not
@@ -177,12 +288,8 @@ def reversibilization_gap_sweep(q: float, n_list: Sequence[int],
     rows = []
     for n_trunc in n_list:
         spec = LadderChainSpec(N=int(n_trunc), q=q)
-        p_op = build_ladder(spec)
-        k_op = additive_reversibilization(p_op)
-        cuts = [spec.rung(n) for n in range(1, spec.N + 1)]
-        cuts += [[s] for s in range(spec.n_states)]
-        kappa, rung_values = conductance(k_op, cuts)
-        gap_k = 1.0 - spectral_radius_centered(k_op)
+        kappa, rung_values, _ = ladder_conductance(spec)
+        gap_k = ladder_reversible_gap(spec)
         gap_p, residual = ladder_gap(spec)
         row = {
             "N": spec.N,
@@ -192,10 +299,10 @@ def reversibilization_gap_sweep(q: float, n_list: Sequence[int],
             "gap_P_star": gap_p,
             "root_residual": residual,
             "kappa_upper": kappa,
-            "rung_conductance": rung_values[: spec.N],
+            "rung_conductance": rung_values.tolist(),
             "cheeger_upper_ok": bool(gap_k <= 2.0 * kappa + 1e-9),
             "cheeger_lower_value": kappa ** 2 / 2.0,
-            "pi_origin": float(p_op.stationary[0]),
+            "pi_origin": 1.0 / _expected_return_time(spec.jump_pmf()),
         }
         for b in b_list:
             row["moment_b%g" % b] = return_time_moment(spec, b, truncated=True)[0]

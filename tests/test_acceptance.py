@@ -17,7 +17,6 @@ from gibbsgap.bounds import (
     dsg_norm_bound_from_c,
     rsg_norm_bound,
     sample_permutations,
-    verify_bounds,
 )
 from gibbsgap.geometry import (
     check_sandwich,
@@ -31,7 +30,6 @@ from gibbsgap.operators import (
     _small_step_kernel,
     dsg,
     l2_norm_centered,
-    pi_kernel,
     rsg,
     spectral_radius_centered,
     symmetrized_sweep,

@@ -1,14 +1,23 @@
+import importlib
 import itertools
 import math
+import pkgutil
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import gibbsgap
+from gibbsgap import counterexample, operators
+from gibbsgap.cli import main
 from gibbsgap.counterexample import (
     LadderChainSpec,
+    _spider_inertia,
     build_ladder,
     conductance,
+    ladder_conductance,
     ladder_gap,
+    ladder_reversible_gap,
     ladder_stationary,
     return_time_moment,
     reversibilization_gap_sweep,
@@ -181,6 +190,81 @@ class TestConductance:
         k_op = additive_reversibilization(build_ladder(spec))
         with pytest.raises(ValidationError):
             conductance(k_op, [list(range(spec.n_states))])
+
+
+def _dense_reversibilization(spec):
+    return additive_reversibilization(build_ladder(spec))
+
+
+class TestReversibleGap:
+    """The spider-and-rung reduction against the dense symmetric solve of K."""
+
+    @pytest.mark.parametrize("q", [0.2, 0.5, 0.8, 0.95])
+    @pytest.mark.parametrize("n_trunc", [1, 2, 3, 9, 12, 17, 25, 40])
+    def test_matches_dense_solve(self, q, n_trunc):
+        spec = LadderChainSpec(N=n_trunc, q=q)
+        dense = 1.0 - spectral_radius_centered(_dense_reversibilization(spec))
+        assert ladder_reversible_gap(spec) == pytest.approx(dense, abs=1e-12)
+
+    def test_matches_dense_solve_at_60(self):
+        spec = LadderChainSpec(N=60, q=0.8)
+        dense = 1.0 - spectral_radius_centered(_dense_reversibilization(spec))
+        assert ladder_reversible_gap(spec) == pytest.approx(dense, abs=1e-12)
+
+    @pytest.mark.parametrize("q", [0.2, 0.5, 0.8, 0.95])
+    @pytest.mark.parametrize("n_trunc", [1, 2, 9, 17])
+    def test_inertia_counts_every_symmetric_mode(self, q, n_trunc):
+        p = LadderChainSpec(N=n_trunc, q=q).jump_pmf()
+        size = 1 + sum(math.ceil(n / 2) for n in range(1, n_trunc + 1))
+        counts = _spider_inertia(p, np.array([1.0 + 1e-12, -1.0 - 1e-12]))
+        assert counts.tolist() == [size, 0]
+
+    @pytest.mark.parametrize("n_trunc", [200, 201])
+    def test_large_truncation_without_oracle(self, n_trunc):
+        spec = LadderChainSpec(N=n_trunc, q=0.5)
+        gap = ladder_reversible_gap(spec)
+        kappa, _, _ = ladder_conductance(spec)
+        assert kappa ** 2 / 2.0 <= gap <= 2.0 * kappa
+        assert 4.8 <= n_trunc ** 2 * gap <= math.pi ** 2 / 2.0
+
+
+class TestLadderConductance:
+    @pytest.mark.parametrize("q, n_trunc", [(0.2, 1), (0.5, 12), (0.8, 17), (0.95, 9)])
+    def test_closed_forms_match_dense_cuts(self, q, n_trunc):
+        spec = LadderChainSpec(N=n_trunc, q=q)
+        cuts = [spec.rung(n) for n in range(1, n_trunc + 1)] + [[0]]
+        cuts += [[s] for n in range(1, n_trunc + 1) for s in spec.rung(n)]
+        dense_kappa, dense = conductance(_dense_reversibilization(spec), cuts)
+        kappa, rungs, singletons = ladder_conductance(spec)
+        expected = np.concatenate([rungs, np.repeat(singletons, np.r_[1, 1:n_trunc + 1])])
+        np.testing.assert_allclose(dense, expected, rtol=0, atol=1e-14)
+        assert kappa == pytest.approx(dense_kappa, abs=1e-14)
+
+
+def test_counterexample_command_builds_no_dense_kernel(tmp_path, monkeypatch):
+    dense = (counterexample.build_ladder, counterexample.conductance,
+             operators.additive_reversibilization, operators.spectral_radius_centered)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense ladder kernel on the counterexample path")
+
+    for info in pkgutil.iter_modules(gibbsgap.__path__):
+        module = importlib.import_module("gibbsgap." + info.name)
+        for attr, value in list(vars(module).items()):
+            if any(value is fn for fn in dense):
+                monkeypatch.setattr(module, attr, refuse)
+    assert main(["counterexample", "--N", "10,30,60", "--out-dir", str(tmp_path)]) == 0
+
+
+def test_sweep_row_allocates_under_a_megabyte():
+    # one dense 1,831-state kernel at N = 60 is 26.8 MB
+    tracemalloc.start()
+    try:
+        reversibilization_gap_sweep(0.5, [60])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 @pytest.fixture(scope="module")

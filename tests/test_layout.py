@@ -9,12 +9,17 @@ and the ``LAYERS`` entries run; a use inside a function or class counts only
 when that function or class has a caller itself, so a helper that only dead
 code uses is dead too.  A public method has a caller when any ``.name``
 attribute reference to it appears under src/.
+
+Every module under src/gibbsgap and tests/ also uses each name it imports.
+``from __future__`` imports are exempt, and so is a name that ``LAYERS``
+lists for the importing module: the tracer looks it up there.
 """
 import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "gibbsgap"
+TESTS = ROOT / "tests"
 TRACING = ROOT / "perfbench" / "tracing.py"
 DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
@@ -98,3 +103,24 @@ def _unreached():
 def test_every_public_name_in_src_has_a_caller():
     unreached = _unreached()
     assert not unreached, "only tests reach: " + ", ".join(unreached)
+
+
+def _unused_imports(tree, exempt):
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) or (isinstance(node, ast.ImportFrom)
+                                            and node.module != "__future__"):
+            for alias in node.names:
+                local = alias.asname or alias.name.split(".")[0]
+                if local not in used and local not in exempt:
+                    yield local
+
+
+def test_every_import_is_used():
+    layers = _layers()
+    unused = []
+    for path in sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py")):
+        exempt = layers.get(path.stem, ()) if path.parent == SRC else ()
+        unused += ["%s imports %s" % (path.relative_to(ROOT), name)
+                   for name in _unused_imports(ast.parse(path.read_text()), exempt)]
+    assert not unused, "unused imports: " + ", ".join(unused)

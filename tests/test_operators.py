@@ -11,7 +11,6 @@ from gibbsgap.operators import (
     RandomScan,
     Spectra,
     _small_step_kernel,
-    additive_reversibilization,
     adjoint,
     dsg,
     is_reversible,

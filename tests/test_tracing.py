@@ -28,5 +28,6 @@ def test_traced_commands_reach_every_layer(tmp_path):
         tracer.remove()
     metrics = tracer.layer_metrics()
     for name in ("sampler.run_chain.calls", "operators.kernel_builds",
-                 "geometry.inclination.calls", "counterexample.build_ladder.calls"):
+                 "geometry.inclination.calls",
+                 "counterexample.reversibilization_gap_sweep.calls"):
         assert metrics[name] > 0, name

@@ -51,6 +51,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -98,6 +99,11 @@ class LadderChainSpec:
         return [self.state_index(n, k) for k in range(1, n + 1)]
 
 
+def _geometric_mass(spec: LadderChainSpec) -> float:
+    """1 - q^(N+1), the normalizer of p(n) = (1 - q) q^n / (1 - q^(N+1))."""
+    return -math.expm1((spec.N + 1) * math.log(spec.q))
+
+
 def _expected_return_time(p: np.ndarray) -> float:
     """E[tau] = sum_n (n + 1) p(n)."""
     return float(np.sum((np.arange(p.size) + 1) * p))
@@ -133,15 +139,21 @@ def return_time_moment(spec: LadderChainSpec, b: float,
                        truncated: bool = True) -> tuple[float, bool]:
     """E[b^tau | X_0 = origin] = sum_n b^(n+1) p(n); (value, finite).
 
+    The truncated sum is b(1-q)/(1 - q^(N+1)) sum_n (bq)^n, summed as powers
+    of bq so that neither b^(n+1) overflows nor p(n) underflows on its own.
+    The float product x = fl(bq) is off by its rounding error e, which x^n
+    would multiply by n, so each power is scaled back by (1 + e/x)^n.
     With truncated=False the untruncated geometric series is summed: finite
     iff b q < 1, with value b(1-q)/(1-bq).
     """
     if b <= 1.0:
         raise ValidationError("b must be > 1, got %g" % b)
     if truncated:
-        p = spec.jump_pmf()
-        value = float(np.sum(b ** (np.arange(spec.N + 1) + 1.0) * p))
-        return value, True
+        x = b * spec.q
+        slip = math.log1p(float(Fraction(b) * Fraction(spec.q) - Fraction(x)) / x)
+        n = np.arange(spec.N + 1.0)
+        terms = x ** n * np.exp(n * slip)
+        return float(b * (1.0 - spec.q) / _geometric_mass(spec) * np.sum(terms)), True
     if b * spec.q >= 1.0:
         return math.inf, False
     return b * (1.0 - spec.q) / (1.0 - b * spec.q), True
@@ -151,19 +163,20 @@ def ladder_gap(spec: LadderChainSpec) -> tuple[float, float]:
     """(gap, root residual) of the ladder kernel P, which is also the gap of P*.
 
     The roots of the renewal polynomial are found with the substitution
-    lambda = r / nu, r = (p(N)/p(0))^(1/N) (r = q up to rounding):
-    nu solves g(nu) = sum_n p(n) r^-(n+1) nu^(n+1) - 1 = 0, whose coefficients
-    are balanced, so the float64 companion solve is accurate where the one on
-    the unscaled polynomial is not.  One Newton step polishes the roots.  The
+    lambda = q / nu: nu solves g(nu) = sum_n p(n) q^-(n+1) nu^(n+1) - 1 = 0,
+    and for the geometric law every coefficient p(n) q^-(n+1) is the same
+    (1-q) / (q (1 - q^(N+1))).  So the float64 companion solve is accurate
+    where the one on the unscaled polynomial is not, and no coefficient
+    underflows however small p(N) is.  One Newton step polishes the roots.  The
     residual is max over all roots of |1 - sum_n p(n) lambda^-(n+1)| = |g(nu)|.
     """
-    p = spec.jump_pmf()
-    r = (p[-1] / p[0]) ** (1.0 / spec.N)
-    g = np.append((p * r ** -(np.arange(spec.N + 1) + 1.0))[::-1], -1.0)
+    q = spec.q
+    coef = (1.0 - q) / (q * _geometric_mass(spec))
+    g = np.append(np.full(spec.N + 1, coef), -1.0)
     nu = np.roots(g)
     nu = nu - np.polyval(g, nu) / np.polyval(np.polyder(g), nu)
     residual = float(np.abs(np.polyval(g, nu)).max())
-    lam = r / nu
+    lam = q / nu
     others = np.delete(lam, np.argmin(np.abs(lam - 1.0)))
     return 1.0 - float(np.abs(others).max()), residual
 

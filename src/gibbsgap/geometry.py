@@ -25,6 +25,10 @@ to each other:
   branch at such a first-order KKT point.  It is an upper bound, not
   certified as the global minimum.  The sandwich inequality applied to the
   exact c gives a further lower bound.
+
+Everything here runs on numpy except the restarts' L-BFGS-B stages:
+``inclination`` imports ``scipy.optimize`` only once the bracket has stayed
+open, so a command whose brackets all close never loads scipy.
 """
 from __future__ import annotations
 
@@ -32,8 +36,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-import scipy.linalg
-import scipy.optimize
 
 from .errors import ValidationError
 from .measure import TargetDistribution
@@ -166,8 +168,12 @@ def _inclination_forms(pi: TargetDistribution) -> tuple[np.ndarray, np.ndarray]:
     sqrt(pi), dist(f, M_i)^2 = v^T A_i v for y = Q v.  D^{1/2} P_i D^{-1/2}
     is C_i C_i^T, whose columns are the unit vectors sqrt(pi(x_i | x_{-i}))
     of the x_{-i} cells, so A_i = I - (Q^T C_i)(Q^T C_i)^T, exactly symmetric.
+    Q holds the last n - 1 right singular vectors of the row sqrt(pi)^T
+    (LAPACK gesdd), the same chart as ``scipy.linalg.null_space`` gives.  The
+    chart fixes which functions the seeded restarts start from, so changing
+    it changes ell_hat on open brackets.
     """
-    q = scipy.linalg.null_space(np.sqrt(pi.pmf)[None, :])
+    q = np.linalg.svd(np.sqrt(pi.pmf)[None, :])[2][1:].T
     m = q.shape[1]
     forms = np.empty((pi.space.d, m, m))
     for form, (cells, cond) in zip(forms, pi.conditionals):
@@ -347,6 +353,10 @@ def inclination(pi: TargetDistribution, restarts: int = 32,
         return InclinationResult(value=float(np.sqrt(max(upper, 0.0))), witness=(q @ v) / s,
                                  restarts=0, lower=ell_lower, certified=True,
                                  kkt_residual=upper - lower)
+    # imported here, past the certified return: the import takes longer than
+    # most commands' own work
+    import scipy.optimize
+
     rng = np.random.default_rng(seed)
     best_val = np.inf
     best_v = None

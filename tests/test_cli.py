@@ -541,12 +541,49 @@ class TestReportContract:
         }
 
 
+_RUN_AND_LIST_SCIPY = """
+import json, sys
+from gibbsgap.cli import main
+
+out, runs = sys.argv[1], json.loads(sys.argv[2])
+seen = []
+for argv in runs:
+    code = main(argv + ["--out-dir", out])
+    seen.append((code, sorted(m for m in ("scipy.linalg", "scipy.optimize") if m in sys.modules)))
+print(json.dumps(seen))
+"""
+
+
 class TestEntryPoint:
     def test_console_script_version(self):
         out = subprocess.run([sys.executable, "-m", "gibbsgap.cli", "--version"],
                              capture_output=True, text=True)
         assert out.returncode == 0
         assert out.stdout.strip()
+
+    def test_scipy_loaded_only_by_an_open_bracket_restart(self, tmp_path, target_suite):
+        """A fresh process runs the four commands without loading scipy.linalg or
+        scipy.optimize; the first analyze whose dual bracket stays open loads the
+        optimizer for its restarts."""
+        open_target = target_suite[8]
+        spec = tmp_path / "open.json"
+        spec.write_text(json.dumps({"dims": list(open_target.space.dims),
+                                    "pmf": open_target.pmf.tolist()}))
+        runs = [["counterexample", *_SMALL_RUNS["counterexample"]],
+                ["sample", *_SMALL_RUNS["sample"]],
+                ["sweep", *_SMALL_RUNS["sweep"]],
+                ["analyze", *_SMALL_RUNS["analyze"]],
+                ["analyze", "--target-file", str(spec), "--restarts", "2"]]
+        out = subprocess.run([sys.executable, "-c", _RUN_AND_LIST_SCIPY, str(tmp_path),
+                              json.dumps(runs)], capture_output=True, text=True)
+        assert out.returncode == 0, out.stderr
+        seen = json.loads(out.stdout.splitlines()[-1])
+        assert seen[:-1] == [[0, []]] * 4
+        code, loaded = seen[-1]
+        assert code == 0 and "scipy.optimize" in loaded
+        rep = json.loads((tmp_path / "analyze.json").read_text())["report"]
+        assert not rep["inclination_certified"]
+        assert rep["inclination_restarts"] > 0
 
 
 class TestReporting:

@@ -3,6 +3,7 @@ import itertools
 import math
 import pkgutil
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -124,6 +125,30 @@ class TestReturnTimeMoment:
         with pytest.raises(ValidationError):
             return_time_moment(LadderChainSpec(N=3), 1.0)
 
+    @pytest.mark.parametrize("n_trunc", [1030, 1100])
+    def test_truncated_where_b_power_overflows(self, n_trunc):
+        # b q = 1: every term b^(n+1) p(n) is 1/(1 - 2^-(N+1)), but 2^(N+1) overflows
+        value, finite = return_time_moment(LadderChainSpec(N=n_trunc, q=0.5), 2.0)
+        assert finite
+        assert value == pytest.approx((n_trunc + 1) / (1.0 - 2.0 ** -(n_trunc + 1)), rel=1e-12)
+
+    def test_truncated_where_the_jump_law_underflows(self):
+        # p(n) underflows from n = 324 and 6^(n+1) overflows from n = 396; the
+        # tail (b q)^401 = 0.6^401 is far below rounding
+        value, _ = return_time_moment(LadderChainSpec(N=400, q=0.1), 6.0)
+        assert value == pytest.approx(13.5, rel=1e-12)
+
+    def test_truncated_equals_the_exact_rational_sum(self):
+        # fl(1.5 * 0.8) is one rounding off; taken to the 1000th power unscaled
+        # it would move the moment by about 1e-13
+        spec, b = LadderChainSpec(N=1000, q=0.8), 1.5
+        q, bb = Fraction(spec.q), Fraction(b)
+        x, top = bb * q, spec.N + 1
+        # b (1-q)/(1 - q^(N+1)) sum_n x^n, the geometric sum in exact rationals
+        exact = bb * (1 - q) / (1 - q ** top) * (x ** top - 1) / (x - 1)
+        value, _ = return_time_moment(spec, b)
+        assert value == pytest.approx(float(exact), rel=2e-15)
+
 
 class TestLadderGap:
     SMALL_SPECS = [LadderChainSpec(N=n, q=0.5) for n in (1, 2, 5, 10, 20)]
@@ -152,6 +177,34 @@ class TestLadderGap:
         gap, residual = ladder_gap(spec)
         assert gap == pytest.approx(oracle, abs=1e-9)
         assert residual <= 1e-12
+
+    def test_past_the_float_floor_matches_high_precision_roots(self):
+        # p(N) = 0 in float64 at q = 0.1, N = 400.  Every root of
+        # h(mu) = sum_n p(n) mu^(n+1) - 1, mu = 1/lambda, is polished at 60
+        # digits from a float start; N + 1 distinct roots are all of them.
+        mpmath = pytest.importorskip("mpmath")
+        spec = LadderChainSpec(N=400, q=0.1)
+        gap, residual = ladder_gap(spec)
+        with mpmath.workdps(60):
+            q = mpmath.mpf(spec.q)
+            p0 = 1 / mpmath.fsum(q ** n for n in range(spec.N + 1))
+
+            def h(mu):  # p(n) = p0 q^n, summed as a geometric series
+                return p0 * mu * (1 - (q * mu) ** (spec.N + 1)) / (1 - q * mu) - 1
+
+            starts = np.roots(np.append(np.ones(spec.N + 1), -1.0 / float(q * p0))) / spec.q
+            roots = [mpmath.findroot(h, (mpmath.mpc(s), mpmath.mpc(s) * (1 + 1e-9)))
+                     for s in starts]
+            assert max(abs(h(mu)) for mu in roots) <= 1e-50
+            lam = [1 / mu for mu in roots]
+            trivial = min(range(len(lam)), key=lambda k: abs(lam[k] - 1))
+            assert abs(lam[trivial] - 1) <= 1e-50
+            oracle = 1 - float(max(abs(z) for k, z in enumerate(lam) if k != trivial))
+        as_float = np.array([complex(z) for z in lam])
+        apart = np.abs(as_float[:, None] - as_float[None, :]) + np.eye(spec.N + 1)
+        assert apart.min() > 1e-6
+        assert gap == pytest.approx(oracle, abs=1e-9)
+        assert residual <= 1e-10
 
     @pytest.mark.parametrize("n_trunc", [1, 10, 40, 80, 120])
     def test_root_residual_small(self, n_trunc):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.optimize
 
 from gibbsgap import geometry
@@ -132,6 +133,12 @@ class TestInclinationForms:
             for i, a in enumerate(forms, start=1):
                 r = f - conditional_mean(f, i, pi)
                 assert v @ a @ v == pytest.approx(pi.pmf @ r ** 2, abs=1e-13 * (v @ v))
+
+    def test_chart_is_scipy_null_space(self, target_suite):
+        # the chart fixes where the seeded restarts start, so it must not move
+        for pi in target_suite:
+            chart = scipy.linalg.null_space(np.sqrt(pi.pmf)[None, :])
+            assert np.abs(_inclination_forms(pi)[1] - chart).max() <= 1e-15
 
 
 def _restart_loop(pi, restarts, seed, nelder_mead=True):

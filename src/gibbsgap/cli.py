@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import os
 import sys
 
@@ -261,8 +262,8 @@ def cmd_counterexample(args) -> int:
     if not 0.0 < args.q < 1.0:
         raise ValidationError("q must lie in (0, 1), got %g" % args.q)
     for b in args.b:
-        if b <= 1.0:
-            raise ValidationError("b must be > 1, got %g" % b)
+        if not 1.0 < b < math.inf:
+            raise ValidationError("b must be a finite number > 1, got %g" % b)
     for N in args.N:
         check_state_cap(LadderChainSpec(N, args.q).n_states, args.state_cap)
     rows = reversibilization_gap_sweep(args.q, args.N, b_list=args.b)

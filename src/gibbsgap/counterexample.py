@@ -144,16 +144,22 @@ def return_time_moment(spec: LadderChainSpec, b: float,
     The float product x = fl(bq) is off by its rounding error e, which x^n
     would multiply by n, so each power is scaled back by (1 + e/x)^n.
     With truncated=False the untruncated geometric series is summed: finite
-    iff b q < 1, with value b(1-q)/(1-bq).
+    iff b q < 1, with value b(1-q)/(1-bq).  A truncated sum past the float
+    range raises ValidationError.
     """
-    if b <= 1.0:
-        raise ValidationError("b must be > 1, got %g" % b)
+    if not 1.0 < b < math.inf:
+        raise ValidationError("b must be a finite number > 1, got %g" % b)
     if truncated:
         x = b * spec.q
         slip = math.log1p(float(Fraction(b) * Fraction(spec.q) - Fraction(x)) / x)
         n = np.arange(spec.N + 1.0)
-        terms = x ** n * np.exp(n * slip)
-        return float(b * (1.0 - spec.q) / _geometric_mass(spec) * np.sum(terms)), True
+        with np.errstate(over="ignore"):
+            terms = x ** n * np.exp(n * slip)
+            value = float(b * (1.0 - spec.q) / _geometric_mass(spec) * np.sum(terms))
+        if not math.isfinite(value):
+            raise ValidationError("E[b^tau] for b = %g at N = %d exceeds the float range"
+                                  % (b, spec.N))
+        return value, True
     if b * spec.q >= 1.0:
         return math.inf, False
     return b * (1.0 - spec.q) / (1.0 - b * spec.q), True

@@ -44,10 +44,14 @@ def report_document(command: str, config: Mapping[str, Any], body: Mapping[str, 
 
 
 def write_json(doc: Mapping[str, Any], path: str) -> None:
-    """Write plain JSON data, such as a ``report_document``, as sorted JSON."""
+    """Write plain JSON data, such as a ``report_document``, as sorted JSON.
+
+    Strict JSON: a NaN or infinite float raises ValueError before the file is
+    opened.
+    """
+    text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def write_csv(rows: Sequence[Mapping[str, Any]], path: str, columns: Sequence[str]) -> None:

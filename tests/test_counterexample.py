@@ -125,6 +125,16 @@ class TestReturnTimeMoment:
         with pytest.raises(ValidationError):
             return_time_moment(LadderChainSpec(N=3), 1.0)
 
+    @pytest.mark.parametrize("b", [math.inf, math.nan])
+    def test_rejects_non_finite_b(self, b):
+        with pytest.raises(ValidationError):
+            return_time_moment(LadderChainSpec(N=3), b)
+
+    def test_truncated_past_the_float_range_raises(self):
+        # about 4.5e397; the b^(n+1) sum used to return inf here
+        with pytest.raises(ValidationError, match="b = 1e\\+10 at N = 40"):
+            return_time_moment(LadderChainSpec(N=40, q=0.5), 1e10)
+
     @pytest.mark.parametrize("n_trunc", [1030, 1100])
     def test_truncated_where_b_power_overflows(self, n_trunc):
         # b q = 1: every term b^(n+1) p(n) is 1/(1 - 2^-(N+1)), but 2^(N+1) overflows

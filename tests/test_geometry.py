@@ -293,12 +293,53 @@ class TestBranchPolish:
 
     def test_failed_polish_runs_the_restart_loop(self, open_target, monkeypatch):
         monkeypatch.setattr(geometry, "_branch_polish", lambda forms, w, beta: None)
+        betas = []
+        lbfgs = geometry._lbfgs
+        monkeypatch.setattr(geometry, "_lbfgs",
+                            lambda fun, x, args: betas.append(args[1]) or lbfgs(fun, x, args))
         res = inclination(open_target, restarts=4, seed=0)
-        value, witness = _restart_loop(open_target, restarts=4, seed=0, nelder_mead=False)
-        assert res.value == value
-        np.testing.assert_array_equal(res.witness, witness)
+        assert betas == [4.0, 32.0, 256.0, 2048.0, 16384.0] * 4
+        # the scipy L-BFGS-B loop stops its stages elsewhere, and the unpolished
+        # ell_hat moves with the stopping point: 6.9e-11 apart here (up to
+        # 9.5e-9 on the open suite targets).  The best restart may differ, so
+        # the witness is checked for its value only.
+        value, _ = _restart_loop(open_target, restarts=4, seed=0, nelder_mead=False)
+        assert res.value == pytest.approx(value, abs=1e-9)
+        forms, q = _inclination_forms(open_target)
+        v = q.T @ (np.sqrt(open_target.pmf) * res.witness)
+        assert np.sqrt(_max_form(forms, v)) == pytest.approx(res.value, abs=1e-14)
         assert res.kkt_residual is None
         assert not res.certified and res.restarts == 4
+
+
+class TestLbfgs:
+    def test_rosenbrock(self):
+        def rosenbrock(x):
+            a, b = x
+            return ((1.0 - a) ** 2 + 100.0 * (b - a * a) ** 2,
+                    np.array([-2.0 * (1.0 - a) - 400.0 * a * (b - a * a), 200.0 * (b - a * a)]))
+
+        x = geometry._lbfgs(rosenbrock, np.array([-1.2, 1.0]))
+        np.testing.assert_allclose(x, [1.0, 1.0], atol=1e-9)
+
+    def test_reaches_the_scipy_minimum(self, target_suite, open_target):
+        # each annealing stage from the same start: L-BFGS-B's value and
+        # _lbfgs's agree to 3.8e-11 at worst over 4 restarts of these targets
+        for pi in [target_suite[i] for i in OPEN_SUITE] + [open_target]:
+            forms, q = _inclination_forms(pi)
+            rng = np.random.default_rng(0)
+            for _ in range(2):
+                w = rng.standard_normal(q.shape[1])
+                w /= np.linalg.norm(w)
+                for beta in (4.0, 32.0, 256.0, 2048.0, 16384.0):
+                    ref = scipy.optimize.minimize(
+                        _smoothed_objective, w, args=(forms, beta), jac=True,
+                        method="L-BFGS-B",
+                        options={"maxiter": 500, "ftol": 1e-14, "gtol": 1e-12})
+                    x = geometry._lbfgs(_smoothed_objective, w, (forms, beta))
+                    assert _smoothed_objective(x, forms, beta)[0] == pytest.approx(ref.fun,
+                                                                                   abs=1e-9)
+                    w = ref.x / np.linalg.norm(ref.x)
 
 
 class TestSandwich:

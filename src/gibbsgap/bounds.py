@@ -112,28 +112,21 @@ def sample_permutations(d: int, seed: int = 0) -> list[tuple[int, ...]]:
     return sorted(out)
 
 
-def verify_bounds(spectra: Spectra,
-                  sigma_list: Sequence[Sequence[int]] | None = None,
-                  weight_list: Sequence[Sequence[float]] | None = None,
-                  seed: int = 0, ell_lower: float | None = None) -> BoundReport:
-    """Exact norms (from spectra) for the requested scans versus every
-    applicable bound.
+def verify_bounds(spectra: Spectra, dsg_scans: Sequence[DeterministicScan],
+                  rsg_scans: Sequence[RandomScan], ell_lower: float) -> BoundReport:
+    """Exact norms (from spectra) of the given scans versus every applicable
+    bound.
 
     Asserts nothing itself; callers inspect ``violations()``.  Includes the
-    uniform-weight sharpness entry and the universal 1/d lower bound, and,
-    given ``ell_lower`` (a lower bound on the inclination, such as
-    ``InclinationResult.lower``), the deterministic-scan bound from it.
+    uniform-weight sharpness entry, the universal 1/d lower bound, and the
+    deterministic-scan bound from ``ell_lower``, a lower bound on the
+    inclination such as ``InclinationResult.lower``.
     """
     d = spectra.pi.space.d
     uniform = RandomScan.uniform(d)
     exact_uniform = spectra.norm(uniform)
     c = angle_from_uniform_norm(exact_uniform, d)
     entries: list[BoundEntry] = []
-
-    if sigma_list is None:
-        sigma_list = sample_permutations(d, seed=seed)
-    if weight_list is None:
-        weight_list = [uniform.weights]
 
     entries.append(BoundEntry(
         name="rsg_uniform_sharpness",
@@ -150,8 +143,7 @@ def verify_bounds(spectra: Spectra,
         inputs={"d": d},
     ))
 
-    for weights in weight_list:
-        scan = RandomScan(tuple(weights))
+    for scan in rsg_scans:
         entries.append(BoundEntry(
             name="rsg_norm_bound",
             bound=rsg_norm_bound(c, d, scan),
@@ -160,8 +152,7 @@ def verify_bounds(spectra: Spectra,
         ))
 
     cor2 = dsg_norm_bound_from_c(c, d)
-    for sigma in sigma_list:
-        scan = DeterministicScan(tuple(sigma))
+    for scan in dsg_scans:
         exact = spectra.norm(scan)
         entries.append(BoundEntry(
             name="dsg_norm_bound",
@@ -175,12 +166,11 @@ def verify_bounds(spectra: Spectra,
             exact=exact,
             inputs={"c": c, "d": d, "sigma": scan.order},
         ))
-        if ell_lower is not None:
-            entries.append(BoundEntry(
-                name="dsg_norm_bound_via_dual_l",
-                bound=dsg_norm_bound_from_l(ell_lower, d),
-                exact=exact,
-                inputs={"ell_lower": ell_lower, "d": d, "sigma": scan.order},
-            ))
+        entries.append(BoundEntry(
+            name="dsg_norm_bound_via_dual_l",
+            bound=dsg_norm_bound_from_l(ell_lower, d),
+            exact=exact,
+            inputs={"ell_lower": ell_lower, "d": d, "sigma": scan.order},
+        ))
 
     return BoundReport(angle=c, entries=tuple(entries))

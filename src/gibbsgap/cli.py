@@ -9,10 +9,9 @@ Commands::
 
 Exit status: 0 success, 1 an asserted inequality or simulation bound was
 violated beyond tolerance (the report is written first), 2 usage or
-validation error (no report is written), 3 state-count cap
-exceeded (every command checks it before any work on the target, and
-before it builds the pmf of a ``--model`` or of a ``model`` entry in a
-``--target-file``).
+validation error (no report is written), 3 state-count cap exceeded (checked
+once, where a command loads its target, before any work on it: a ``--model``
+or a ``model`` entry before its pmf is built, a ``pmf`` entry once it is valid).
 
 Scan mini-grammar: ``dsg:i1,i2,...,id`` (update order, 1-based) and
 ``rsg:uniform`` or ``rsg:w1,w2,...,wd``.
@@ -30,8 +29,9 @@ import numpy as np
 from . import __version__, geometry, bounds as bounds_mod
 from .counterexample import LadderChainSpec, reversibilization_gap_sweep
 from .errors import StateCapError, ValidationError
-from .measure import TargetDistribution, check_state_cap, model_builder, model_states, parse_target
-from .operators import DEFAULT_STATE_CAP, DeterministicScan, RandomScan, Spectra, scan_operator
+from .measure import (DEFAULT_STATE_CAP, TargetDistribution, check_state_cap, model_builder,
+                      model_states, parse_target)
+from .operators import DeterministicScan, RandomScan, Spectra, scan_operator
 from .reporting import default_output_dir, report_document, write_csv, write_json
 from .sampler import (
     asymptotic_variance_estimate,
@@ -99,7 +99,7 @@ def _scan_label(scan) -> str:
 
 def cmd_analyze(args) -> int:
     pi = _load_target(args)
-    spectra = Spectra(pi, state_cap=args.state_cap)
+    spectra = Spectra(pi)
     d = pi.space.d
     scans = _requested_scans(args, d)
 
@@ -115,17 +115,16 @@ def cmd_analyze(args) -> int:
         })
 
     incl = geometry.inclination(pi, restarts=args.restarts, seed=args.seed)
-    sigma_list = [s.order for s in scans if isinstance(s, DeterministicScan)] or None
-    weight_list = [s.weights for s in scans if isinstance(s, RandomScan)] or None
-    bound_report = bounds_mod.verify_bounds(spectra, sigma_list=sigma_list,
-                                            weight_list=weight_list, seed=args.seed,
-                                            ell_lower=incl.lower)
+    perms = [DeterministicScan(s) for s in bounds_mod.sample_permutations(d, seed=args.seed)]
+    # the bounds cover the requested scans of each kind, else perms or the uniform scan
+    dsg_scans = [s for s in scans if isinstance(s, DeterministicScan)] or perms
+    rsg_scans = [s for s in scans if isinstance(s, RandomScan)] or [RandomScan.uniform(d)]
+    bound_report = bounds_mod.verify_bounds(spectra, dsg_scans, rsg_scans, incl.lower)
     angle_bf = geometry.friedrichs_angle_bruteforce(pi)
     sandwich = geometry.check_sandwich(bound_report.angle, incl.value, d)
 
     # numeric surrogates for the six equivalent gap conditions
-    perms = bounds_mod.sample_permutations(d, seed=args.seed)
-    perm_norms = {",".join(map(str, s)): spectra.norm(DeterministicScan(s)) for s in perms}
+    perm_norms = {",".join(map(str, s.order)): spectra.norm(s) for s in perms}
     rng = np.random.default_rng(args.seed)
     weight_norms = []
     for _ in range(WEIGHT_SAMPLES):
@@ -133,7 +132,7 @@ def cmd_analyze(args) -> int:
         w = np.maximum(w, 1e-9)
         w = w / w.sum()
         weight_norms.append(spectra.norm(RandomScan(tuple(w))))
-    sym_norms = {",".join(map(str, s)): spectra.sym_norm(s) for s in perms}
+    sym_norms = {",".join(map(str, s.order)): spectra.sym_norm(s.order) for s in perms}
     uniform_norm = spectra.norm(RandomScan.uniform(d))
     panel = {
         "some_rsg_norm_lt_1": bool(uniform_norm < 1.0 - GAP_POSITIVE_TOL),
@@ -186,7 +185,7 @@ def cmd_sweep(args) -> int:
         check_state_cap(model_states(args.model, d), args.state_cap)
     rows = []
     for d in d_list:
-        spectra = Spectra(build(d, args.epsilon), state_cap=args.state_cap)
+        spectra = Spectra(build(d, args.epsilon))
         gap_rsg = 1.0 - spectra.norm(RandomScan.uniform(d))
         if gap_rsg <= GAP_POSITIVE_TOL:
             raise ValidationError("random-scan gap %.3g at d=%d is not above %g: no decay rate "
@@ -237,7 +236,7 @@ def cmd_sample(args) -> int:
     panels = []
     all_pass = True
     for scan in scans:
-        op = scan_operator(pi, scan, state_cap=args.state_cap)
+        op = scan_operator(pi, scan)
         rho = scan_rho(scan, op)
         est, se = asymptotic_variance_estimate(run_chain(op, args.n, seed=args.seed), f)
         bound = clt_variance_bound(rho, f, pi)
@@ -367,6 +366,8 @@ def main(argv=None) -> int:
     if args.out_dir is None:
         args.out_dir = default_output_dir()
     try:
+        if args.seed < 0:  # numpy seeds only from non-negative integers
+            raise ValidationError("--seed must be >= 0, got %d" % args.seed)
         return args.func(args)
     except StateCapError as exc:
         print("state cap exceeded: %s" % exc, file=sys.stderr)

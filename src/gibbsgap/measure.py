@@ -185,8 +185,9 @@ def _is_real(value) -> bool:
 def parse_target(spec_text: str, state_cap: int = DEFAULT_STATE_CAP) -> TargetDistribution:
     """Parse a JSON target spec with `dims` and exactly one of `pmf`/`model`.
 
-    A `model` entry is checked against ``state_cap`` before its pmf is
-    built.  Examples::
+    The target is checked against ``state_cap``: a `model` entry before its
+    pmf is built, a `pmf` entry once TargetDistribution has accepted it (so a
+    malformed pmf is a ValidationError whatever its size).  Examples::
 
         {"dims": [2, 2], "pmf": [0.25, 0.25, 0.25, 0.25]}
         {"dims": [2, 2], "model": {"name": "equicorrelated_binary", "epsilon": 0.25}}
@@ -211,7 +212,9 @@ def parse_target(spec_text: str, state_cap: int = DEFAULT_STATE_CAP) -> TargetDi
         pmf = doc["pmf"]
         if not isinstance(pmf, list) or not all(_is_real(p) for p in pmf):
             raise ValidationError("'pmf' must be a list of numbers")
-        return TargetDistribution(space, np.asarray(pmf, dtype=float))
+        target = TargetDistribution(space, np.asarray(pmf, dtype=float))
+        check_state_cap(space.total_states, state_cap)
+        return target
     model = doc["model"]
     if not isinstance(model, dict) or not isinstance(model.get("name"), str):
         raise ValidationError("'model' must be an object with a string 'name'")

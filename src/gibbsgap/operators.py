@@ -31,13 +31,14 @@ ill-conditioned (see ``counterexample.ladder_gap`` for the ladder chain).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence, Union
 
 import numpy as np
 
 from .errors import NumericError, ValidationError
-from .measure import DEFAULT_STATE_CAP, TargetDistribution, check_state_cap
+from .measure import TargetDistribution
 
 #: Row sums and stationarity are enforced to this tolerance.
 STOCHASTICITY_TOL = 1e-10
@@ -118,8 +119,10 @@ class RandomScan:
     def __post_init__(self):
         w = tuple(float(x) for x in self.weights)
         object.__setattr__(self, "weights", w)
-        if any(x <= 0 for x in w):
-            raise ValidationError("every scan weight must be > 0, got %r" % (w,))
+        for i, x in enumerate(w, start=1):
+            if not 0.0 < x < math.inf:  # also refuses NaN
+                raise ValidationError("scan weight %d is %r; every weight must be finite "
+                                      "and > 0, got %r" % (i, x, w))
         if abs(sum(w) - 1.0) > WEIGHT_TOL:
             raise ValidationError("scan weights must sum to 1, got %.17g" % sum(w))
 
@@ -135,13 +138,7 @@ class RandomScan:
 ScanSpec = Union[DeterministicScan, RandomScan]
 
 
-def pi_kernel(pi_vec: np.ndarray) -> np.ndarray:
-    """The rank-one kernel with every row equal to pi (the mean projector)."""
-    pi_vec = np.asarray(pi_vec, dtype=float).reshape(-1)
-    return np.tile(pi_vec, (pi_vec.shape[0], 1))
-
-
-def small_step(i: int, pi: TargetDistribution, state_cap: int = DEFAULT_STATE_CAP) -> MarkovOperator:
+def small_step(i: int, pi: TargetDistribution) -> MarkovOperator:
     """The kernel resampling coordinate i (1-based) from pi(.|x_{-i}).
 
     As an operator on L2(pi) this is the orthogonal projection onto the
@@ -150,7 +147,6 @@ def small_step(i: int, pi: TargetDistribution, state_cap: int = DEFAULT_STATE_CA
     d = pi.space.d
     if not 1 <= i <= d:
         raise ValidationError("coordinate index %d out of range 1..%d" % (i, d))
-    check_state_cap(pi.space.total_states, state_cap)
     return MarkovOperator(_small_step_kernel(i, pi), pi.pmf, label="P_%d" % i)
 
 
@@ -163,12 +159,11 @@ def _small_step_kernel(i: int, pi: TargetDistribution) -> np.ndarray:
     return kernel
 
 
-def _checked_scan(spec, kind: type, pi: TargetDistribution, state_cap: int):
-    """spec as a `kind` scan, after checking its length and the state cap."""
+def _checked_scan(spec, kind: type, pi: TargetDistribution):
+    """spec as a `kind` scan, after checking its length against the target."""
     scan = spec if isinstance(spec, kind) else kind(tuple(spec))
     if scan.d != pi.space.d:
         raise ValidationError("scan has %d coordinates, target has %d" % (scan.d, pi.space.d))
-    check_state_cap(pi.space.total_states, state_cap)
     return scan
 
 
@@ -180,41 +175,38 @@ def _sweep(path: Sequence[int], pi: TargetDistribution) -> np.ndarray:
     return kernel
 
 
-def dsg(sigma: Sequence[int], pi: TargetDistribution,
-        state_cap: int = DEFAULT_STATE_CAP) -> MarkovOperator:
+def dsg(sigma: Sequence[int], pi: TargetDistribution) -> MarkovOperator:
     """Deterministic scan: one full sweep updating sigma(1) first, sigma(d) last."""
-    scan = _checked_scan(sigma, DeterministicScan, pi, state_cap)
+    scan = _checked_scan(sigma, DeterministicScan, pi)
     return MarkovOperator(_sweep(scan.order, pi), pi.pmf, label="DSG sigma=%s" % (scan.order,))
 
 
-def rsg(weights: Union[RandomScan, Sequence[float]], pi: TargetDistribution,
-        state_cap: int = DEFAULT_STATE_CAP) -> MarkovOperator:
+def rsg(weights: Union[RandomScan, Sequence[float]], pi: TargetDistribution) -> MarkovOperator:
     """Random scan: the convex combination sum_i w_i P_i; reversible w.r.t. pi."""
-    scan = _checked_scan(weights, RandomScan, pi, state_cap)
+    scan = _checked_scan(weights, RandomScan, pi)
     kernel = np.zeros((pi.space.total_states,) * 2)
     for i, w in enumerate(scan.weights, start=1):
         kernel += w * _small_step_kernel(i, pi)
     return MarkovOperator(kernel, pi.pmf, label="RSG w=%s" % (scan.weights,))
 
 
-def symmetrized_sweep(sigma: Sequence[int], pi: TargetDistribution,
-                      state_cap: int = DEFAULT_STATE_CAP) -> MarkovOperator:
+def symmetrized_sweep(sigma: Sequence[int], pi: TargetDistribution) -> MarkovOperator:
     """The palindromic sweep sigma(1),...,sigma(d),sigma(d-1),...,sigma(1).
 
     Self-adjoint in L2(pi): it is T* T for the plain sweep T up to the
     idempotence of the middle factor.
     """
-    scan = _checked_scan(sigma, DeterministicScan, pi, state_cap)
+    scan = _checked_scan(sigma, DeterministicScan, pi)
     path = scan.order + scan.order[-2::-1]
     return MarkovOperator(_sweep(path, pi), pi.pmf, label="SYM sigma=%s" % (scan.order,))
 
 
-def scan_operator(pi: TargetDistribution, scan: ScanSpec, **kw) -> MarkovOperator:
+def scan_operator(pi: TargetDistribution, scan: ScanSpec) -> MarkovOperator:
     """The dense kernel a scan simulates: full sweep for DSG, one update for RSG."""
     if isinstance(scan, DeterministicScan):
-        return dsg(scan, pi, **kw)
+        return dsg(scan, pi)
     if isinstance(scan, RandomScan):
-        return rsg(scan, pi, **kw)
+        return rsg(scan, pi)
     raise ValidationError("unknown scan spec %r" % (scan,))
 
 
@@ -242,8 +234,7 @@ def _centered_conjugated(op: MarkovOperator) -> np.ndarray:
     """D^{1/2} (P - Pi) D^{-1/2}; its singular values give the L2(pi) norm."""
     pi = op.stationary
     s = np.sqrt(pi)
-    centered = op.kernel - pi_kernel(pi)
-    return centered * s[:, None] / s[None, :]
+    return (op.kernel - pi) * s[:, None] / s[None, :]
 
 
 def l2_norm_centered(op: MarkovOperator) -> float:
@@ -263,7 +254,7 @@ def spectral_radius_centered(op: MarkovOperator) -> float:
             a = _centered_conjugated(op)
             vals = np.linalg.eigvalsh(0.5 * (a + a.T))
         else:
-            vals = np.linalg.eigvals(op.kernel - pi_kernel(op.stationary))
+            vals = np.linalg.eigvals(op.kernel - op.stationary)  # Pi has every row pi
     except np.linalg.LinAlgError as exc:
         raise NumericError("eigensolver failed for %s: %s" % (op.label, exc)) from exc
     return float(np.abs(vals).max()) if vals.size else 0.0
@@ -272,15 +263,13 @@ def spectral_radius_centered(op: MarkovOperator) -> float:
 class Spectra:
     """Centered norms and radii of the DSG, RSG and palindromic scans of pi.
 
-    The state cap is checked once, on creation.  Values are memoized as
-    floats (no scan kernel is kept); ``norm_and_radius`` takes both from one
-    build of the operator.
+    pi is taken as given: the command that loaded it has already checked it
+    against the state cap.  Values are memoized as floats (no scan kernel is
+    kept); ``norm_and_radius`` takes both from one build of the operator.
     """
 
-    def __init__(self, pi: TargetDistribution, state_cap: int = DEFAULT_STATE_CAP):
-        check_state_cap(pi.space.total_states, state_cap)
+    def __init__(self, pi: TargetDistribution):
         self.pi = pi
-        self.state_cap = state_cap
         self._memo: dict = {}
 
     def norm(self, scan: ScanSpec) -> float:
@@ -301,8 +290,8 @@ class Spectra:
     def _measure(self, kind: str, scan: ScanSpec, names: tuple) -> tuple:
         missing = [name for name in names if (kind, scan, name) not in self._memo]
         if missing:
-            op = (symmetrized_sweep(scan, self.pi, state_cap=self.state_cap) if kind == "sym"
-                  else scan_operator(self.pi, scan, state_cap=self.state_cap))
+            op = (symmetrized_sweep(scan, self.pi) if kind == "sym"
+                  else scan_operator(self.pi, scan))
             for name in missing:
                 self._memo[kind, scan, name] = (l2_norm_centered(op) if name == "norm"
                                                 else spectral_radius_centered(op))

@@ -4,8 +4,9 @@ Chains are simulated from the dense one-step kernel of the operator they are
 given, so recorded steps match the analyzed operator exactly: one record per
 full sweep for a deterministic scan (there are no records inside a sweep),
 one record per single-coordinate update for a random scan.  The caller
-builds that operator once (``scan_operator``, under its state cap) and
-passes it, with its rate ``rho``, to every simulation.
+builds that operator once (``scan_operator``, for a target whose state
+count was checked against the cap when it was loaded) and passes it, with
+its rate ``rho``, to every simulation.
 Every chain starts from the stationary law op.stationary, so the tail bound
 carries no ||d nu/d pi|| factor.  Each call draws from one numpy Generator
 seeded with its seed: a chain takes its start state and then one uniform per
@@ -148,13 +149,11 @@ def asymptotic_variance_estimate(states: np.ndarray, f: np.ndarray) -> tuple[flo
     used = b * batch_count
     means = y[:used].reshape(batch_count, b).mean(axis=1)
     grand = means.mean()
-    est = b * np.sum((means - grand) ** 2) / (batch_count - 1)
-    # jackknife over batches
-    jack = np.empty(batch_count)
-    for k in range(batch_count):
-        rest = np.delete(means, k)
-        g = rest.mean()
-        jack[k] = b * np.sum((rest - g) ** 2) / (batch_count - 2)
+    dev2 = (means - grand) ** 2
+    est = b * np.sum(dev2) / (batch_count - 1)
+    # jackknife over batches: leaving batch k out moves the mean by
+    # -e_k/(B-1), so its sum of squared deviations is D - e_k^2 B/(B-1)
+    jack = b * (np.sum(dev2) - dev2 * (batch_count / (batch_count - 1))) / (batch_count - 2)
     se = float(np.sqrt(max((batch_count - 1) / batch_count * np.sum((jack - jack.mean()) ** 2), 0.0)))
     return float(est), se
 

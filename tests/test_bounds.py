@@ -13,9 +13,18 @@ from gibbsgap.bounds import (
     verify_bounds,
 )
 from gibbsgap.errors import ValidationError
-from gibbsgap.geometry import friedrichs_angle_from_norm
+from gibbsgap.geometry import friedrichs_angle_from_norm, inclination
 from gibbsgap.measure import equicorrelated_binary
-from gibbsgap.operators import Spectra
+from gibbsgap.operators import DeterministicScan, RandomScan, Spectra
+
+
+def _orders(d):
+    return [DeterministicScan(s) for s in sample_permutations(d)]
+
+
+def _verify(pi, dsg_scans, rsg_scans):
+    """verify_bounds as analyze calls it, with the dual lower bound on the inclination."""
+    return verify_bounds(Spectra(pi), dsg_scans, rsg_scans, inclination(pi, restarts=1).lower)
 
 
 class TestRsgNormBound:
@@ -101,30 +110,31 @@ class TestVerifyBounds:
 
     def test_no_violations_on_suite(self, target_suite):
         for pi in target_suite[:25]:
-            report = verify_bounds(Spectra(pi))
+            report = _verify(pi, _orders(pi.space.d), [RandomScan.uniform(pi.space.d)])
             assert report.violations() == []
 
     def test_uniform_entry_is_sharp(self, eps_pair):
-        report = verify_bounds(Spectra(eps_pair))
+        report = _verify(eps_pair, _orders(2), [RandomScan.uniform(2)])
         sharp = [e for e in report.entries if e.name == "rsg_uniform_sharpness"]
         assert len(sharp) == 1
         assert abs(sharp[0].slack) <= 1e-10
 
     def test_floor_entry_present(self, eps_pair):
-        report = verify_bounds(Spectra(eps_pair))
+        report = _verify(eps_pair, _orders(2), [RandomScan.uniform(2)])
         floor = [e for e in report.entries if e.name == "rsg_lower_bound_1_over_d"]
         assert len(floor) == 1
         assert floor[0].slack >= -1e-10
 
     def test_custom_scans(self, eps_pair):
-        report = verify_bounds(Spectra(eps_pair), sigma_list=[(2, 1)], weight_list=[(0.3, 0.7)])
+        report = _verify(eps_pair, [DeterministicScan((2, 1))], [RandomScan((0.3, 0.7))])
         names = [e.name for e in report.entries]
         assert names.count("dsg_norm_bound") == 1
+        assert names.count("dsg_norm_bound_via_dual_l") == 1
         assert names.count("rsg_norm_bound") == 1
         assert report.violations() == []
 
     def test_near_degenerate_target(self):
         pi = equicorrelated_binary(2, 1e-6)
-        report = verify_bounds(Spectra(pi))
+        report = _verify(pi, _orders(2), [RandomScan.uniform(2)])
         assert report.violations() == []
         assert report.angle == pytest.approx(1.0 - 2e-6, abs=1e-9)

@@ -242,6 +242,15 @@ class TestAnalyzeCommand:
                   "0.25", "--weight-samples", "3", "--out-dir", str(tmp_path)])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("weights, bad", [("nan,nan", "weight 1 is nan"),
+                                              ("0.5,nan", "weight 2 is nan")])
+    def test_non_finite_scan_weight_exit_2(self, tmp_path, capsys, weights, bad):
+        code = main(["analyze", "--model", "equicorrelated_binary", "--d", "2",
+                     "--epsilon", "0.25", "--scan", "rsg:" + weights, "--out-dir", str(tmp_path)])
+        assert code == 2
+        assert not (tmp_path / "analyze.json").exists()
+        assert bad in capsys.readouterr().err
+
     def test_state_count_beyond_int64_exit_2(self, tmp_path, capsys):
         # 4611686018427387905 * 4 wraps to 4 in int64
         spec = tmp_path / "target.json"
@@ -256,6 +265,45 @@ def _model_builder_fails(monkeypatch):
         raise AssertionError("built the pmf of an over-cap model")
 
     monkeypatch.setitem(measure._MODEL_BUILDERS, "equicorrelated_binary", fail)
+
+
+class TestTargetFileStateCap:
+    """A pmf --target-file is checked against the cap where it is loaded, before any step."""
+
+    @pytest.fixture
+    def target_2x3(self, tmp_path):
+        path = tmp_path / "target.json"
+        path.write_text(json.dumps({"dims": [2, 3], "pmf": random_target(2, (2, 3)).pmf.tolist()}))
+        return str(path)
+
+    _RUNS = {"analyze": ["--restarts", "2"],
+             "sample": ["--n", "1000", "--replicas", "10", "--n-grid", "100", "--eps-grid", "0.05"]}
+
+    @pytest.mark.parametrize("command", ["analyze", "sample"])
+    def test_one_below_exit_3_before_any_step(self, tmp_path, monkeypatch, target_2x3, command):
+        def fail(*args, **kwargs):
+            raise AssertionError("worked on an over-cap target")
+
+        _patch_everywhere(monkeypatch, operators._small_step_kernel, fail)
+        monkeypatch.setattr(geometry, "inclination", fail)
+        out = tmp_path / "out"
+        code = main([command, "--target-file", target_2x3, *self._RUNS[command],
+                     "--state-cap", "5", "--out-dir", str(out)])
+        assert code == 3
+        assert not (out / (command + ".json")).exists()
+
+    @pytest.mark.parametrize("command", ["analyze", "sample"])
+    def test_at_the_cap_runs(self, tmp_path, target_2x3, command):
+        code = main([command, "--target-file", target_2x3, *self._RUNS[command],
+                     "--state-cap", "6", "--out-dir", str(tmp_path)])
+        assert code == 0
+        assert (tmp_path / (command + ".json")).exists()
+
+    def test_over_cap_refused_before_the_replicas(self, tmp_path, target_2x3):
+        # as for a --model target: the cap is checked first
+        code = main(["sample", "--target-file", target_2x3, "--replicas", "0",
+                     "--state-cap", "5", "--out-dir", str(tmp_path)])
+        assert code == 3
 
 
 class TestModelStateCap:
@@ -403,16 +451,13 @@ class TestSampleCommand:
     @pytest.mark.parametrize("scan", ["dsg:2,3,1", "rsg:uniform"])
     def test_scan_operator_built_once_under_state_cap(self, tmp_path, monkeypatch,
                                                       target_3x3x3, scan):
-        caps = []
+        # the kernel the scan simulates is built once, for the chain and the tail replicas
+        built = []
         original = operators.scan_operator
-
-        def recorded(pi, spec, **kwargs):
-            caps.append(kwargs.get("state_cap", operators.DEFAULT_STATE_CAP))
-            return original(pi, spec, **kwargs)
-
-        _patch_everywhere(monkeypatch, original, recorded)
+        _patch_everywhere(monkeypatch, original,
+                          lambda pi, spec: built.append(spec) or original(pi, spec))
         assert self._sample(tmp_path, target_3x3x3, scan, "--state-cap", "25000") == 0
-        assert caps == [25000]
+        assert built == [parse_scan(scan, 3)]
 
     @pytest.mark.parametrize("scan, solver", [("dsg:2,3,1", "spectral_radius_centered"),
                                               ("rsg:uniform", "l2_norm_centered")])
@@ -536,6 +581,13 @@ class TestReportContract:
         err = capsys.readouterr().err.splitlines()
         assert len([line for line in err if line.startswith("assertion failure:")]) == 1
         assert code == 1
+
+    @pytest.mark.parametrize("command", list(_SMALL_RUNS))
+    def test_negative_seed_exit_2_without_report(self, tmp_path, capsys, command):
+        code = main([command, *_SMALL_RUNS[command], "--seed", "-1", "--out-dir", str(tmp_path)])
+        assert code == 2
+        assert not (tmp_path / (command + ".json")).exists()
+        assert capsys.readouterr().err.splitlines() == ["error: --seed must be >= 0, got -1"]
 
     def test_csv_headers(self, tmp_path):
         for command in ("analyze", "sweep", "counterexample"):

@@ -124,3 +124,12 @@ def test_every_import_is_used():
         unused += ["%s imports %s" % (path.relative_to(ROOT), name)
                    for name in _unused_imports(ast.parse(path.read_text()), exempt)]
     assert not unused, "unused imports: " + ", ".join(unused)
+
+
+def test_state_cap_checked_only_where_targets_are_loaded():
+    # the commands decide which target is too big; what computes on a target takes it as given
+    callers = sorted(path.stem for path in SRC.glob("*.py")
+                     if any(isinstance(node, ast.Call) and getattr(node.func, "id", None)
+                            == "check_state_cap" for node in ast.walk(ast.parse(path.read_text()))))
+    assert callers == ["cli", "measure"]
+    assert "state_cap" not in (SRC / "operators.py").read_text()

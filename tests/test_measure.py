@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +7,6 @@ from hypothesis import strategies as st
 
 from gibbsgap.errors import StateCapError, ValidationError
 from gibbsgap.measure import ProductSpace, TargetDistribution, equicorrelated_binary, parse_target
-from gibbsgap.operators import pi_kernel
 from oracles import conditional_mean, inner_product, random_target
 
 
@@ -81,7 +82,7 @@ class TestInnerProduct:
 
     def test_centered_orthogonal_to_constants(self, eps_pair):
         f = np.array([1.0, 1.0, 0.0, 0.0])
-        centered = f - pi_kernel(eps_pair.pmf) @ f
+        centered = f - eps_pair.pmf @ f
         assert inner_product(centered, np.ones(4), eps_pair) == pytest.approx(0.0, abs=1e-15)
 
     def test_state_indicator(self, uniform_2x2):
@@ -102,24 +103,24 @@ class TestInnerProduct:
 
 
 class TestMeanProject:
-    """``operators.pi_kernel`` acting on functions: the projection onto the constants."""
+    """The mean projector Pi f = (pi . f) 1: the projection onto the constants."""
 
     def test_fixes_constants(self, eps_pair):
-        np.testing.assert_allclose(pi_kernel(eps_pair.pmf) @ np.full(4, 3.25), 3.25)
+        np.testing.assert_allclose(eps_pair.pmf @ np.full(4, 3.25), 3.25)
 
     def test_kills_mean_zero(self, eps_pair):
         f = np.array([1.0, -3.0, -3.0, 1.0])
-        np.testing.assert_allclose(pi_kernel(eps_pair.pmf) @ f, 0.0, atol=1e-15)
+        np.testing.assert_allclose(eps_pair.pmf @ f, 0.0, atol=1e-15)
 
     def test_first_coordinate_on_uniform(self, uniform_2x2):
         f = np.array([0.0, 0.0, 1.0, 1.0])
-        np.testing.assert_allclose(pi_kernel(uniform_2x2.pmf) @ f, 0.5)
+        np.testing.assert_allclose(uniform_2x2.pmf @ f, 0.5)
 
     def test_idempotent_and_contractive(self):
         pi = random_target(3, (3, 2, 2))
         f = np.random.default_rng(5).standard_normal(12)
-        once = pi_kernel(pi.pmf) @ f
-        twice = pi_kernel(pi.pmf) @ once
+        once = np.full_like(f, pi.pmf @ f)
+        twice = np.full_like(f, pi.pmf @ once)
         np.testing.assert_allclose(once, twice, atol=1e-14)
         assert inner_product(once, once, pi) <= inner_product(f, f, pi) + 1e-12
 
@@ -208,6 +209,12 @@ class TestParseTarget:
         with pytest.raises(StateCapError):
             parse_target(spec % ([2] * 4), state_cap=15)
         assert parse_target(spec % ([2] * 4), state_cap=16).space.total_states == 16
+
+    def test_pmf_checked_against_the_cap(self):
+        spec = json.dumps({"dims": [2, 3], "pmf": [1 / 6] * 6})
+        with pytest.raises(StateCapError, match="6 states, above the cap of 5"):
+            parse_target(spec, state_cap=5)
+        assert parse_target(spec, state_cap=6).space.total_states == 6
 
 
 class TestEquicorrelatedBinary:

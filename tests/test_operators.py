@@ -1,9 +1,10 @@
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from gibbsgap.errors import StateCapError, ValidationError
+from gibbsgap.errors import ValidationError
 from gibbsgap import operators
 from gibbsgap.operators import (
     DeterministicScan,
@@ -15,7 +16,6 @@ from gibbsgap.operators import (
     dsg,
     is_reversible,
     l2_norm_centered,
-    pi_kernel,
     rsg,
     small_step,
     spectral_radius_centered,
@@ -36,6 +36,14 @@ class TestScanSpecs:
             RandomScan((0.5, 0.6))
         with pytest.raises(ValidationError):
             RandomScan((1.0, 0.0))
+
+    @pytest.mark.parametrize("weights, bad", [((math.nan, math.nan), "weight 1 is nan"),
+                                              ((0.5, math.nan), "weight 2 is nan"),
+                                              ((math.inf, 0.5), "weight 1 is inf")])
+    def test_rsg_names_a_non_finite_weight(self, weights, bad):
+        # a NaN fails every comparison, so a "<= 0" check and the sum check let it through
+        with pytest.raises(ValidationError, match=bad):
+            RandomScan(weights)
 
     def test_uniform(self):
         assert RandomScan.uniform(4).weights == (0.25,) * 4
@@ -98,10 +106,6 @@ class TestSmallStep:
         assert op.kernel[0, 0] == pytest.approx(0.75)
         assert op.kernel[0, 2] == pytest.approx(0.25)
         assert op.kernel[0, 1] == 0.0
-
-    def test_state_cap(self, eps_pair):
-        with pytest.raises(StateCapError):
-            small_step(1, eps_pair, state_cap=3)
 
 
 def _cell_loop_kernel(i, pi):
@@ -266,10 +270,6 @@ class TestSpectra:
             assert spectra.norm(weights) == l2_norm_centered(op)
             assert spectra.radius(weights) == spectral_radius_centered(op)
 
-    def test_state_cap_checked_on_creation(self, eps_pair):
-        with pytest.raises(StateCapError):
-            Spectra(eps_pair, state_cap=3)
-
     def test_each_operator_built_once(self, eps_pair, monkeypatch):
         built = []
         for name in ("dsg", "rsg", "symmetrized_sweep"):
@@ -302,9 +302,3 @@ class TestSpectra:
         with pytest.raises(ValidationError):
             Spectra(eps_pair).norm(DeterministicScan((1, 2, 3)))
 
-
-class TestDiagnostics:
-    def test_pi_kernel_rows(self, eps_pair):
-        k = pi_kernel(eps_pair.pmf)
-        for row in k:
-            np.testing.assert_allclose(row, eps_pair.pmf)

@@ -175,6 +175,24 @@ class TestCltVarianceBound:
             asymptotic_variance_estimate(states[:99], np.zeros(4))
         assert asymptotic_variance_estimate(states, np.zeros(4)) == (0.0, 0.0)
 
+    @pytest.mark.parametrize("n, seed", [(100, 0), (1000, 1), (99_999, 2), (100_000, 3)])
+    def test_jackknife_matches_the_leave_one_out_loop(self, eps_pair, n, seed):
+        rng = np.random.default_rng(seed)
+        f = rng.standard_normal(4)
+        states = run_chain(scan_operator(eps_pair, DeterministicScan((2, 1))), n, seed=seed)
+        est, se = asymptotic_variance_estimate(states, f)
+        # the batch means and the loop over left-out batches that the closed form replaces
+        batches = int(np.sqrt(n))
+        b = n // batches
+        means = f[states][:b * batches].reshape(batches, b).mean(axis=1)
+        jack = np.empty(batches)
+        for k in range(batches):
+            rest = np.delete(means, k)
+            jack[k] = b * np.sum((rest - rest.mean()) ** 2) / (batches - 2)
+        expected = np.sqrt((batches - 1) / batches * np.sum((jack - jack.mean()) ** 2))
+        assert est == b * np.sum((means - means.mean()) ** 2) / (batches - 1)
+        assert se == pytest.approx(expected, rel=1e-12, abs=0.0)
+
 
 class TestHoeffding:
     def test_worked_value(self):

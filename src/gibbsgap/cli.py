@@ -99,6 +99,8 @@ def _scan_label(scan) -> str:
 
 def cmd_analyze(args) -> int:
     pi = _load_target(args)
+    if args.restarts < 1:
+        raise ValidationError("restarts must be >= 1, got %d" % args.restarts)
     spectra = Spectra(pi)
     d = pi.space.d
     scans = _requested_scans(args, d)
@@ -132,7 +134,8 @@ def cmd_analyze(args) -> int:
         w = np.maximum(w, 1e-9)
         w = w / w.sum()
         weight_norms.append(spectra.norm(RandomScan(tuple(w))))
-    sym_norms = {",".join(map(str, s.order)): spectra.sym_norm(s.order) for s in perms}
+    # each P_i is a self-adjoint projection, so the palindromic sweep is D D*
+    sym_norms = {key: norm ** 2 for key, norm in perm_norms.items()}
     uniform_norm = spectra.norm(RandomScan.uniform(d))
     panel = {
         "some_rsg_norm_lt_1": bool(uniform_norm < 1.0 - GAP_POSITIVE_TOL),

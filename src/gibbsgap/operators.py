@@ -1,11 +1,12 @@
 """Markov operators on L2(pi) as dense transition tables.
 
-Every scan is built from the small steps P_1..P_d: ``dsg`` and
-``symmetrized_sweep`` multiply them along an update path, ``rsg`` mixes
-them.  Each step is densified on demand from the target's table of full
-conditionals (``TargetDistribution.conditionals``), so a sweep holds at most
-three dense kernels at once.  ``Spectra`` serves the norms and radii of all
-scans of one target.
+Every scan is built from the small steps P_1..P_d: ``dsg`` multiplies them
+along an update path, ``rsg`` mixes them.  Each step is densified on demand
+from the target's table of full conditionals (``TargetDistribution.conditionals``),
+so a sweep holds at most three dense kernels at once.  ``Spectra`` serves the
+norms and radii of all scans of one target.  No command needs the palindromic
+``symmetrized_sweep``: it is D D* for the sweep D, so its centered norm is
+||D - Pi||^2.  It stays as a hook of perfbench's tracer and as the tests' oracle.
 
 Order convention: ``dsg(sigma, pi)`` returns the kernel of the chain that
 updates coordinate sigma(1) *first in time* and sigma(d) last, i.e. the
@@ -261,7 +262,7 @@ def spectral_radius_centered(op: MarkovOperator) -> float:
 
 
 class Spectra:
-    """Centered norms and radii of the DSG, RSG and palindromic scans of pi.
+    """Centered norms and radii of the DSG and RSG scans of pi.
 
     pi is taken as given: the command that loaded it has already checked it
     against the state cap.  Values are memoized as floats (no scan kernel is
@@ -274,25 +275,20 @@ class Spectra:
 
     def norm(self, scan: ScanSpec) -> float:
         """||K - Pi|| for the kernel K that the scan simulates."""
-        return self._measure("scan", scan, ("norm",))[0]
+        return self._measure(scan, ("norm",))[0]
 
     def radius(self, scan: ScanSpec) -> float:
         """rho(K - Pi) for the kernel K that the scan simulates."""
-        return self._measure("scan", scan, ("radius",))[0]
+        return self._measure(scan, ("radius",))[0]
 
     def norm_and_radius(self, scan: ScanSpec) -> tuple[float, float]:
-        return self._measure("scan", scan, ("norm", "radius"))
+        return self._measure(scan, ("norm", "radius"))
 
-    def sym_norm(self, sigma: Sequence[int]) -> float:
-        """||S - Pi|| for the palindromic sweep S of the update order sigma."""
-        return self._measure("sym", DeterministicScan(tuple(sigma)), ("norm",))[0]
-
-    def _measure(self, kind: str, scan: ScanSpec, names: tuple) -> tuple:
-        missing = [name for name in names if (kind, scan, name) not in self._memo]
+    def _measure(self, scan: ScanSpec, names: tuple) -> tuple:
+        missing = [name for name in names if (scan, name) not in self._memo]
         if missing:
-            op = (symmetrized_sweep(scan, self.pi) if kind == "sym"
-                  else scan_operator(self.pi, scan))
+            op = scan_operator(self.pi, scan)
             for name in missing:
-                self._memo[kind, scan, name] = (l2_norm_centered(op) if name == "norm"
-                                                else spectral_radius_centered(op))
-        return tuple(self._memo[kind, scan, name] for name in names)
+                self._memo[scan, name] = (l2_norm_centered(op) if name == "norm"
+                                          else spectral_radius_centered(op))
+        return tuple(self._memo[scan, name] for name in names)

@@ -186,9 +186,42 @@ class TestAnalyzeCommand:
         code = main(["analyze", "--model", "equicorrelated_binary", "--d", "3",
                      "--epsilon", "0.25", "--out-dir", str(tmp_path)])
         assert code == 0
-        # 3! sweep orders and 3! palindromes; uniform plus 8 sampled random scans
-        assert counts == {"dsg": 6, "rsg": 9, "symmetrized_sweep": 6,
-                          "l2_norm_centered": 21, "spectral_radius_centered": 2}
+        # 3! sweep orders, whose squared norms are the SYM panel; uniform plus 8 sampled
+        # random scans
+        assert counts == Counter({"dsg": 6, "rsg": 9, "symmetrized_sweep": 0,
+                                  "l2_norm_centered": 15, "spectral_radius_centered": 2})
+
+    @pytest.mark.parametrize("target", ["model_d3", "pmf_2x3x2"])
+    def test_sym_norms_are_the_palindromic_norms(self, tmp_path, target):
+        if target == "model_d3":
+            pi = measure.equicorrelated_binary(3, 0.25)
+            run = ["--model", "equicorrelated_binary", "--d", "3", "--epsilon", "0.25"]
+        else:
+            pi = random_target(7, (2, 3, 2))
+            spec = tmp_path / "target.json"
+            spec.write_text(json.dumps({"dims": [2, 3, 2], "pmf": pi.pmf.tolist()}))
+            run = ["--target-file", str(spec)]
+        code = main(["analyze", *run, "--restarts", "4", "--out-dir", str(tmp_path)])
+        assert code == 0
+        panel = json.loads((tmp_path / "analyze.json").read_text())["report"]["equivalence_panel"]
+        sym, plain = panel["sym_norms_by_permutation"], panel["dsg_norms_by_permutation"]
+        assert sorted(sym) == sorted(plain) and len(sym) == 6
+        for key, value in sym.items():
+            order = tuple(int(i) for i in key.split(","))
+            palindrome = operators.l2_norm_centered(operators.symmetrized_sweep(order, pi))
+            assert abs(value - palindrome) <= 1e-12
+            assert value == plain[key] ** 2
+
+    def test_restarts_below_one_refused_before_any_step(self, tmp_path, monkeypatch, capsys):
+        def fail(*args, **kwargs):
+            raise AssertionError("worked on the target before checking --restarts")
+
+        _patch_everywhere(monkeypatch, operators._small_step_kernel, fail)
+        code = main(["analyze", "--model", "equicorrelated_binary", "--d", "3",
+                     "--epsilon", "0.25", "--restarts", "0", "--out-dir", str(tmp_path)])
+        assert code == 2
+        assert not (tmp_path / "analyze.json").exists()
+        assert "restarts must be >= 1, got 0" in capsys.readouterr().err
 
     def test_conditionals_built_once_per_target(self, tmp_path, monkeypatch):
         built = _count_table_builds(monkeypatch)

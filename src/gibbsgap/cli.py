@@ -29,12 +29,14 @@ import numpy as np
 from . import __version__, geometry, bounds as bounds_mod
 from .counterexample import LadderChainSpec, reversibilization_gap_sweep
 from .errors import StateCapError, ValidationError
-from .measure import (DEFAULT_STATE_CAP, TargetDistribution, check_state_cap, model_builder,
-                      model_states, parse_target)
+from .measure import (DEFAULT_STATE_CAP, TargetDistribution, check_state_cap, model_states,
+                      model_target, parse_target)
 from .operators import DeterministicScan, RandomScan, Spectra, scan_operator
 from .reporting import default_output_dir, report_document, write_csv, write_json
 from .sampler import (
+    BATCH_MEANS_MIN_STEPS,
     asymptotic_variance_estimate,
+    check_tail_inputs,
     clt_variance_bound,
     empirical_tails,
     run_chain,
@@ -83,11 +85,9 @@ def _load_target(args) -> TargetDistribution:
             raise ValidationError("cannot read --target-file: %s" % exc) from exc
         return parse_target(text, state_cap=args.state_cap)
     if args.model:
-        build = model_builder(args.model)
         if args.d is None or args.epsilon is None:
             raise ValidationError("--model %s needs --d and --epsilon" % args.model)
-        check_state_cap(model_states(args.model, args.d), args.state_cap)
-        return build(args.d, args.epsilon)
+        return model_target(args.model, args.d, args.epsilon, args.state_cap)
     raise ValidationError("give one of --target-file and --model")
 
 
@@ -183,12 +183,11 @@ def cmd_sweep(args) -> int:
     d_list = args.d_list
     if len(set(d_list)) < 3:
         raise ValidationError("sweep needs at least 3 distinct dimensions to fit a rate")
-    build = model_builder(args.model)
-    for d in d_list:
+    for d in d_list:  # an over-cap d is refused before any pmf is built
         check_state_cap(model_states(args.model, d), args.state_cap)
     rows = []
     for d in d_list:
-        spectra = Spectra(build(d, args.epsilon))
+        spectra = Spectra(model_target(args.model, d, args.epsilon, args.state_cap))
         gap_rsg = 1.0 - spectra.norm(RandomScan.uniform(d))
         if gap_rsg <= GAP_POSITIVE_TOL:
             raise ValidationError("random-scan gap %.3g at d=%d is not above %g: no decay rate "
@@ -231,10 +230,11 @@ def _indicator(pi: TargetDistribution, spec_text: str) -> np.ndarray:
 
 def cmd_sample(args) -> int:
     pi = _load_target(args)
-    if args.replicas < 1:
-        raise ValidationError("replicas must be >= 1")
     scans = _requested_scans(args, pi.space.d)
     f = _indicator(pi, args.function)
+    if args.n < BATCH_MEANS_MIN_STEPS:
+        raise ValidationError("--n must be >= %d for batch means" % BATCH_MEANS_MIN_STEPS)
+    check_tail_inputs(float(pi.pmf @ f), args.n_grid, args.eps_grid, args.replicas)
 
     panels = []
     all_pass = True

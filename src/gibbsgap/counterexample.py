@@ -135,34 +135,28 @@ def build_ladder(spec: LadderChainSpec) -> MarkovOperator:
     return MarkovOperator(kernel, ladder_stationary(spec), label="ladder N=%d" % spec.N)
 
 
-def return_time_moment(spec: LadderChainSpec, b: float,
-                       truncated: bool = True) -> tuple[float, bool]:
-    """E[b^tau | X_0 = origin] = sum_n b^(n+1) p(n); (value, finite).
+def return_time_moment(spec: LadderChainSpec, b: float) -> float:
+    """E[b^tau | X_0 = origin] = sum_n b^(n+1) p(n) for the truncated jump law.
 
-    The truncated sum is b(1-q)/(1 - q^(N+1)) sum_n (bq)^n, summed as powers
-    of bq so that neither b^(n+1) overflows nor p(n) underflows on its own.
-    The float product x = fl(bq) is off by its rounding error e, which x^n
-    would multiply by n, so each power is scaled back by (1 + e/x)^n.
-    With truncated=False the untruncated geometric series is summed: finite
-    iff b q < 1, with value b(1-q)/(1-bq).  A truncated sum past the float
-    range raises ValidationError.
+    The sum is b(1-q)/(1 - q^(N+1)) sum_n (bq)^n, summed as powers of bq so
+    that neither b^(n+1) overflows nor p(n) underflows on its own.  The float
+    product x = fl(bq) is off by its rounding error e, which x^n would
+    multiply by n, so each power is scaled back by (1 + e/x)^n.  A sum past
+    the float range raises ValidationError.  (The untruncated moment is
+    finite iff b q < 1.)
     """
     if not 1.0 < b < math.inf:
         raise ValidationError("b must be a finite number > 1, got %g" % b)
-    if truncated:
-        x = b * spec.q
-        slip = math.log1p(float(Fraction(b) * Fraction(spec.q) - Fraction(x)) / x)
-        n = np.arange(spec.N + 1.0)
-        with np.errstate(over="ignore"):
-            terms = x ** n * np.exp(n * slip)
-            value = float(b * (1.0 - spec.q) / _geometric_mass(spec) * np.sum(terms))
-        if not math.isfinite(value):
-            raise ValidationError("E[b^tau] for b = %g at N = %d exceeds the float range"
-                                  % (b, spec.N))
-        return value, True
-    if b * spec.q >= 1.0:
-        return math.inf, False
-    return b * (1.0 - spec.q) / (1.0 - b * spec.q), True
+    x = b * spec.q
+    slip = math.log1p(float(Fraction(b) * Fraction(spec.q) - Fraction(x)) / x)
+    n = np.arange(spec.N + 1.0)
+    with np.errstate(over="ignore"):
+        terms = x ** n * np.exp(n * slip)
+        value = float(b * (1.0 - spec.q) / _geometric_mass(spec) * np.sum(terms))
+    if not math.isfinite(value):
+        raise ValidationError("E[b^tau] for b = %g at N = %d exceeds the float range"
+                              % (b, spec.N))
+    return value
 
 
 def ladder_gap(spec: LadderChainSpec) -> tuple[float, float]:
@@ -324,7 +318,7 @@ def reversibilization_gap_sweep(q: float, n_list: Sequence[int],
             "pi_origin": 1.0 / _expected_return_time(spec.jump_pmf()),
         }
         for b in b_list:
-            row["moment_b%g" % b] = return_time_moment(spec, b, truncated=True)[0]
-            row["moment_b%g_analytic_finite" % b] = return_time_moment(spec, b, truncated=False)[1]
+            row["moment_b%g" % b] = return_time_moment(spec, b)
+            row["moment_b%g_analytic_finite" % b] = bool(b * spec.q < 1.0)
         rows.append(row)
     return rows

@@ -109,19 +109,15 @@ def subspace_basis(i: int, pi: TargetDistribution) -> np.ndarray:
     (n_states, dim) array whose columns are orthonormal in L2(pi).
 
     Built by orthonormalizing the mean-centered indicators of the x_{-i}
-    cells in the pi inner product, with rank tolerance RANK_TOL.
+    cells of pi.conditionals in the pi inner product, with rank tolerance
+    RANK_TOL.
     """
     d = pi.space.d
     if not 1 <= i <= d:
         raise ValidationError("coordinate index %d out of range 1..%d" % (i, d))
-    dims = pi.space.dims
-    axis = i - 1
-    n = pi.space.total_states
-    idx = np.arange(n).reshape(dims)
-    cells = np.moveaxis(idx, axis, -1).reshape(-1, dims[axis])
-    span = np.zeros((n, cells.shape[0]))
-    for j, cell in enumerate(cells):
-        span[cell, j] = 1.0
+    cells, _ = pi.conditionals[i - 1]
+    span = np.zeros((pi.space.total_states, cells.shape[0]))
+    span[cells, np.arange(cells.shape[0])[:, None]] = 1.0
     span -= pi.pmf @ span  # mean-center each column
     s = np.sqrt(pi.pmf)
     y = span * s[:, None]

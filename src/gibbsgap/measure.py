@@ -147,27 +147,30 @@ def equicorrelated_binary(d: int, epsilon: float) -> TargetDistribution:
     return TargetDistribution(space, w / w.sum())
 
 
-_MODEL_BUILDERS = {
-    "equicorrelated_binary": equicorrelated_binary,
+#: name -> ((d, epsilon) -> TargetDistribution builder, values per coordinate);
+#: the values give a model's state count before its pmf is built.
+_MODELS = {
+    "equicorrelated_binary": (equicorrelated_binary, 2),
 }
-#: Values per coordinate of each model family, so a model's state count is
-#: known before its pmf is built.
-_MODEL_VALUES = {
-    "equicorrelated_binary": 2,
-}
-
-
-def model_builder(name: str):
-    """The (d, epsilon) -> TargetDistribution builder of a named model family."""
-    if name not in _MODEL_BUILDERS:
-        raise ValidationError("unknown model %r; known: %s" % (name, sorted(_MODEL_BUILDERS)))
-    return _MODEL_BUILDERS[name]
 
 
 def model_states(name: str, d: int) -> int:
     """State count of a named model family at dimension d, without building it."""
-    model_builder(name)
-    return _MODEL_VALUES[name] ** d
+    if name not in _MODELS:
+        raise ValidationError("unknown model %r; known: %s" % (name, sorted(_MODELS)))
+    return _MODELS[name][1] ** d
+
+
+def model_target(name: str, d: int, epsilon, state_cap: int) -> TargetDistribution:
+    """The named model at (d, epsilon).  An unknown name, then an epsilon
+    that is not a number, is a ValidationError; a state count above
+    state_cap is a StateCapError, raised before the pmf is built."""
+    n_states = model_states(name, d)
+    if not _is_real(epsilon):
+        raise ValidationError("model %r needs a number 'epsilon'" % name)
+    check_state_cap(n_states, state_cap)
+    build, _ = _MODELS[name]
+    return build(d, float(epsilon))
 
 
 def check_state_cap(n_states: int, state_cap: int) -> None:
@@ -219,12 +222,7 @@ def parse_target(spec_text: str, state_cap: int = DEFAULT_STATE_CAP) -> TargetDi
     if not isinstance(model, dict) or not isinstance(model.get("name"), str):
         raise ValidationError("'model' must be an object with a string 'name'")
     name = model["name"]
-    build = model_builder(name)
-    if not _is_real(model.get("epsilon")):
-        raise ValidationError("model %r needs a number 'epsilon'" % name)
-    d = len(dims)
-    check_state_cap(model_states(name, d), state_cap)
-    target = build(d, float(model["epsilon"]))
+    target = model_target(name, len(dims), model.get("epsilon"), state_cap)
     if target.space.dims != space.dims:
-        raise ValidationError("dims %r inconsistent with %s d=%d" % (dims, name, d))
+        raise ValidationError("dims %r inconsistent with %s d=%d" % (dims, name, len(dims)))
     return target

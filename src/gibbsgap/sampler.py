@@ -41,6 +41,8 @@ from .operators import (
 #: Uniforms drawn per rng call in run_chain; the stream equals one scalar
 #: draw per step, and memory stays flat in n.
 _UNIFORM_BLOCK = 4096
+#: Fewest chain steps batch means accepts: 10 batches of 10 steps.
+BATCH_MEANS_MIN_STEPS = 100
 
 
 @dataclass(frozen=True)
@@ -138,12 +140,13 @@ def clt_variance_bound(rho: float, f: np.ndarray, pi: TargetDistribution) -> flo
 def asymptotic_variance_estimate(states: np.ndarray, f: np.ndarray) -> tuple[float, float]:
     """Nonoverlapping batch-means estimate of the asymptotic variance of f
     along a chain's states, with a jackknife standard error.  The batch count
-    is floor(sqrt(n)), so n >= 100 gives at least 10 batches of 10 steps."""
+    is floor(sqrt(n)); n must be at least BATCH_MEANS_MIN_STEPS."""
     f = np.asarray(f, dtype=float).reshape(-1)
     y = f[states]
     n = y.shape[0]
-    if n < 100:
-        raise ValidationError("chain of length %d too short for batch means (need >= 100)" % n)
+    if n < BATCH_MEANS_MIN_STEPS:
+        raise ValidationError("chain of length %d too short for batch means (need >= %d)"
+                              % (n, BATCH_MEANS_MIN_STEPS))
     batch_count = int(np.sqrt(n))
     b = n // batch_count
     used = b * batch_count
@@ -162,9 +165,26 @@ def hoeffding_bound(rho: float, n: int, eps: float) -> float:
     """Tail bound  exp(-((1-rho)/(1+rho)) n eps^2)  for a chain started from pi."""
     if not 0.0 <= rho < 1.0:
         raise ValidationError("rho must lie in [0, 1), got %g" % rho)
-    if eps <= 0:
-        raise ValidationError("eps must be > 0")
+    if not eps > 0:  # also refuses NaN
+        raise ValidationError("eps must be > 0, got %g" % eps)
     return float(np.exp(-(1.0 - rho) / (1.0 + rho) * n * eps ** 2))
+
+
+def check_tail_inputs(mu: float, n_grid: Sequence[int], eps_grid: Sequence[float],
+                      replicas: int) -> None:
+    """Refuse the inputs of empirical_tails for a function of mean mu valued
+    in [0, 1]: a horizon below 1, an eps that is not > 0 (NaN included) or
+    puts mu + eps above 1, or no replica."""
+    for n in n_grid:
+        if n < 1:
+            raise ValidationError("tail horizon n must be >= 1, got %d" % n)
+    for eps in eps_grid:
+        if not eps > 0:
+            raise ValidationError("eps must be > 0, got %g" % eps)
+        if mu + eps > 1.0 + 1e-12:
+            raise ValidationError("mu + eps = %g exceeds 1" % (mu + eps))
+    if replicas < 1:
+        raise ValidationError("replicas must be >= 1")
 
 
 def empirical_tails(op: MarkovOperator, rho: float, f: np.ndarray,
@@ -185,16 +205,7 @@ def empirical_tails(op: MarkovOperator, rho: float, f: np.ndarray,
     if f.min() < 0.0 or f.max() > 1.0:
         raise ValidationError("f must be valued in [0, 1]")
     mu = float(op.stationary @ f)
-    for n in n_grid:
-        if n < 1:
-            raise ValidationError("tail horizon n must be >= 1, got %d" % n)
-    for eps in eps_grid:
-        if eps <= 0:
-            raise ValidationError("eps must be > 0")
-        if mu + eps > 1.0 + 1e-12:
-            raise ValidationError("mu + eps = %g exceeds 1" % (mu + eps))
-    if replicas < 1:
-        raise ValidationError("replicas must be >= 1")
+    check_tail_inputs(mu, n_grid, eps_grid, replicas)
     cum_t = np.ascontiguousarray(cumulative_table(op.kernel).T)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     states = rng.choice(op.n_states, size=replicas, p=op.stationary)

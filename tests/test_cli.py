@@ -297,7 +297,8 @@ def _model_builder_fails(monkeypatch):
     def fail(d, epsilon):
         raise AssertionError("built the pmf of an over-cap model")
 
-    monkeypatch.setitem(measure._MODEL_BUILDERS, "equicorrelated_binary", fail)
+    _, values = measure._MODELS["equicorrelated_binary"]
+    monkeypatch.setitem(measure._MODELS, "equicorrelated_binary", (fail, values))
 
 
 class TestTargetFileStateCap:
@@ -461,13 +462,21 @@ class TestSampleCommand:
                 assert tail["pass"]
 
     @pytest.mark.parametrize("grid_args", [["--n-grid", "0"], ["--n-grid", "100,-5"],
-                                           ["--eps-grid", "0.2,0"]])
-    def test_empty_horizon_or_bad_eps_exit_2(self, tmp_path, grid_args):
+                                           ["--eps-grid", "0.2,0"], ["--eps-grid", "0.9"],
+                                           ["--eps-grid", "nan"], ["--n", "50"]])
+    def test_empty_horizon_or_bad_eps_exit_2(self, tmp_path, monkeypatch, capsys, grid_args):
+        def fail(*args, **kwargs):
+            raise AssertionError("built an operator before checking the sample inputs")
+
+        for original in (operators.scan_operator, operators._small_step_kernel):
+            _patch_everywhere(monkeypatch, original, fail)
         code = main(["sample", "--model", "equicorrelated_binary", "--d", "2",
                      "--epsilon", "0.25", "--out-dir", str(tmp_path),
                      "--n", "1000", "--replicas", "10"] + grid_args)
         assert code == 2
         assert not (tmp_path / "sample.json").exists()
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
 
     @pytest.fixture
     def target_3x3x3(self, tmp_path):

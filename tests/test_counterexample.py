@@ -102,24 +102,12 @@ class TestBuildLadder:
 
 
 class TestReturnTimeMoment:
-    def test_analytic_value(self):
-        spec = LadderChainSpec(N=5, q=0.5)
-        value, finite = return_time_moment(spec, 1.5, truncated=False)
-        assert finite
-        assert value == pytest.approx(3.0, rel=1e-12)
-
     def test_truncated_converges_to_analytic(self):
-        value, _ = return_time_moment(LadderChainSpec(N=80, q=0.5), 1.5, truncated=True)
+        value = return_time_moment(LadderChainSpec(N=80, q=0.5), 1.5)
         assert value == pytest.approx(3.0, abs=0.01)
 
-    def test_divergent_case(self):
-        value, finite = return_time_moment(LadderChainSpec(N=5, q=0.5), 2.0, truncated=False)
-        assert not finite
-        assert value == math.inf
-
     def test_truncated_always_finite(self):
-        value, finite = return_time_moment(LadderChainSpec(N=5, q=0.5), 2.0, truncated=True)
-        assert finite and value < math.inf
+        assert return_time_moment(LadderChainSpec(N=5, q=0.5), 2.0) < math.inf
 
     def test_rejects_b_at_most_1(self):
         with pytest.raises(ValidationError):
@@ -138,14 +126,13 @@ class TestReturnTimeMoment:
     @pytest.mark.parametrize("n_trunc", [1030, 1100])
     def test_truncated_where_b_power_overflows(self, n_trunc):
         # b q = 1: every term b^(n+1) p(n) is 1/(1 - 2^-(N+1)), but 2^(N+1) overflows
-        value, finite = return_time_moment(LadderChainSpec(N=n_trunc, q=0.5), 2.0)
-        assert finite
+        value = return_time_moment(LadderChainSpec(N=n_trunc, q=0.5), 2.0)
         assert value == pytest.approx((n_trunc + 1) / (1.0 - 2.0 ** -(n_trunc + 1)), rel=1e-12)
 
     def test_truncated_where_the_jump_law_underflows(self):
         # p(n) underflows from n = 324 and 6^(n+1) overflows from n = 396; the
         # tail (b q)^401 = 0.6^401 is far below rounding
-        value, _ = return_time_moment(LadderChainSpec(N=400, q=0.1), 6.0)
+        value = return_time_moment(LadderChainSpec(N=400, q=0.1), 6.0)
         assert value == pytest.approx(13.5, rel=1e-12)
 
     def test_truncated_equals_the_exact_rational_sum(self):
@@ -156,7 +143,7 @@ class TestReturnTimeMoment:
         x, top = bb * q, spec.N + 1
         # b (1-q)/(1 - q^(N+1)) sum_n x^n, the geometric sum in exact rationals
         exact = bb * (1 - q) / (1 - q ** top) * (x ** top - 1) / (x - 1)
-        value, _ = return_time_moment(spec, b)
+        value = return_time_moment(spec, b)
         assert value == pytest.approx(float(exact), rel=2e-15)
 
 

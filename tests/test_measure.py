@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gibbsgap import measure
 from gibbsgap.errors import StateCapError, ValidationError
 from gibbsgap.measure import ProductSpace, TargetDistribution, equicorrelated_binary, parse_target
 from oracles import conditional_mean, inner_product, random_target
@@ -215,6 +216,26 @@ class TestParseTarget:
         with pytest.raises(StateCapError, match="6 states, above the cap of 5"):
             parse_target(spec, state_cap=5)
         assert parse_target(spec, state_cap=6).space.total_states == 6
+
+
+class TestModelTable:
+    @pytest.mark.parametrize("name", sorted(measure._MODELS))
+    @pytest.mark.parametrize("d", range(2, 7))
+    def test_model_states_counts_the_built_target(self, name, d):
+        cap = measure.DEFAULT_STATE_CAP
+        assert measure.model_states(name, d) == measure.model_target(
+            name, d, 0.25, cap).space.total_states
+
+    @pytest.mark.parametrize("name", sorted(measure._MODELS))
+    def test_over_cap_refused_before_the_builder(self, name, monkeypatch):
+        def fail(d, epsilon):
+            raise AssertionError("built the pmf of an over-cap model")
+
+        _, values = measure._MODELS[name]
+        monkeypatch.setitem(measure._MODELS, name, (fail, values))
+        cap = measure.model_states(name, 6) - 1
+        with pytest.raises(StateCapError):
+            measure.model_target(name, 6, 0.25, cap)
 
 
 class TestEquicorrelatedBinary:

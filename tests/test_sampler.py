@@ -204,6 +204,8 @@ class TestHoeffding:
             hoeffding_bound(1.0, 100, 0.1)
         with pytest.raises(ValidationError):
             hoeffding_bound(0.5, 100, 0.0)
+        with pytest.raises(ValidationError):
+            hoeffding_bound(0.5, 100, float("nan"))
 
 
 class TestEmpiricalTail:
@@ -250,7 +252,7 @@ class TestEmpiricalTail:
             empirical_tails(*_op_rho(eps_pair, RandomScan.uniform(2)), f, [100, n], [0.1],
                             replicas=10, seed=0)
 
-    @pytest.mark.parametrize("eps", [0.0, -0.1, 0.9])
+    @pytest.mark.parametrize("eps", [0.0, -0.1, 0.9, float("nan")])
     def test_rejects_bad_eps_before_simulating(self, eps_pair, eps, monkeypatch):
         def no_steps(*args):
             raise AssertionError("simulated before validating eps")

@@ -18,6 +18,19 @@ A scan's whole tail grid comes from one simulation of ``replicas`` chains
 over the longest horizon: shorter horizons are prefixes of it, and every
 threshold eps is checked against the same partial sums.  The results are
 identical to one run per (n, eps) point from the same seed.
+
+Both simulations invert the cumulative table, with different tie rules.  A
+chain (run_chain) moves to bisect_right(cdf, u), the first column whose cdf
+value exceeds u.  A replica moves to #{k : cdf[k] < u}, so a draw equal to a
+cdf value stays on that column.  The replicas look the count up in a guide
+table (indexed search: Chen & Asau, AIIE Trans. 6 (1974); Devroye,
+Non-Uniform Random Variate Generation (1986), sec. III.2.4): [0, 1) is cut
+into M = 2^j buckets, and a bucket that holds no cdf value of a row stores
+the count every draw in it shares.  A replica in a bucket that holds one
+counts over its whole row instead, so each step gives the same state as a
+count over the row, in expected O(1) work.  The uniforms are drawn a few
+steps at a time, rng.random((b, replicas)), the same stream as b calls
+rng.random(replicas).
 """
 from __future__ import annotations
 
@@ -41,6 +54,10 @@ from .operators import (
 #: Uniforms drawn per rng call in run_chain; the stream equals one scalar
 #: draw per step, and memory stays flat in n.
 _UNIFORM_BLOCK = 4096
+#: Replica steps whose uniforms empirical_tails draws in one rng call.
+_TAIL_BLOCK = 8
+#: Entries of the cumulative table per chunk of rows in _guide_table.
+_GUIDE_CHUNK = 1 << 18
 #: Fewest chain steps batch means accepts: 10 batches of 10 steps.
 BATCH_MEANS_MIN_STEPS = 100
 
@@ -80,12 +97,52 @@ def cumulative_table(kernel: np.ndarray) -> np.ndarray:
     return cum
 
 
-def _step_many(cum_t: np.ndarray, states: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Advance a vector of chains one step by inverse-cdf sampling.
+def _guide_table(cum: np.ndarray) -> np.ndarray:
+    """The guide table of a cumulative table, for _step_many: n rows of M
+    buckets, M a power of two, so that each edge m/M and floor(u * M) are
+    exact.
 
-    cum_t is the transposed cumulative table: column x is the cdf of row x.
+    guide[x, m] = #{k : cum[x, k] < m/M}, the count every u in
+    [m/M, (m + 1)/M) shares, or -1 where a value of row x lies in that
+    bucket; the last bucket, which also takes the values >= 1, is always -1
+    (a -1 costs speed, never exactness).  The dtype is the smallest that
+    holds a state, and M the largest power of two that keeps the table
+    within twice the bytes of cum.  Row x is a run of 0s, then of 1s, ...
+    then of n's, which steps at the buckets e = min(floor(cum[x] * M) + 1, M)
+    (non-decreasing along a row of a cumulative table), and each bucket
+    e - 1 is marked.  Rows go _GUIDE_CHUNK entries of cum at a time, which
+    keeps the temporaries to a few MB at any state count.
     """
-    return np.add.reduce(u > np.take(cum_t, states, axis=1), axis=0, dtype=np.intp)
+    rows, cols = cum.shape
+    dtype = next(t for t in (np.int8, np.int16, np.int32) if np.iinfo(t).max >= cols)
+    buckets = 1 << (16 * cols // np.dtype(dtype).itemsize).bit_length() - 1
+    guide = np.empty((rows, buckets), dtype)
+    span = max(1, _GUIDE_CHUNK // cols)
+    counts = np.tile(np.arange(cols + 1, dtype=dtype), span)
+    for lo in range(0, rows, span):
+        ends = np.minimum(np.floor(cum[lo:lo + span] * buckets) + 1, buckets).astype(np.intp)
+        runs = np.diff(ends, axis=1, prepend=0, append=buckets).ravel()
+        part = guide[lo:lo + span]
+        part[...] = np.repeat(counts[:runs.size], runs).reshape(part.shape)
+        np.put_along_axis(part, ends - 1, -1, axis=1)
+    return guide
+
+
+def _step_many(cum: np.ndarray, guide: np.ndarray, states: np.ndarray,
+               u: np.ndarray) -> np.ndarray:
+    """Advance a vector of chains one step by inverse-cdf sampling: the new
+    state is #{k : cum[x, k] < u}, as a count over all of row x would give.
+    One guide-table lookup per chain; only a chain whose bucket is marked
+    counts over its row.
+    """
+    buckets = guide.shape[1]
+    nxt = guide.take(states * buckets + (u * buckets).astype(np.intp))
+    hard = np.flatnonzero(nxt < 0)
+    nxt = nxt.astype(np.intp)
+    if hard.size:
+        nxt[hard] = np.add.reduce(u[hard, None] > cum.take(states[hard], axis=0), axis=1,
+                                  dtype=np.intp)
+    return nxt
 
 
 def _rows(kernel: np.ndarray) -> list[memoryview]:
@@ -206,16 +263,18 @@ def empirical_tails(op: MarkovOperator, rho: float, f: np.ndarray,
         raise ValidationError("f must be valued in [0, 1]")
     mu = float(op.stationary @ f)
     check_tail_inputs(mu, n_grid, eps_grid, replicas)
-    cum_t = np.ascontiguousarray(cumulative_table(op.kernel).T)
+    cum = cumulative_table(op.kernel)
+    guide = _guide_table(cum)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     states = rng.choice(op.n_states, size=replicas, p=op.stationary)
     sums = np.zeros(replicas)
     snapshots = {}
     done = 0
     for horizon in sorted(set(n_grid)):
-        for _ in range(horizon - done):
-            states = _step_many(cum_t, states, rng.random(replicas))
-            sums += f[states]
+        for start in range(done, horizon, _TAIL_BLOCK):
+            for u in rng.random((min(_TAIL_BLOCK, horizon - start), replicas)):
+                states = _step_many(cum, guide, states, u)
+                sums += f[states]
         done = horizon
         snapshots[horizon] = sums.copy()
     checks = []

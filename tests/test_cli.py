@@ -513,6 +513,7 @@ class TestSampleCommand:
             raise AssertionError("simulated an over-cap target")
 
         monkeypatch.setattr(sampler, "_walk", fail)
+        monkeypatch.setattr(sampler, "_guide_table", fail)
         monkeypatch.setattr(sampler, "_step_many", fail)
         code = main(["sample", "--model", "equicorrelated_binary", "--d", "2",
                      "--epsilon", "0.25", "--out-dir", str(tmp_path),

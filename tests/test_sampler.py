@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gibbsgap import sampler
 from gibbsgap.errors import ValidationError
+from gibbsgap.measure import equicorrelated_binary
 from gibbsgap.operators import (
     DeterministicScan,
     RandomScan,
@@ -75,6 +78,35 @@ class _ConstantRng:
 SHORT_ROW_KERNEL = np.array([[0.5, 0.5 - 2e-16, 0.0],
                              [0.0, 1.0, 0.0],
                              [0.25, 0.25, 0.5]])
+#: Dyadic rows with zero-probability columns: every cdf value is a bucket edge m/M.
+DYADIC_KERNEL = np.array([[0.5, 0.25, 0.25, 0.0],
+                          [0.0, 0.0, 1.0, 0.0],
+                          [0.125, 0.0, 0.375, 0.5],
+                          [0.0, 0.75, 0.0, 0.25]])
+
+
+def _dense_step(cum, states, u):
+    """The count over whole rows, #{k : cum[x, k] < u}, that the guide-table
+    step must reproduce."""
+    return (u[:, None] > cum[states]).sum(axis=1)
+
+
+def _probes(cum, buckets):
+    """0, every bucket edge m/M and every cdf value below 1, each with its
+    float neighbours, inside [0, 1)."""
+    points = np.concatenate([np.arange(buckets) / buckets, cum[cum < 1.0]])
+    probes = np.concatenate([points, np.nextafter(points, 0.0), np.nextafter(points, 1.0)])
+    return np.unique(probes[(probes >= 0.0) & (probes < 1.0)])
+
+
+def _assert_guide_step_exact(cum, u):
+    """Every state of cum stepped with every draw in u: the guide step equals
+    the dense count."""
+    states = np.repeat(np.arange(cum.shape[0]), u.size)
+    draws = np.tile(u, cum.shape[0])
+    np.testing.assert_array_equal(
+        sampler._step_many(cum, sampler._guide_table(cum), states, draws),
+        _dense_step(cum, states, draws))
 
 
 class TestRunChain:
@@ -130,9 +162,69 @@ class TestCumulativeTable:
         raw = np.cumsum(SHORT_ROW_KERNEL, axis=1)
         assert np.searchsorted(raw[0], u, side="right") == 3  # out of range
         cum = cumulative_table(SHORT_ROW_KERNEL)
-        assert sampler._step_many(cum.T, np.array([0, 1]), np.array([u, u])).tolist() == [1, 1]
+        step = sampler._step_many(cum, sampler._guide_table(cum), np.array([0, 1]), np.array([u, u]))
+        assert step.tolist() == [1, 1]
         walk = sampler._walk(sampler._rows(SHORT_ROW_KERNEL), 0, 3, _ConstantRng(u))
         assert walk.tolist() == [1, 1, 1]
+
+
+class TestGuideStep:
+    @pytest.mark.parametrize("kernel", [DYADIC_KERNEL, SHORT_ROW_KERNEL], ids=["dyadic", "short-row"])
+    def test_cdf_values_on_bucket_edges(self, kernel):
+        cum = cumulative_table(kernel)
+        u = _probes(cum, sampler._guide_table(cum).shape[1])
+        assert {0.0, 0.25, 0.5, np.nextafter(0.5, 0.0)} <= set(u.tolist())
+        _assert_guide_step_exact(cum, u)
+
+    def test_edge_value_opens_its_bucket(self):
+        # row 0's cdf is 0.5, 0.75, 1, 1: 0.5 = (M/2)/M lies in bucket M/2,
+        # which is marked, and bucket M/2 - 1 below it holds the count 0
+        guide = sampler._guide_table(cumulative_table(DYADIC_KERNEL))
+        half = guide.shape[1] // 2
+        assert guide[0, half - 1:half + 2].tolist() == [0, -1, 1]
+        assert guide[0, -1] == -1  # the last bucket is always resolved on the row
+
+    def test_ties_count_strictly_below(self):
+        # a replica counts cdf < u, so a draw equal to a cdf value stays on its
+        # column (run_chain's bisect_right would move past it)
+        cum = cumulative_table(DYADIC_KERNEL)
+        u = np.array([0.0, np.nextafter(0.5, 0.0), 0.5, 0.75, np.nextafter(0.75, 1.0)])
+        step = sampler._step_many(cum, sampler._guide_table(cum), np.zeros(5, dtype=np.intp), u)
+        assert step.tolist() == [0, 0, 0, 1, 2]
+
+    @given(st.integers(min_value=0, max_value=2 ** 32 - 1), st.integers(min_value=1, max_value=40),
+           st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_random_kernels_with_zero_entries(self, seed, n, dyadic):
+        rng = np.random.default_rng(seed)
+        if dyadic:
+            # entries k/64 between sorted cut points: a repeated cut is a zero entry
+            cuts = np.sort(rng.integers(0, 65, (n, n - 1)), axis=1)
+            kernel = np.diff(cuts, axis=1, prepend=0, append=64) / 64.0
+        else:
+            kernel = rng.random((n, n)) * (rng.random((n, n)) < 0.6)
+            kernel[np.arange(n), rng.integers(0, n, n)] += 0.01
+            kernel /= kernel.sum(axis=1, keepdims=True)
+        cum = cumulative_table(kernel)
+        u = np.concatenate([_probes(cum, sampler._guide_table(cum).shape[1]), rng.random(200)])
+        _assert_guide_step_exact(cum, u)
+
+    def test_chunked_build_equals_one_chunk(self, monkeypatch):
+        op = scan_operator(random_target(seed=5, dims=(3, 2, 3)), DeterministicScan((1, 2, 3)))
+        cum = cumulative_table(op.kernel)
+        whole = sampler._guide_table(cum)
+        for chunk in (1, 2 * 18, 5 * 18):  # one row, two rows, a short last chunk
+            monkeypatch.setattr(sampler, "_GUIDE_CHUNK", chunk)
+            np.testing.assert_array_equal(sampler._guide_table(cum), whole)
+
+    @pytest.mark.parametrize("n", [1, 27, 127, 128, 256, 1000])
+    def test_table_size(self, n):
+        cum = cumulative_table(np.full((n, n), 1.0 / n))
+        guide = sampler._guide_table(cum)
+        buckets = guide.shape[1]
+        assert buckets & (buckets - 1) == 0 and buckets >= 4 * n
+        assert guide.nbytes <= 2 * cum.nbytes
+        assert np.iinfo(guide.dtype).max >= n
 
 
 class TestScanRho:
@@ -257,6 +349,7 @@ class TestEmpiricalTail:
         def no_steps(*args):
             raise AssertionError("simulated before validating eps")
 
+        monkeypatch.setattr(sampler, "_guide_table", no_steps)
         monkeypatch.setattr(sampler, "_step_many", no_steps)
         f = np.array([0.0, 0.0, 1.0, 1.0])
         with pytest.raises(ValidationError):
@@ -282,3 +375,12 @@ class TestEmpiricalTails:
             assert (a.frequency, a.bound, a.std_error, a.passed) == \
                 (b.frequency, b.bound, b.std_error, b.passed)
 
+    @pytest.mark.parametrize("scan", [DeterministicScan(tuple(range(1, 9))), RandomScan.uniform(8)],
+                             ids=["dsg", "rsg"])
+    def test_256_states_equal_separate_runs(self, scan):
+        pi = equicorrelated_binary(8, 0.25)
+        f = (pi.space.all_multi_indices()[:, 0] == 1).astype(float)
+        n_grid, eps_grid = [45, 13], [0.05, 0.2]  # horizons off the 8-step uniform blocks
+        grid = empirical_tails(*_op_rho(pi, scan), f, n_grid, eps_grid, replicas=400, seed=5)
+        assert grid == [_reference_tail(pi, scan, f, n, e, 400, 5) for n in n_grid for e in eps_grid]
+        assert any(t.frequency > 0.0 for t in grid)

@@ -31,7 +31,8 @@ from .counterexample import LadderChainSpec, reversibilization_gap_sweep
 from .errors import StateCapError, ValidationError
 from .measure import (DEFAULT_STATE_CAP, TargetDistribution, check_state_cap, model_states,
                       model_target, parse_target)
-from .operators import DeterministicScan, RandomScan, Spectra, scan_operator
+from .operators import (DeterministicScan, RandomScan, Spectra, scan_operator,
+                        spectral_radius_centered)
 from .reporting import default_output_dir, report_document, write_csv, write_json
 from .sampler import (
     BATCH_MEANS_MIN_STEPS,
@@ -40,7 +41,6 @@ from .sampler import (
     clt_variance_bound,
     empirical_tails,
     run_chain,
-    scan_rho,
 )
 
 GAP_POSITIVE_TOL = 1e-9
@@ -183,6 +183,8 @@ def cmd_sweep(args) -> int:
     d_list = args.d_list
     if len(set(d_list)) < 3:
         raise ValidationError("sweep needs at least 3 distinct dimensions to fit a rate")
+    if len(set(d_list)) < len(d_list):  # a repeated d would count twice in the fit
+        raise ValidationError("sweep dimensions must not repeat, got %s" % d_list)
     for d in d_list:  # an over-cap d is refused before any pmf is built
         check_state_cap(model_states(args.model, d), args.state_cap)
     rows = []
@@ -240,7 +242,7 @@ def cmd_sample(args) -> int:
     all_pass = True
     for scan in scans:
         op = scan_operator(pi, scan)
-        rho = scan_rho(scan, op)
+        rho = spectral_radius_centered(op)  # the norm, for a reversible kernel
         est, se = asymptotic_variance_estimate(run_chain(op, args.n, seed=args.seed), f)
         bound = clt_variance_bound(rho, f, pi)
         clt_pass = bool(est <= bound + 3.0 * se)

@@ -185,8 +185,14 @@ def _is_real(value) -> bool:
     return isinstance(value, float) or (type(value) is int and abs(value) <= sys.float_info.max)
 
 
+def _refuse_unknown_keys(what: str, doc: dict, known: tuple) -> None:
+    if not set(doc) <= set(known):
+        raise ValidationError("%s has unknown keys %s; known: %s"
+                              % (what, sorted(set(doc) - set(known)), ", ".join(known)))
+
+
 def parse_target(spec_text: str, state_cap: int = DEFAULT_STATE_CAP) -> TargetDistribution:
-    """Parse a JSON target spec with `dims` and exactly one of `pmf`/`model`.
+    """Parse a JSON target spec: `dims`, exactly one of `pmf`/`model`, no other key.
 
     The target is checked against ``state_cap``: a `model` entry before its
     pmf is built, a `pmf` entry once TargetDistribution has accepted it (so a
@@ -201,6 +207,7 @@ def parse_target(spec_text: str, state_cap: int = DEFAULT_STATE_CAP) -> TargetDi
         raise ValidationError("target spec is not valid JSON: %s" % exc) from exc
     if not isinstance(doc, dict):
         raise ValidationError("target spec must be a JSON object")
+    _refuse_unknown_keys("target spec", doc, ("dims", "pmf", "model"))
     if "dims" not in doc:
         raise ValidationError("target spec is missing 'dims'")
     dims = doc["dims"]
@@ -221,6 +228,7 @@ def parse_target(spec_text: str, state_cap: int = DEFAULT_STATE_CAP) -> TargetDi
     model = doc["model"]
     if not isinstance(model, dict) or not isinstance(model.get("name"), str):
         raise ValidationError("'model' must be an object with a string 'name'")
+    _refuse_unknown_keys("'model'", model, ("name", "epsilon"))
     name = model["name"]
     target = model_target(name, len(dims), model.get("epsilon"), state_cap)
     if target.space.dims != space.dims:

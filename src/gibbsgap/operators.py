@@ -25,7 +25,7 @@ radius differ.  For d = 2 the sweep P1 P2 is an alternating projection and
 with c the angle between the two coordinate subspaces
 ||P1 P2 - Pi|| = c  while  rho(P1 P2 - Pi) = c^2  (for the equicorrelated
 binary pair with epsilon = 0.25: c = 0.5, norm 0.5, radius 0.25).  The
-radius of a reversible operator comes from the symmetric eigensolver; for a
+radius of a reversible operator (a random scan) is its norm; for a
 non-reversible one ``spectral_radius_centered`` uses dense ``eigvals``,
 which is uncertified: eigenvalues of a strongly non-normal kernel are
 ill-conditioned (see ``counterexample.ladder_gap`` for the ladder chain).
@@ -249,13 +249,12 @@ def l2_norm_centered(op: MarkovOperator) -> float:
 
 
 def spectral_radius_centered(op: MarkovOperator) -> float:
-    """Largest eigenvalue modulus of P - Pi (complex eigenvalues allowed)."""
+    """Largest eigenvalue modulus of P - Pi (complex eigenvalues allowed); a
+    reversible P - Pi is self-adjoint in L2(pi), so its radius is its norm."""
+    if is_reversible(op):
+        return l2_norm_centered(op)
     try:
-        if is_reversible(op):
-            a = _centered_conjugated(op)
-            vals = np.linalg.eigvalsh(0.5 * (a + a.T))
-        else:
-            vals = np.linalg.eigvals(op.kernel - op.stationary)  # Pi has every row pi
+        vals = np.linalg.eigvals(op.kernel - op.stationary)  # Pi has every row pi
     except np.linalg.LinAlgError as exc:
         raise NumericError("eigensolver failed for %s: %s" % (op.label, exc)) from exc
     return float(np.abs(vals).max()) if vals.size else 0.0
@@ -266,7 +265,8 @@ class Spectra:
 
     pi is taken as given: the command that loaded it has already checked it
     against the state cap.  Values are memoized as floats (no scan kernel is
-    kept); ``norm_and_radius`` takes both from one build of the operator.
+    kept); ``norm_and_radius`` takes both from one build of the operator.  A
+    random scan's radius is its norm: one build, one SVD, no reversibility probe.
     """
 
     def __init__(self, pi: TargetDistribution):
@@ -285,7 +285,9 @@ class Spectra:
         return self._measure(scan, ("norm", "radius"))
 
     def _measure(self, scan: ScanSpec, names: tuple) -> tuple:
-        missing = [name for name in names if (scan, name) not in self._memo]
+        if isinstance(scan, RandomScan):  # self-adjoint in L2(pi)
+            names = ("norm",) * len(names)
+        missing = [name for name in dict.fromkeys(names) if (scan, name) not in self._memo]
         if missing:
             op = scan_operator(self.pi, scan)
             for name in missing:

@@ -6,7 +6,7 @@ full sweep for a deterministic scan (there are no records inside a sweep),
 one record per single-coordinate update for a random scan.  The caller
 builds that operator once (``scan_operator``, for a target whose state
 count was checked against the cap when it was loaded) and passes it, with
-its rate ``rho``, to every simulation.
+its rate ``rho`` (``spectral_radius_centered``), to every simulation.
 Every chain starts from the stationary law op.stationary, so the tail bound
 carries no ||d nu/d pi|| factor.  Each call draws from one numpy Generator
 seeded with its seed: a chain takes its start state and then one uniform per
@@ -19,16 +19,16 @@ over the longest horizon: shorter horizons are prefixes of it, and every
 threshold eps is checked against the same partial sums.  The results are
 identical to one run per (n, eps) point from the same seed.
 
-Both simulations invert the cumulative table, with different tie rules.  A
-chain (run_chain) moves to bisect_right(cdf, u), the first column whose cdf
-value exceeds u.  A replica moves to #{k : cdf[k] < u}, so a draw equal to a
-cdf value stays on that column.  The replicas look the count up in a guide
+Both simulations invert the cumulative table by one rule: from a uniform u
+a step moves to bisect_right(cdf, u) = #{k : cdf[k] <= u}, the first column
+whose cdf value exceeds u, which always has positive probability.  A chain
+(run_chain) bisects its row; the replicas look the count up in a guide
 table (indexed search: Chen & Asau, AIIE Trans. 6 (1974); Devroye,
 Non-Uniform Random Variate Generation (1986), sec. III.2.4): [0, 1) is cut
 into M = 2^j buckets, and a bucket that holds no cdf value of a row stores
 the count every draw in it shares.  A replica in a bucket that holds one
 counts over its whole row instead, so each step gives the same state as a
-count over the row, in expected O(1) work.  The uniforms are drawn a few
+bisection of the row, in expected O(1) work.  The uniforms are drawn a few
 steps at a time, rng.random((b, replicas)), the same stream as b calls
 rng.random(replicas).
 """
@@ -42,14 +42,8 @@ import numpy as np
 
 from .errors import ValidationError
 from .measure import TargetDistribution
-from .operators import (
-    MarkovOperator,
-    RandomScan,
-    ScanSpec,
-    l2_norm_centered,
-    scan_operator,  # not used here: tests and the benchmark tracer import it from sampler
-    spectral_radius_centered,
-)
+from .operators import MarkovOperator
+from .operators import scan_operator  # not used here: tests and the benchmark tracer import it
 
 #: Uniforms drawn per rng call in run_chain; the stream equals one scalar
 #: draw per step, and memory stays flat in n.
@@ -70,15 +64,6 @@ class TailCheck:
     bound: float
     std_error: float
     passed: bool
-
-
-def scan_rho(scan: ScanSpec, op: MarkovOperator) -> float:
-    """The contraction rate in a scan's CLT and tail bounds: the exact norm
-    ||RSG - Pi|| for a random scan, the spectral radius of DSG - Pi for a
-    deterministic one."""
-    if isinstance(scan, RandomScan):
-        return l2_norm_centered(op)
-    return spectral_radius_centered(op)
 
 
 def cumulative_table(kernel: np.ndarray) -> np.ndarray:
@@ -131,16 +116,16 @@ def _guide_table(cum: np.ndarray) -> np.ndarray:
 def _step_many(cum: np.ndarray, guide: np.ndarray, states: np.ndarray,
                u: np.ndarray) -> np.ndarray:
     """Advance a vector of chains one step by inverse-cdf sampling: the new
-    state is #{k : cum[x, k] < u}, as a count over all of row x would give.
-    One guide-table lookup per chain; only a chain whose bucket is marked
-    counts over its row.
+    state is #{k : cum[x, k] <= u} = bisect_right(cum[x], u), as run_chain
+    steps.  One guide-table lookup per chain; only a chain whose bucket is
+    marked counts over its row.
     """
     buckets = guide.shape[1]
     nxt = guide.take(states * buckets + (u * buckets).astype(np.intp))
     hard = np.flatnonzero(nxt < 0)
     nxt = nxt.astype(np.intp)
     if hard.size:
-        nxt[hard] = np.add.reduce(u[hard, None] > cum.take(states[hard], axis=0), axis=1,
+        nxt[hard] = np.add.reduce(u[hard, None] >= cum.take(states[hard], axis=0), axis=1,
                                   dtype=np.intp)
     return nxt
 

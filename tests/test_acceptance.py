@@ -241,7 +241,7 @@ def test_c09_clt_bound(suite):
 
 def test_c10_hoeffding_tails():
     from gibbsgap.operators import DeterministicScan
-    from gibbsgap.sampler import empirical_tail, scan_operator, scan_rho
+    from gibbsgap.sampler import empirical_tail, scan_operator
 
     start = time.perf_counter()
     pi = equicorrelated_binary(2, 0.25)
@@ -251,7 +251,7 @@ def test_c10_hoeffding_tails():
         op = scan_operator(pi, scan)
         for n in (100, 1000):
             for eps in (0.1, 0.2, 0.3):
-                check = empirical_tail(op, scan_rho(scan, op), f, n=n, eps=eps,
+                check = empirical_tail(op, spectral_radius_centered(op), f, n=n, eps=eps,
                                        replicas=10_000, seed=5)
                 ok = ok and check.passed
     elapsed = time.perf_counter() - start

@@ -187,9 +187,10 @@ class TestAnalyzeCommand:
                      "--epsilon", "0.25", "--out-dir", str(tmp_path)])
         assert code == 0
         # 3! sweep orders, whose squared norms are the SYM panel; uniform plus 8 sampled
-        # random scans
+        # random scans; only the sweep's radius needs an eigen-solve, a random scan's
+        # radius is its norm
         assert counts == Counter({"dsg": 6, "rsg": 9, "symmetrized_sweep": 0,
-                                  "l2_norm_centered": 15, "spectral_radius_centered": 2})
+                                  "l2_norm_centered": 15, "spectral_radius_centered": 1})
 
     @pytest.mark.parametrize("target", ["model_d3", "pmf_2x3x2"])
     def test_sym_norms_are_the_palindromic_norms(self, tmp_path, target):
@@ -259,8 +260,11 @@ class TestAnalyzeCommand:
         '{"dims": [2, 2], "pmf": [1%s, 0.25, 0.25, 0.25]}' % ("0" * 400),
         # no mean-zero function exists on one state
         '{"dims": [1, 1], "pmf": [1.0]}',
+        # unknown keys: a d in the model entry would be overridden by dims
+        '{"dims": [2, 2], "model": {"name": "equicorrelated_binary", "epsilon": 0.25, "d": 7}}',
+        '{"dims": [2, 2], "pmf": [0.25, 0.25, 0.25, 0.25], "extra": 1}',
     ], ids=["nan_pmf", "bool_dims", "object_pmf", "string_pmf", "string_epsilon",
-            "bool_epsilon", "list_name", "huge_int_pmf", "single_state"])
+            "bool_epsilon", "list_name", "huge_int_pmf", "single_state", "model_d", "extra_key"])
     def test_invalid_target_file_exit_2_without_report(self, tmp_path, command, text):
         spec = tmp_path / "target.json"
         spec.write_text(text)
@@ -430,6 +434,14 @@ class TestSweepCommand:
         assert code == 2
         assert not (tmp_path / "sweep.json").exists()
 
+    def test_repeated_dimension_exit_2_before_any_pmf(self, tmp_path, monkeypatch, capsys):
+        # 2,3,3,4 would count d = 3 twice in the fit
+        _model_builder_fails(monkeypatch)
+        code = main(["sweep", "--d-list", "2,3,3,4", "--out-dir", str(tmp_path)])
+        assert code == 2
+        assert not (tmp_path / "sweep.json").exists()
+        assert "must not repeat" in capsys.readouterr().err
+
     def test_unknown_model_exit_2(self, tmp_path):
         code = main(["sweep", "--model", "nonsense", "--d-list", "2,3,4",
                      "--out-dir", str(tmp_path)])
@@ -506,7 +518,8 @@ class TestSampleCommand:
     def test_rho_solved_once_per_scan(self, tmp_path, monkeypatch, target_3x3x3, scan, solver):
         counts = _count_calls(monkeypatch, ("spectral_radius_centered", "l2_norm_centered"))
         assert self._sample(tmp_path, target_3x3x3, scan) == 0
-        assert counts == {solver: 1}
+        # sample asks for the radius once; for the reversible random scan that is one norm
+        assert counts == {"spectral_radius_centered": 1, solver: 1}
 
     def test_state_cap_refused_before_any_step(self, tmp_path, monkeypatch):
         def fail(*args):

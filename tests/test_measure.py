@@ -199,6 +199,13 @@ class TestParseTarget:
         with pytest.raises(ValidationError):
             parse_target('{"dims": [2, 2], "pmf": [1, 0, 0, 0], "model": {"name": "x"}}')
 
+    def test_unknown_keys_rejected(self):
+        with pytest.raises(ValidationError, match=r"target spec has unknown keys \['extra'\]"):
+            parse_target('{"dims": [2, 2], "pmf": [0.25, 0.25, 0.25, 0.25], "extra": 1}')
+        with pytest.raises(ValidationError, match=r"'model' has unknown keys \['d'\]"):
+            parse_target('{"dims": [2, 2], "model": '
+                         '{"name": "equicorrelated_binary", "epsilon": 0.25, "d": 7}}')
+
     def test_bad_json(self):
         with pytest.raises(ValidationError, match="JSON"):
             parse_target("{not json")

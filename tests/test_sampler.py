@@ -1,3 +1,5 @@
+from bisect import bisect_right
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,7 +23,6 @@ from gibbsgap.sampler import (
     hoeffding_bound,
     run_chain,
     scan_operator,
-    scan_rho,
 )
 from oracles import random_target
 
@@ -41,7 +42,7 @@ def _reference_chain(pi, scan, n, seed):
 def _op_rho(pi, scan):
     """The kernel a scan simulates and its rate rho, as the sampler takes them."""
     op = scan_operator(pi, scan)
-    return op, scan_rho(scan, op)
+    return op, spectral_radius_centered(op)
 
 
 def _reference_tail(pi, scan, f, n, eps, replicas, seed):
@@ -55,7 +56,7 @@ def _reference_tail(pi, scan, f, n, eps, replicas, seed):
     states = rng.choice(pi.space.total_states, size=replicas, p=pi.pmf)
     sums = np.zeros(replicas)
     for _ in range(n):
-        states = (rng.random(replicas)[:, None] > cum[states]).sum(axis=1)
+        states = (rng.random(replicas)[:, None] >= cum[states]).sum(axis=1)
         sums += f[states]
     freq = float(np.mean(sums >= n * (mu + eps) - 1e-12))
     bound = hoeffding_bound(rho, n, eps)
@@ -85,10 +86,11 @@ DYADIC_KERNEL = np.array([[0.5, 0.25, 0.25, 0.0],
                           [0.0, 0.75, 0.0, 0.25]])
 
 
-def _dense_step(cum, states, u):
-    """The count over whole rows, #{k : cum[x, k] < u}, that the guide-table
-    step must reproduce."""
-    return (u[:, None] > cum[states]).sum(axis=1)
+def _bisect_step(cum, states, u):
+    """run_chain's rule, bisect_right(cum[x], u), that the guide-table step
+    must reproduce."""
+    rows = cum.tolist()
+    return [bisect_right(rows[x], v) for x, v in zip(states.tolist(), u.tolist())]
 
 
 def _probes(cum, buckets):
@@ -101,12 +103,12 @@ def _probes(cum, buckets):
 
 def _assert_guide_step_exact(cum, u):
     """Every state of cum stepped with every draw in u: the guide step equals
-    the dense count."""
+    the bisection."""
     states = np.repeat(np.arange(cum.shape[0]), u.size)
     draws = np.tile(u, cum.shape[0])
     np.testing.assert_array_equal(
         sampler._step_many(cum, sampler._guide_table(cum), states, draws),
-        _dense_step(cum, states, draws))
+        _bisect_step(cum, states, draws))
 
 
 class TestRunChain:
@@ -184,13 +186,17 @@ class TestGuideStep:
         assert guide[0, half - 1:half + 2].tolist() == [0, -1, 1]
         assert guide[0, -1] == -1  # the last bucket is always resolved on the row
 
-    def test_ties_count_strictly_below(self):
-        # a replica counts cdf < u, so a draw equal to a cdf value stays on its
-        # column (run_chain's bisect_right would move past it)
+    def test_ties_move_past_the_cdf_value(self):
+        # a replica counts cdf <= u, as run_chain's bisect_right does, so a draw
+        # equal to a cdf value moves past that column
         cum = cumulative_table(DYADIC_KERNEL)
         u = np.array([0.0, np.nextafter(0.5, 0.0), 0.5, 0.75, np.nextafter(0.75, 1.0)])
         step = sampler._step_many(cum, sampler._guide_table(cum), np.zeros(5, dtype=np.intp), u)
-        assert step.tolist() == [0, 0, 0, 1, 2]
+        assert step.tolist() == [0, 0, 1, 2, 2]
+        # row [0, 0, 1, 0] at u = 0.0 moves to its one positive column, never to 0
+        walk = sampler._walk(sampler._rows(DYADIC_KERNEL), 1, 1, _ConstantRng(0.0))
+        step = sampler._step_many(cum, sampler._guide_table(cum), np.array([1]), np.array([0.0]))
+        assert walk.tolist() == step.tolist() == [2]
 
     @given(st.integers(min_value=0, max_value=2 ** 32 - 1), st.integers(min_value=1, max_value=40),
            st.booleans())
@@ -229,10 +235,13 @@ class TestGuideStep:
 
 class TestScanRho:
     def test_norm_for_random_radius_for_deterministic(self, eps_pair):
+        # sample's rate is spectral_radius_centered: the norm of the reversible
+        # random scan, the eigenvalue radius c^2 = 0.25 of the sweep (norm c = 0.5)
         rsg_op = scan_operator(eps_pair, RandomScan.uniform(2))
         dsg_op = scan_operator(eps_pair, DeterministicScan((1, 2)))
-        assert scan_rho(RandomScan.uniform(2), rsg_op) == l2_norm_centered(rsg_op)
-        assert scan_rho(DeterministicScan((1, 2)), dsg_op) == spectral_radius_centered(dsg_op)
+        assert spectral_radius_centered(rsg_op) == l2_norm_centered(rsg_op)
+        assert spectral_radius_centered(dsg_op) == pytest.approx(0.25, abs=1e-12)
+        assert l2_norm_centered(dsg_op) == pytest.approx(0.5, abs=1e-12)
 
 
 class TestCltVarianceBound:

@@ -12,6 +12,8 @@ violated beyond tolerance (the report is written first), 2 usage or
 validation error (no report is written), 3 state-count cap exceeded (checked
 once, where a command loads its target, before any work on it: a ``--model``
 or a ``model`` entry before its pmf is built, a ``pmf`` entry once it is valid).
+A dense-solver failure is not caught: numpy's ``LinAlgError`` ends the command
+with its traceback and exit 1.
 
 Scan mini-grammar: ``dsg:i1,i2,...,id`` (update order, 1-based) and
 ``rsg:uniform`` or ``rsg:w1,w2,...,wd``.
@@ -33,7 +35,7 @@ from .measure import (DEFAULT_STATE_CAP, TargetDistribution, check_state_cap, mo
                       model_target, parse_target)
 from .operators import (DeterministicScan, RandomScan, Spectra, scan_operator,
                         spectral_radius_centered)
-from .reporting import default_output_dir, report_document, write_csv, write_json
+from .reporting import report_document, write_csv, write_json
 from .sampler import (
     BATCH_MEANS_MIN_STEPS,
     asymptotic_variance_estimate,
@@ -243,8 +245,8 @@ def cmd_sample(args) -> int:
     for scan in scans:
         op = scan_operator(pi, scan)
         rho = spectral_radius_centered(op)  # the norm, for a reversible kernel
+        bound = clt_variance_bound(rho, f, pi)  # refuses rho = 1 before any step
         est, se = asymptotic_variance_estimate(run_chain(op, args.n, seed=args.seed), f)
-        bound = clt_variance_bound(rho, f, pi)
         clt_pass = bool(est <= bound + 3.0 * se)
         tails = [{"n": t.n, "eps": t.eps, "frequency": t.frequency,
                   "bound": t.bound, "std_error": t.std_error, "pass": t.passed}
@@ -369,7 +371,7 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     if args.out_dir is None:
-        args.out_dir = default_output_dir()
+        args.out_dir = os.environ.get("GIBBSGAP_OUT", ".")
     try:
         if args.seed < 0:  # numpy seeds only from non-negative integers
             raise ValidationError("--seed must be >= 0, got %d" % args.seed)

@@ -132,7 +132,7 @@ def build_ladder(spec: LadderChainSpec) -> MarkovOperator:
         for k in range(2, n + 1):
             kernel[spec.state_index(n, k), spec.state_index(n, k - 1)] = 1.0
         kernel[spec.state_index(n, 1), 0] = 1.0
-    return MarkovOperator(kernel, ladder_stationary(spec), label="ladder N=%d" % spec.N)
+    return MarkovOperator(kernel, ladder_stationary(spec))
 
 
 def return_time_moment(spec: LadderChainSpec, b: float) -> float:
@@ -250,14 +250,17 @@ def ladder_conductance(spec: LadderChainSpec) -> tuple[float, np.ndarray, np.nda
 
     Returns (minimum over all cuts, per-rung values for n = 1..N, singleton
     values): ``singletons[0]`` is the origin's and ``singletons[n]`` that of
-    every state of rung n.
+    every state of rung n.  The origin's (1 - p(0))/(1 - 1/E[tau]) is taken
+    as E[tau] sum_n p(n) / sum_n n p(n) over n >= 1, which does not cancel
+    when p(0) is within rounding of 1.
     """
     p = spec.jump_pmf()
     e_tau = _expected_return_time(p)
     n = np.arange(1, spec.N + 1)
     rungs = 1.0 / (n * (1.0 - n * p[1:] / e_tau))
-    singletons = 1.0 / (1.0 - p / e_tau)
-    singletons[0] = (1.0 - p[0]) / (1.0 - 1.0 / e_tau)
+    singletons = np.empty(spec.N + 1)
+    singletons[0] = e_tau * p[1:].sum() / (n @ p[1:])
+    singletons[1:] = 1.0 / (1.0 - p[1:] / e_tau)
     return float(min(rungs.min(), singletons.min())), rungs, singletons
 
 

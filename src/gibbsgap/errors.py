@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package; a dense solver raises numpy's own LinAlgError."""
 
 
 class ValidationError(ValueError):
@@ -7,7 +7,3 @@ class ValidationError(ValueError):
 
 class StateCapError(RuntimeError):
     """The requested state space exceeds the dense-algebra cap."""
-
-
-class NumericError(RuntimeError):
-    """A dense solver failed to converge or returned garbage."""

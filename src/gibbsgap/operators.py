@@ -29,6 +29,7 @@ radius of a reversible operator (a random scan) is its norm; for a
 non-reversible one ``spectral_radius_centered`` uses dense ``eigvals``,
 which is uncertified: eigenvalues of a strongly non-normal kernel are
 ill-conditioned (see ``counterexample.ladder_gap`` for the ladder chain).
+A solver that fails raises numpy's ``LinAlgError`` unwrapped.
 """
 from __future__ import annotations
 
@@ -38,7 +39,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .errors import NumericError, ValidationError
+from .errors import ValidationError
 from .measure import TargetDistribution
 
 #: Row sums and stationarity are enforced to this tolerance.
@@ -60,7 +61,6 @@ class MarkovOperator:
 
     kernel: np.ndarray
     stationary: np.ndarray
-    label: str = ""
 
     def __post_init__(self):
         kernel = np.asarray(self.kernel, dtype=float)
@@ -148,7 +148,7 @@ def small_step(i: int, pi: TargetDistribution) -> MarkovOperator:
     d = pi.space.d
     if not 1 <= i <= d:
         raise ValidationError("coordinate index %d out of range 1..%d" % (i, d))
-    return MarkovOperator(_small_step_kernel(i, pi), pi.pmf, label="P_%d" % i)
+    return MarkovOperator(_small_step_kernel(i, pi), pi.pmf)
 
 
 def _small_step_kernel(i: int, pi: TargetDistribution) -> np.ndarray:
@@ -179,7 +179,7 @@ def _sweep(path: Sequence[int], pi: TargetDistribution) -> np.ndarray:
 def dsg(sigma: Sequence[int], pi: TargetDistribution) -> MarkovOperator:
     """Deterministic scan: one full sweep updating sigma(1) first, sigma(d) last."""
     scan = _checked_scan(sigma, DeterministicScan, pi)
-    return MarkovOperator(_sweep(scan.order, pi), pi.pmf, label="DSG sigma=%s" % (scan.order,))
+    return MarkovOperator(_sweep(scan.order, pi), pi.pmf)
 
 
 def rsg(weights: Union[RandomScan, Sequence[float]], pi: TargetDistribution) -> MarkovOperator:
@@ -188,7 +188,7 @@ def rsg(weights: Union[RandomScan, Sequence[float]], pi: TargetDistribution) -> 
     kernel = np.zeros((pi.space.total_states,) * 2)
     for i, w in enumerate(scan.weights, start=1):
         kernel += w * _small_step_kernel(i, pi)
-    return MarkovOperator(kernel, pi.pmf, label="RSG w=%s" % (scan.weights,))
+    return MarkovOperator(kernel, pi.pmf)
 
 
 def symmetrized_sweep(sigma: Sequence[int], pi: TargetDistribution) -> MarkovOperator:
@@ -199,7 +199,7 @@ def symmetrized_sweep(sigma: Sequence[int], pi: TargetDistribution) -> MarkovOpe
     """
     scan = _checked_scan(sigma, DeterministicScan, pi)
     path = scan.order + scan.order[-2::-1]
-    return MarkovOperator(_sweep(path, pi), pi.pmf, label="SYM sigma=%s" % (scan.order,))
+    return MarkovOperator(_sweep(path, pi), pi.pmf)
 
 
 def scan_operator(pi: TargetDistribution, scan: ScanSpec) -> MarkovOperator:
@@ -215,14 +215,13 @@ def adjoint(op: MarkovOperator) -> MarkovOperator:
     """Time reversal: P*(x, y) = pi(y) P(y, x) / pi(x); the L2(pi) adjoint."""
     pi = op.stationary
     kernel = op.kernel.T * pi[None, :] / pi[:, None]
-    return MarkovOperator(kernel, pi, label="adjoint(%s)" % op.label)
+    return MarkovOperator(kernel, pi)
 
 
 def additive_reversibilization(op: MarkovOperator) -> MarkovOperator:
     """(P + P*) / 2; reversible w.r.t. the stationary law by construction."""
     rev = adjoint(op)
-    return MarkovOperator(0.5 * (op.kernel + rev.kernel), op.stationary,
-                          label="reversibilization(%s)" % op.label)
+    return MarkovOperator(0.5 * (op.kernel + rev.kernel), op.stationary)
 
 
 def is_reversible(op: MarkovOperator) -> bool:
@@ -240,12 +239,7 @@ def _centered_conjugated(op: MarkovOperator) -> np.ndarray:
 
 def l2_norm_centered(op: MarkovOperator) -> float:
     """||P - Pi|| in L2(pi); always <= 1 for a stationary Markov kernel."""
-    a = _centered_conjugated(op)
-    try:
-        svals = np.linalg.svd(a, compute_uv=False)
-    except np.linalg.LinAlgError as exc:
-        raise NumericError("SVD failed for %s: %s" % (op.label, exc)) from exc
-    return float(svals[0]) if svals.size else 0.0
+    return float(np.linalg.svd(_centered_conjugated(op), compute_uv=False)[0])
 
 
 def spectral_radius_centered(op: MarkovOperator) -> float:
@@ -253,11 +247,8 @@ def spectral_radius_centered(op: MarkovOperator) -> float:
     reversible P - Pi is self-adjoint in L2(pi), so its radius is its norm."""
     if is_reversible(op):
         return l2_norm_centered(op)
-    try:
-        vals = np.linalg.eigvals(op.kernel - op.stationary)  # Pi has every row pi
-    except np.linalg.LinAlgError as exc:
-        raise NumericError("eigensolver failed for %s: %s" % (op.label, exc)) from exc
-    return float(np.abs(vals).max()) if vals.size else 0.0
+    vals = np.linalg.eigvals(op.kernel - op.stationary)  # Pi has every row pi
+    return float(np.abs(vals).max())
 
 
 class Spectra:

@@ -2,13 +2,15 @@
 
 Every emitted file embeds the tool version and the fully resolved config,
 and nothing time- or host-dependent, so re-running a command with the same
-config and seeds is byte-identical.
+config and seeds is byte-identical.  numpy values need no conversion pass:
+``np.float64`` is a ``float``, which json and csv both write with
+``float.__repr__``; json's ``default`` hook writes any other numpy scalar or
+array through ``tolist``.
 """
 from __future__ import annotations
 
 import csv
 import json
-import os
 from typing import Any, Mapping, Sequence
 
 import numpy as np
@@ -16,62 +18,39 @@ import numpy as np
 from . import __version__
 
 
-def _jsonable(obj: Any) -> Any:
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(x) for x in obj.tolist()]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    if isinstance(obj, Mapping):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(x) for x in obj]
-    return obj
-
-
 def report_document(command: str, config: Mapping[str, Any], body: Mapping[str, Any]) -> dict:
-    """Assemble the canonical report envelope, converted to plain JSON data."""
+    """Assemble the canonical report envelope."""
     return {
         "tool": "gibbsgap",
         "version": __version__,
         "command": command,
-        "config": _jsonable(dict(config)),
-        "report": _jsonable(dict(body)),
+        "config": dict(config),
+        "report": dict(body),
     }
 
 
-def write_json(doc: Mapping[str, Any], path: str) -> None:
-    """Write plain JSON data, such as a ``report_document``, as sorted JSON.
+def _numpy_value(obj: Any) -> Any:
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    raise TypeError("Object of type %s is not JSON serializable" % type(obj).__name__)
 
-    Strict JSON: a NaN or infinite float raises ValueError before the file is
-    opened.
+
+def write_json(doc: Mapping[str, Any], path: str) -> None:
+    """Write a ``report_document`` (numpy values allowed) as sorted JSON.
+
+    Strict JSON: a NaN or infinite float raises ValueError, and a value json
+    cannot encode TypeError, before the file is opened.
     """
-    text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+    text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False, default=_numpy_value)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text + "\n")
 
 
 def write_csv(rows: Sequence[Mapping[str, Any]], path: str, columns: Sequence[str]) -> None:
     """CSV of the given columns with a header row, '.' decimal separator,
-    repr-exact floats; a column a row lacks is left empty."""
+    repr-exact floats; a column a row lacks, or a None, is left empty."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(columns)
         for row in rows:
-            writer.writerow([_cell(row.get(c)) for c in columns])
-
-
-def _cell(value: Any) -> str:
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    if value is None:
-        return ""
-    return str(value)
-
-
-def default_output_dir() -> str:
-    """Output directory: GIBBSGAP_OUT env var or the working directory."""
-    return os.environ.get("GIBBSGAP_OUT", ".")
+            writer.writerow([row.get(c) for c in columns])

@@ -170,7 +170,7 @@ def clt_variance_bound(rho: float, f: np.ndarray, pi: TargetDistribution) -> flo
     norm).
     """
     if not 0.0 <= rho < 1.0:
-        raise ValidationError("rho must lie in [0, 1) for a finite bound, got %g" % rho)
+        raise ValidationError("rho must lie in [0, 1) for a finite bound, got %r" % rho)
     f = np.asarray(f, dtype=float).reshape(-1)
     if f.shape[0] != pi.space.total_states:
         raise ValidationError("f has wrong length")
@@ -206,7 +206,7 @@ def asymptotic_variance_estimate(states: np.ndarray, f: np.ndarray) -> tuple[flo
 def hoeffding_bound(rho: float, n: int, eps: float) -> float:
     """Tail bound  exp(-((1-rho)/(1+rho)) n eps^2)  for a chain started from pi."""
     if not 0.0 <= rho < 1.0:
-        raise ValidationError("rho must lie in [0, 1), got %g" % rho)
+        raise ValidationError("rho must lie in [0, 1), got %r" % rho)
     if not eps > 0:  # also refuses NaN
         raise ValidationError("eps must be > 0, got %g" % eps)
     return float(np.exp(-(1.0 - rho) / (1.0 + rho) * n * eps ** 2))

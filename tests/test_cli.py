@@ -534,6 +534,20 @@ class TestSampleCommand:
         assert code == 3
         assert not (tmp_path / "sample.json").exists()
 
+    def test_unresolvable_rate_refused_before_any_step(self, tmp_path, monkeypatch, capsys):
+        # at epsilon = 1e-9 the gap is ~1e-18: both scans' rho round to exactly 1.0
+        def fail(*args, **kwargs):
+            raise AssertionError("simulated with a rate that gives no finite bound")
+
+        monkeypatch.setattr(cli, "run_chain", fail)
+        monkeypatch.setattr(cli, "empirical_tails", fail)
+        code = main(["sample", "--model", "equicorrelated_binary", "--d", "3",
+                     "--epsilon", "1e-9", "--out-dir", str(tmp_path)])
+        assert code == 2
+        assert not (tmp_path / "sample.json").exists()
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "got 1.0" in err[0]
+
     def test_bad_function_exit_2(self, tmp_path):
         code = main(["sample", "--model", "equicorrelated_binary", "--d", "2",
                      "--epsilon", "0.25", "--out-dir", str(tmp_path),
@@ -724,3 +738,29 @@ class TestReporting:
         lines = path.read_text().splitlines()
         assert lines[0] == "v,w,n"
         assert lines[1] == "0.1,,3"
+
+    def test_json_numpy_values_write_as_python_values(self, tmp_path):
+        numpy_doc = {"f": np.float64(0.1), "i": np.int64(3), "b": np.bool_(True),
+                     "a": np.array([[0.5, 1e-300], [2.0 / 3.0, 1e16]]),
+                     "t": (1, (np.float64(2.5), "x")), "m": {"k": np.float64(1e-05)}}
+        plain_doc = {"f": 0.1, "i": 3, "b": True, "a": [[0.5, 1e-300], [2.0 / 3.0, 1e16]],
+                     "t": [1, [2.5, "x"]], "m": {"k": 1e-05}}
+        write_json(numpy_doc, str(tmp_path / "numpy.json"))
+        write_json(plain_doc, str(tmp_path / "plain.json"))
+        assert (tmp_path / "numpy.json").read_bytes() == (tmp_path / "plain.json").read_bytes()
+
+    @pytest.mark.parametrize("value", [object(), {1.5}, b"bytes"])
+    def test_json_refuses_unencodable_values(self, tmp_path, value):
+        path = tmp_path / "x.json"
+        with pytest.raises(TypeError):
+            write_json({"a": [1, value]}, str(path))
+        assert not path.exists()
+
+    def test_csv_numpy_cells_equal_python_cells(self, tmp_path):
+        columns = ["f", "small", "large", "none", "flag"]
+        numpy_row = {"f": np.float64(0.1), "small": np.float64(1e-05),
+                     "large": np.float64(1e16), "none": None, "flag": np.True_}
+        plain_row = {"f": 0.1, "small": 1e-05, "large": 1e16, "none": None, "flag": True}
+        write_csv([numpy_row, plain_row], str(tmp_path / "x.csv"), columns=columns)
+        lines = (tmp_path / "x.csv").read_text().splitlines()
+        assert lines[1:] == ["0.1,1e-05,1e+16,,True"] * 2

@@ -3,6 +3,7 @@ import itertools
 import math
 import pkgutil
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -289,6 +290,26 @@ class TestLadderConductance:
         expected = np.concatenate([rungs, np.repeat(singletons, np.r_[1, 1:n_trunc + 1])])
         np.testing.assert_allclose(dense, expected, rtol=0, atol=1e-14)
         assert kappa == pytest.approx(dense_kappa, abs=1e-14)
+
+    @pytest.mark.parametrize("q", [1e-20, 1e-15, 1e-300])
+    @pytest.mark.parametrize("n_trunc", [2, 5, 10])
+    def test_origin_singleton_without_cancellation(self, q, n_trunc):
+        # 1 - p(0) and 1 - 1/E[tau] both round to 0 or to a few ulps here
+        spec = LadderChainSpec(N=n_trunc, q=q)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, _, singletons = ladder_conductance(spec)
+        # exact: E[tau] sum_{n>=1} p(n) / sum_{n>=1} n p(n), p(n) proportional to q^n
+        p = [Fraction(q) ** n for n in range(n_trunc + 1)]
+        e_tau = sum((n + 1) * pn for n, pn in enumerate(p)) / sum(p)
+        exact = e_tau * sum(p[1:]) / sum(n * pn for n, pn in enumerate(p))
+        assert singletons[0] == pytest.approx(float(exact), rel=1e-15)
+
+    def test_counterexample_at_tiny_q_exits_0_without_warning(self, tmp_path):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["counterexample", "--q", "1e-300", "--N", "5",
+                         "--out-dir", str(tmp_path)]) == 0
 
 
 def test_counterexample_command_builds_no_dense_kernel(tmp_path, monkeypatch):

@@ -258,6 +258,19 @@ class TestSpectralQuantities:
         for n, v in enumerate(seq, start=1):
             assert v <= r ** n + 1e-12
 
+    def test_solver_failure_is_numpys_error(self, eps_pair, monkeypatch):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", fail)
+        monkeypatch.setattr(np.linalg, "eigvals", fail)
+        sweep, mix = dsg((1, 2), eps_pair), rsg((0.5, 0.5), eps_pair)
+        # the norm's SVD; the radius's eigvals (a sweep) or SVD (a reversible mix)
+        for solve, op in [(l2_norm_centered, sweep), (spectral_radius_centered, sweep),
+                          (spectral_radius_centered, mix)]:
+            with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+                solve(op)
+
 
 class TestSpectra:
     def test_values_equal_direct_computation(self):

@@ -9,7 +9,8 @@ Commands::
 
 Exit status: 0 success, 1 an asserted inequality or simulation bound was
 violated beyond tolerance (the report is written first), 2 usage or
-validation error (no report is written), 3 state-count cap exceeded (checked
+validation error (no report is written; ``--out-dir`` is created before any
+work, so an exit 2 or 3 may leave it empty), 3 state-count cap exceeded (checked
 once, where a command loads its target, before any work on it: a ``--model``
 or a ``model`` entry before its pmf is built, a ``pmf`` entry once it is valid).
 A dense-solver failure is not caught: numpy's ``LinAlgError`` ends the command
@@ -158,8 +159,7 @@ def cmd_analyze(args) -> int:
     body = {
         "target": {"dims": pi.space.dims, "pmf": pi.pmf},
         "angle_closed_form": bound_report.angle,
-        "angle_brute_force": angle_bf.value,
-        "angle_degenerate": angle_bf.degenerate,
+        "angle_brute_force": angle_bf,
         "inclination_upper_bound": incl.value,
         "inclination_lower_bound_dual": incl.lower,
         "inclination_certified": incl.certified,
@@ -265,12 +265,10 @@ def cmd_sample(args) -> int:
 
 
 def cmd_counterexample(args) -> int:
-    if not 0.0 < args.q < 1.0:
-        raise ValidationError("q must lie in (0, 1), got %g" % args.q)
     for b in args.b:
         if not 1.0 < b < math.inf:
             raise ValidationError("b must be a finite number > 1, got %g" % b)
-    for N in args.N:
+    for N in args.N:  # LadderChainSpec refuses a bad N or q
         check_state_cap(LadderChainSpec(N, args.q).n_states, args.state_cap)
     rows = reversibilization_gap_sweep(args.q, args.N, b_list=args.b)
     columns = ["N", "n_states", "gap_K", "gap_P", "gap_P_star", "root_residual", "kappa_upper",
@@ -290,7 +288,6 @@ def _report(args, command: str, body: dict, failure: str | None, csv=None) -> in
     """
     # out_dir is a host path, not part of the reproducible configuration
     config = {k: v for k, v in sorted(vars(args).items()) if k not in ("func", "out_dir")}
-    os.makedirs(args.out_dir, exist_ok=True)
     path = os.path.join(args.out_dir, command + ".json")
     write_json(report_document(command, config, body), path)
     if csv is not None:
@@ -375,6 +372,10 @@ def main(argv=None) -> int:
     try:
         if args.seed < 0:  # numpy seeds only from non-negative integers
             raise ValidationError("--seed must be >= 0, got %d" % args.seed)
+        try:
+            os.makedirs(args.out_dir, exist_ok=True)
+        except OSError as exc:
+            raise ValidationError("cannot create --out-dir: %s" % exc) from exc
         return args.func(args)
     except StateCapError as exc:
         print("state cap exceeded: %s" % exc, file=sys.stderr)

@@ -50,6 +50,7 @@ commands do not call them.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -74,8 +75,11 @@ class LadderChainSpec:
     def __post_init__(self):
         if self.N < 1:
             raise ValidationError("truncation N must be >= 1, got %d" % self.N)
-        if not 0.0 < self.q < 1.0:
-            raise ValidationError("geometric ratio q must lie in (0, 1), got %g" % self.q)
+        # for a subnormal q, ladder_gap's smallest root nu ~ q underflows to
+        # 0 and the eigenvalue q / nu overflows
+        if not sys.float_info.min <= self.q < 1.0:
+            raise ValidationError("geometric ratio q must lie in [%g, 1), got %g"
+                                  % (sys.float_info.min, self.q))
 
     @property
     def n_states(self) -> int:
@@ -163,16 +167,17 @@ def ladder_gap(spec: LadderChainSpec) -> tuple[float, float]:
     """(gap, root residual) of the ladder kernel P, which is also the gap of P*.
 
     The roots of the renewal polynomial are found with the substitution
-    lambda = q / nu: nu solves g(nu) = sum_n p(n) q^-(n+1) nu^(n+1) - 1 = 0,
-    and for the geometric law every coefficient p(n) q^-(n+1) is the same
-    (1-q) / (q (1 - q^(N+1))).  So the float64 companion solve is accurate
-    where the one on the unscaled polynomial is not, and no coefficient
-    underflows however small p(N) is.  One Newton step polishes the roots.  The
-    residual is max over all roots of |1 - sum_n p(n) lambda^-(n+1)| = |g(nu)|.
+    lambda = q / nu: nu solves sum_n p(n) q^-(n+1) nu^(n+1) = 1, and for the
+    geometric law every coefficient p(n) q^-(n+1) is the same
+    (1-q) / (q (1 - q^(N+1))).  Divided by it, the equation is the monic
+    g(nu) = sum_{k=1}^{N+1} nu^k - q (1 - q^(N+1)) / (1-q) = 0.  So the
+    float64 companion solve is accurate where the one on the unscaled
+    polynomial is not, and no coefficient underflows or overflows however
+    small p(N) or q is.  One Newton step polishes the roots.  The residual
+    is max over all roots of |g(nu)|, on the scale of g's unit coefficients.
     """
     q = spec.q
-    coef = (1.0 - q) / (q * _geometric_mass(spec))
-    g = np.append(np.full(spec.N + 1, coef), -1.0)
+    g = np.append(np.ones(spec.N + 1), -q * _geometric_mass(spec) / (1.0 - q))
     nu = np.roots(g)
     nu = nu - np.polyval(g, nu) / np.polyval(np.polyder(g), nu)
     residual = float(np.abs(np.polyval(g, nu)).max())

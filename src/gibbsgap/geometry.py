@@ -42,16 +42,8 @@ from .errors import ValidationError
 from .measure import TargetDistribution
 from .operators import RandomScan, l2_norm_centered, rsg
 
-#: Rank cut for Gram-Schmidt of the M_i cap M-perp bases.
-RANK_TOL = 1e-10
 #: The sandwich inequalities are checked to this tolerance.
 SANDWICH_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class AngleResult:
-    value: float
-    degenerate: bool = False
 
 
 #: The dual certifies ell_hat when upper - lower <= CERTIFY_TOL * max(1, upper).
@@ -104,24 +96,27 @@ class InclinationResult:
 
 def subspace_basis(i: int, pi: TargetDistribution) -> np.ndarray:
     """Basis of mean-zero functions constant in coordinate i (1-based): an
-    (n_states, dim) array whose columns are orthonormal in L2(pi).
+    (n_states, m - 1) array, m the number of x_{-i} cells, whose columns are
+    orthonormal in L2(pi).
 
-    Built by orthonormalizing the mean-centered indicators of the x_{-i}
-    cells of pi.conditionals in the pi inner product, with rank tolerance
-    RANK_TOL.
+    In coordinates y = sqrt(pi) f the functions constant in i are spanned by
+    the orthonormal cell vectors sqrt(pi) / sqrt(pi(c)), and sqrt(pi) is
+    their combination with weights a = (sqrt(pi(c)))_c.  The last m - 1
+    columns of the Householder reflector I - 2 v v^T / v^T v, v = a + ||a|| e_1,
+    span a-perp orthonormally and combine the cell vectors into the basis;
+    divided by sqrt(pi), column j is row c of the reflector over sqrt(pi(c))
+    on cell c.  Reads the cells and the pmf, never the conditionals.
     """
     d = pi.space.d
     if not 1 <= i <= d:
         raise ValidationError("coordinate index %d out of range 1..%d" % (i, d))
     cells, _ = pi.conditionals[i - 1]
-    span = np.zeros((pi.space.total_states, cells.shape[0]))
-    span[cells, np.arange(cells.shape[0])[:, None]] = 1.0
-    span -= pi.pmf @ span  # mean-center each column
-    s = np.sqrt(pi.pmf)
-    y = span * s[:, None]
-    u, svals, _ = np.linalg.svd(y, full_matrices=False)
-    rank = int(np.sum(svals > RANK_TOL))
-    return u[:, :rank] / s[:, None]
+    a = np.sqrt(pi.pmf[cells].sum(axis=1))
+    v = np.concatenate(([a[0] + np.linalg.norm(a)], a[1:]))  # positive: v^T v cannot cancel
+    reflector = np.eye(a.size)[:, 1:] - np.outer(v, 2.0 * v[1:] / (v @ v))
+    basis = np.empty((pi.space.total_states, a.size - 1))
+    basis[cells] = (reflector / a[:, None])[:, None, :]
+    return basis
 
 
 def angle_from_uniform_norm(norm: float, d: int) -> float:
@@ -132,38 +127,31 @@ def angle_from_uniform_norm(norm: float, d: int) -> float:
     return float((d * norm - 1.0) / (d - 1.0))
 
 
-def friedrichs_angle_from_norm(pi: TargetDistribution) -> AngleResult:
+def friedrichs_angle_from_norm(pi: TargetDistribution) -> float:
     """c recovered from the exact uniform-weight random-scan norm."""
     d = pi.space.d
-    norm = l2_norm_centered(rsg(RandomScan.uniform(d), pi))
-    return AngleResult(value=angle_from_uniform_norm(norm, d))
+    return angle_from_uniform_norm(l2_norm_centered(rsg(RandomScan.uniform(d), pi)), d)
 
 
-def friedrichs_angle_bruteforce(pi: TargetDistribution) -> AngleResult:
+def friedrichs_angle_bruteforce(pi: TargetDistribution) -> float:
     """Independent oracle for c via a dense symmetric eigenproblem.
 
-    With orthonormal bases Y_i of the M_i cap M-perp blocks (in the
-    symmetrized coordinates), the numerator quadratic form over block
-    coefficients u is u^T (Y^T Y - I) u and the denominator is
-    (d-1) u^T u, so c is (lambda_max(Y^T Y) - 1) / (d-1).  The top
-    eigenvalue is taken from the n x n matrix Y Y^T, which has the same
-    nonzero spectrum and is smaller than the Gram matrix Y^T Y whenever the
-    blocks hold more than n basis vectors together.
+    With orthonormal bases Y_i of the M_i cap M-perp blocks in the
+    symmetrized coordinates (``subspace_basis`` times sqrt(pi)), the
+    numerator quadratic form over block coefficients u is u^T (Y^T Y - I) u
+    and the denominator is (d-1) u^T u for the stack Y = [Y_1, ..., Y_d], so
+    c is (lambda_max(Y^T Y) - 1) / (d-1).  The top eigenvalue is taken from
+    Y Y^T = sum_i Y_i Y_i^T, which has the same nonzero spectrum, summed one
+    coordinate at a time into an n x n matrix.  No kernel, SVD or
+    conditional enters.
     """
     d = pi.space.d
     s = np.sqrt(pi.pmf)
-    blocks = []
+    gram = np.zeros((s.shape[0], s.shape[0]))
     for i in range(1, d + 1):
-        b = subspace_basis(i, pi)
-        if b.shape[1] > 0:
-            blocks.append(b * s[:, None])
-    if not blocks:
-        # only possible when every cross-section is a single cell: the
-        # supremum runs over an empty set and c is defined as 0
-        return AngleResult(value=0.0, degenerate=True)
-    y = np.hstack(blocks)
-    top = np.linalg.eigvalsh(y @ y.T)[-1]
-    return AngleResult(value=float((top - 1.0) / (d - 1.0)))
+        y = subspace_basis(i, pi) * s[:, None]
+        gram += y @ y.T
+    return float((np.linalg.eigvalsh(gram)[-1] - 1.0) / (d - 1.0))
 
 
 def _inclination_forms(pi: TargetDistribution) -> tuple[np.ndarray, np.ndarray]:

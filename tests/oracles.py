@@ -73,3 +73,17 @@ def ladder_adjoint_kernel(spec: LadderChainSpec) -> np.ndarray:
             kernel[spec.state_index(n, k - 1), spec.state_index(n, k)] = 1.0
         kernel[spec.state_index(n, n), 0] = 1.0
     return kernel
+
+
+def exact_asymptotic_variance(op: MarkovOperator, f: np.ndarray) -> float:
+    """sigma^2(f) = lim Var(sum_{t<n} f(X_t)) / n for the stationary chain of op.
+
+    With fbar = f - pi(f) and g the solution of the Poisson equation
+    (I - K + 1 pi^T) g = fbar, which is sum_k K^k fbar, sigma^2 is
+    <fbar, 2 g - fbar>_pi = Var_pi(f) + 2 sum_{k>=1} <fbar, K^k fbar>_pi.
+    """
+    pi = op.stationary
+    fbar = np.asarray(f, dtype=float) - pi @ f
+    n = pi.shape[0]
+    g = np.linalg.solve(np.eye(n) - op.kernel + pi[None, :], fbar)
+    return float(pi @ (fbar * (2.0 * g - fbar)))

@@ -64,7 +64,7 @@ def test_c01_norm_identity(suite):
     for pi in suite:
         d = pi.space.d
         norm = l2_norm_centered(rsg(RandomScan.uniform(d), pi))
-        c_bf = friedrichs_angle_bruteforce(pi).value
+        c_bf = friedrichs_angle_bruteforce(pi)
         predicted = ((d - 1.0) / d) * (c_bf + 1.0 / (d - 1.0))
         worst = max(worst, abs(norm - predicted))
     elapsed = time.perf_counter() - start
@@ -80,7 +80,7 @@ def test_c02_worked_2x2_values():
     checks.append(("uniform rsg norm",
                    abs(l2_norm_centered(rsg(RandomScan.uniform(2), uniform)) - 0.5) <= 1e-10))
     checks.append(("uniform angle",
-                   abs(friedrichs_angle_from_norm(uniform).value) <= 1e-9))
+                   abs(friedrichs_angle_from_norm(uniform)) <= 1e-9))
     checks.append(("uniform inclination",
                    abs(inclination(uniform, restarts=8, seed=0).value - 0.70711) <= 1e-4))
     pair = equicorrelated_binary(2, 0.25)
@@ -93,7 +93,7 @@ def test_c02_worked_2x2_values():
     checks.append(("correlated rsg norm",
                    abs(l2_norm_centered(rsg(RandomScan.uniform(2), pair)) - 0.75) <= 1e-10))
     checks.append(("correlated angle",
-                   abs(friedrichs_angle_from_norm(pair).value - 0.5) <= 1e-9))
+                   abs(friedrichs_angle_from_norm(pair) - 0.5) <= 1e-9))
     failed = [name for name, ok in checks if not ok]
     _emit("C02", "worked 2x2 values", not failed,
           "failed sub-checks: %s" % (failed or "none"))
@@ -105,7 +105,7 @@ def test_c03_bound_dominance(suite):
     sharp_worst = 0.0
     for pi in suite:
         d = pi.space.d
-        c = friedrichs_angle_from_norm(pi).value
+        c = friedrichs_angle_from_norm(pi)
         uniform_exact = l2_norm_centered(rsg(RandomScan.uniform(d), pi))
         sharp_worst = max(sharp_worst,
                           abs(rsg_norm_bound(c, d, RandomScan.uniform(d)) - uniform_exact))
@@ -181,7 +181,7 @@ def test_c06_sandwich(suite):
     right_hits = 0
     for pi in suite:
         d = pi.space.d
-        c = friedrichs_angle_from_norm(pi).value
+        c = friedrichs_angle_from_norm(pi)
         ell_hat = inclination(pi, restarts=32, seed=0).value
         out = check_sandwich(c, ell_hat, d)
         left_ok = left_ok and out["left_pass"]

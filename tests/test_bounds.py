@@ -32,7 +32,7 @@ class TestRsgNormBound:
         assert rsg_norm_bound(0.4, 3, (0.5, 0.25, 0.25)) == pytest.approx(0.7, abs=1e-12)
 
     def test_uniform_weights_sharp(self, eps_pair):
-        c = friedrichs_angle_from_norm(eps_pair).value
+        c = friedrichs_angle_from_norm(eps_pair)
         assert rsg_norm_bound(c, 2, (0.5, 0.5)) == pytest.approx(0.75, abs=1e-10)
 
     def test_never_below_1_over_d(self):

@@ -659,6 +659,27 @@ class TestReportContract:
         assert not (tmp_path / (command + ".json")).exists()
         assert capsys.readouterr().err.splitlines() == ["error: --seed must be >= 0, got -1"]
 
+    @pytest.mark.parametrize("command", list(_SMALL_RUNS))
+    @pytest.mark.parametrize("under_a_file", [False, True], ids=["a_file", "under_a_file"])
+    def test_unusable_out_dir_exit_2_before_any_work(self, tmp_path, monkeypatch, capsys,
+                                                     request, command, under_a_file):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        out_dir = blocker / "out" if under_a_file else blocker
+
+        def refuse(args):
+            raise AssertionError("a command ran with an unusable --out-dir")
+
+        for name in ("cmd_analyze", "cmd_sweep", "cmd_sample", "cmd_counterexample"):
+            monkeypatch.setattr(cli, name, refuse)
+        # the cached parser holds the commands it was built with
+        cli._parser.cache_clear()
+        request.addfinalizer(cli._parser.cache_clear)
+        code = main([command, *_SMALL_RUNS[command], "--out-dir", str(out_dir)])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 2
+        assert len(err) == 1 and err[0].startswith("error: cannot create --out-dir: ")
+
     def test_csv_headers(self, tmp_path):
         for command in ("analyze", "sweep", "counterexample"):
             assert main([command, *_SMALL_RUNS[command], "--out-dir", str(tmp_path)]) == 0

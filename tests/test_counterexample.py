@@ -1,5 +1,6 @@
 import importlib
 import itertools
+import json
 import math
 import pkgutil
 import tracemalloc
@@ -310,6 +311,24 @@ class TestLadderConductance:
             warnings.simplefilter("error")
             assert main(["counterexample", "--q", "1e-300", "--N", "5",
                          "--out-dir", str(tmp_path)]) == 0
+
+    @pytest.mark.parametrize("q, n_trunc", [(1e-307, 40), (3e-308, 5)])
+    def test_counterexample_at_the_normal_floor_of_q(self, q, n_trunc, tmp_path):
+        # every coefficient (1-q)/(q (1 - q^(N+1))) of the unscaled renewal
+        # polynomial overflowed in its derivative here
+        assert main(["counterexample", "--q", repr(q), "--N", str(n_trunc),
+                     "--out-dir", str(tmp_path)]) == 0
+        with open(tmp_path / "counterexample.json", encoding="utf-8") as fh:
+            (row,) = json.load(fh)["report"]["rows"]
+        assert row["gap_P"] == 1.0
+        assert row["root_residual"] <= 1e-12
+
+    def test_subnormal_q_exits_2_without_report(self, tmp_path):
+        with pytest.raises(ValidationError):
+            LadderChainSpec(N=5, q=1e-320)
+        assert main(["counterexample", "--q", "1e-320", "--N", "5",
+                     "--out-dir", str(tmp_path)]) == 2
+        assert not (tmp_path / "counterexample.json").exists()
 
 
 def test_counterexample_command_builds_no_dense_kernel(tmp_path, monkeypatch):

@@ -18,23 +18,53 @@ from gibbsgap.geometry import (
     subspace_basis,
 )
 from gibbsgap.measure import ProductSpace, TargetDistribution, equicorrelated_binary
+from conftest import make_suite
 from oracles import conditional_mean, random_target
 
 
+#: pmf proportional to this on (2, 2, 2): a cell of each coordinate has mass
+#: below 1e-20, whose direction a rank cut on the singular values of the
+#: centered cell indicators loses
+TINY_CELLS = np.array([0.25, 5e-21, 0.25, 1e-23, 0.25, 1e-23, 0.25, 5e-21])
+
+
+def _tiny_cells_target() -> TargetDistribution:
+    return TargetDistribution(ProductSpace((2, 2, 2)), TINY_CELLS / TINY_CELLS.sum())
+
+
+#: one_cell's coordinate 1 has a single x_{-1} cell, so its basis has no column
+BASIS_TARGETS = {"eps_pair": equicorrelated_binary(2, 0.25), "tiny_cells": _tiny_cells_target(),
+                 "one_cell": random_target(seed=3, dims=(4, 1)),
+                 **{"suite%d" % k: pi for k, pi in enumerate(make_suite(40))}}
+BASIS_CASES = [pytest.param(pi, i, id="%s-i%d" % (name, i))
+               for name, pi in BASIS_TARGETS.items() for i in range(1, pi.space.d + 1)]
+
+
 class TestSubspaceBasis:
-    def test_dimension(self, eps_pair):
-        # M_i cap M-perp for a 2x2 space has one direction per coordinate
-        assert subspace_basis(1, eps_pair).shape == (4, 1)
-        assert subspace_basis(2, eps_pair).shape == (4, 1)
+    @pytest.mark.parametrize("pi, i", BASIS_CASES)
+    def test_dimension(self, pi, i):
+        # M_i cap M-perp has one direction per x_{-i} cell, less the constants
+        n = pi.space.total_states
+        assert subspace_basis(i, pi).shape == (n, n // pi.space.dims[i - 1] - 1)
 
-    def test_orthonormal_in_pi(self, eps_pair):
-        b = subspace_basis(1, eps_pair)
-        gram = b.T @ (eps_pair.pmf[:, None] * b)
-        np.testing.assert_allclose(gram, np.eye(b.shape[1]), atol=1e-12)
+    @pytest.mark.parametrize("pi, i", BASIS_CASES)
+    def test_orthonormal_in_pi(self, pi, i):
+        b = subspace_basis(i, pi)
+        gram = b.T @ (pi.pmf[:, None] * b)
+        np.testing.assert_allclose(gram, np.eye(b.shape[1]), rtol=0, atol=1e-12)
 
-    def test_mean_zero(self, eps_pair):
-        b = subspace_basis(2, eps_pair)
-        np.testing.assert_allclose(eps_pair.pmf @ b, 0.0, atol=1e-12)
+    @pytest.mark.parametrize("pi, i", BASIS_CASES)
+    def test_mean_zero(self, pi, i):
+        b = subspace_basis(i, pi)
+        np.testing.assert_allclose(pi.pmf @ b, 0.0, rtol=0, atol=1e-12)
+
+    def test_reads_no_conditional(self, eps_pair):
+        # the brute-force angle stays independent of the values the kernels use
+        expected = [subspace_basis(i, eps_pair) for i in (1, 2)]
+        eps_pair.__dict__["conditionals"] = tuple((cells, np.full(cond.shape, np.nan))
+                                                  for cells, cond in eps_pair.conditionals)
+        for i in (1, 2):
+            np.testing.assert_array_equal(subspace_basis(i, eps_pair), expected[i - 1])
 
     def test_constant_in_coordinate(self, eps_pair):
         # columns of the coordinate-1 basis do not depend on x1
@@ -49,16 +79,16 @@ class TestSubspaceBasis:
 
 class TestFriedrichsAngle:
     def test_eps_pair_closed_form(self, eps_pair):
-        assert friedrichs_angle_from_norm(eps_pair).value == pytest.approx(0.5, abs=1e-10)
+        assert friedrichs_angle_from_norm(eps_pair) == pytest.approx(0.5, abs=1e-10)
 
     def test_uniform_product_is_zero(self, uniform_2x2):
-        assert friedrichs_angle_from_norm(uniform_2x2).value == pytest.approx(0.0, abs=1e-10)
-        assert friedrichs_angle_bruteforce(uniform_2x2).value == pytest.approx(0.0, abs=1e-10)
+        assert friedrichs_angle_from_norm(uniform_2x2) == pytest.approx(0.0, abs=1e-10)
+        assert friedrichs_angle_bruteforce(uniform_2x2) == pytest.approx(0.0, abs=1e-10)
 
     def test_methods_agree_on_suite(self, target_suite):
         for pi in target_suite[:40]:
-            cf = friedrichs_angle_from_norm(pi).value
-            bf = friedrichs_angle_bruteforce(pi).value
+            cf = friedrichs_angle_from_norm(pi)
+            bf = friedrichs_angle_bruteforce(pi)
             assert cf == pytest.approx(bf, abs=1e-8)
 
     def test_bruteforce_equals_gram_form(self, target_suite):
@@ -71,17 +101,22 @@ class TestFriedrichsAngle:
             gram = y.T @ y
             cross = 0.5 * (gram + gram.T) - np.eye(gram.shape[0])
             c = np.linalg.eigvalsh(cross)[-1] / (d - 1.0)
-            assert friedrichs_angle_bruteforce(pi).value == pytest.approx(c, abs=1e-12)
+            assert friedrichs_angle_bruteforce(pi) == pytest.approx(c, abs=1e-12)
+
+    def test_bruteforce_keeps_cells_of_tiny_mass(self):
+        pi = _tiny_cells_target()
+        assert friedrichs_angle_bruteforce(pi) == pytest.approx(friedrichs_angle_from_norm(pi),
+                                                                abs=1e-12)
 
     def test_angle_in_valid_range(self, target_suite):
         for pi in target_suite[:40]:
             d = pi.space.d
-            c = friedrichs_angle_from_norm(pi).value
+            c = friedrichs_angle_from_norm(pi)
             assert -1.0 / (d - 1.0) - 1e-9 <= c <= 1.0 + 1e-9
 
     def test_near_degenerate_coupling(self):
         pi = equicorrelated_binary(2, 0.0)
-        assert friedrichs_angle_from_norm(pi).value == pytest.approx(1.0, abs=1e-9)
+        assert friedrichs_angle_from_norm(pi) == pytest.approx(1.0, abs=1e-9)
 
 
 class TestInclination:
@@ -112,7 +147,7 @@ class TestInclination:
     def test_value_is_upper_bound_vs_certified_lower(self, target_suite):
         for pi in target_suite[:10]:
             d = pi.space.d
-            c = friedrichs_angle_from_norm(pi).value
+            c = friedrichs_angle_from_norm(pi)
             res = inclination(pi, restarts=8, seed=0)
             assert res.value >= inclination_lower_bound(c, d) - 1e-6
 
@@ -226,7 +261,7 @@ class TestInclinationDual:
         for pi in target_suite[:40]:
             d = pi.space.d
             forms, _ = _inclination_forms(pi)
-            c = friedrichs_angle_from_norm(pi).value
+            c = friedrichs_angle_from_norm(pi)
             lam_min = np.linalg.eigvalsh(forms.sum(axis=0))[0]
             assert lam_min / d == pytest.approx((d - 1.0) * (1.0 - c) / d, abs=1e-12)
 
@@ -350,7 +385,7 @@ class TestSandwich:
     def test_left_inequality_on_suite(self, target_suite):
         for pi in target_suite[:10]:
             d = pi.space.d
-            c = friedrichs_angle_from_norm(pi).value
+            c = friedrichs_angle_from_norm(pi)
             ell_hat = inclination(pi, restarts=8, seed=0).value
             out = check_sandwich(c, ell_hat, d)
             assert out["left_pass"]

@@ -11,6 +11,7 @@ from gibbsgap.measure import equicorrelated_binary
 from gibbsgap.operators import (
     DeterministicScan,
     RandomScan,
+    dsg,
     l2_norm_centered,
     spectral_radius_centered,
 )
@@ -24,7 +25,7 @@ from gibbsgap.sampler import (
     run_chain,
     scan_operator,
 )
-from oracles import random_target
+from oracles import exact_asymptotic_variance, random_target
 
 
 def _reference_chain(pi, scan, n, seed):
@@ -293,6 +294,45 @@ class TestCltVarianceBound:
         expected = np.sqrt((batches - 1) / batches * np.sum((jack - jack.mean()) ** 2))
         assert est == b * np.sum((means - means.mean()) ** 2) / (batches - 1)
         assert se == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
+class TestExactAsymptoticVariance:
+    """The exact sigma^2 of a sweep against the two CLT ceilings, with C09's f."""
+
+    @staticmethod
+    def _cases(suite):
+        for k, pi in enumerate(suite):
+            d = pi.space.d
+            f = (pi.space.all_multi_indices()[:, 0] == pi.space.dims[0] - 1).astype(float)
+            for name, order in (("identity", tuple(range(1, d + 1))),
+                                ("reversed", tuple(range(d, 0, -1)))):
+                yield k, name, pi, dsg(order, pi), f
+
+    def test_matches_the_truncated_autocovariance_sum(self, target_suite):
+        for _, _, pi, op, f in self._cases(target_suite[:3]):
+            fbar = f - pi.pmf @ f
+            total, h = pi.pmf @ fbar ** 2, fbar
+            for _ in range(1000):  # the terms fall below 1e-20 within 72 steps here
+                h = op.kernel @ h
+                total += 2.0 * (pi.pmf @ (fbar * h))
+            assert exact_asymptotic_variance(op, f) == pytest.approx(total, rel=0, abs=1e-12)
+
+    def test_norm_ceiling_holds_radius_ceiling_does_not(self, target_suite):
+        # the CLT ceiling is a theorem for rho = ||DSG - Pi||; with the spectral
+        # radius of the non-normal sweep in its place it fails on two targets
+        # (on 13 more cases at d = 2 sigma^2 equals the radius ceiling up to
+        # rounding, which the relative margin of 1e-9 leaves out)
+        above_radius = {}
+        for k, name, pi, op, f in self._cases(target_suite):
+            sigma2 = exact_asymptotic_variance(op, f)
+            assert sigma2 <= clt_variance_bound(l2_norm_centered(op), f, pi)
+            by_radius = clt_variance_bound(spectral_radius_centered(op), f, pi)
+            if sigma2 > by_radius * (1.0 + 1e-9):
+                above_radius[k, name] = sigma2 / by_radius - 1.0
+        assert set(above_radius) == {(35, "identity"), (35, "reversed"),
+                                     (67, "identity"), (67, "reversed")}
+        assert above_radius[35, "identity"] == pytest.approx(0.0343, abs=1e-4)
+        assert above_radius[67, "identity"] == pytest.approx(0.0174, abs=1e-4)
 
 
 class TestHoeffding:

@@ -34,8 +34,8 @@ from .counterexample import LadderChainSpec, reversibilization_gap_sweep
 from .errors import StateCapError, ValidationError
 from .measure import (DEFAULT_STATE_CAP, TargetDistribution, check_state_cap, model_states,
                       model_target, parse_target)
-from .operators import (DeterministicScan, RandomScan, Spectra, scan_operator,
-                        spectral_radius_centered)
+from .operators import (DeterministicScan, RandomScan, Spectra, l2_norm_centered,
+                        scan_operator, spectral_radius_centered)
 from .reporting import report_document, write_csv, write_json
 from .sampler import (
     BATCH_MEANS_MIN_STEPS,
@@ -244,7 +244,8 @@ def cmd_sample(args) -> int:
     all_pass = True
     for scan in scans:
         op = scan_operator(pi, scan)
-        rho = spectral_radius_centered(op)  # the norm, for a reversible kernel
+        rho = (l2_norm_centered(op) if isinstance(scan, RandomScan)  # self-adjoint, as in Spectra
+               else spectral_radius_centered(op))
         bound = clt_variance_bound(rho, f, pi)  # refuses rho = 1 before any step
         est, se = asymptotic_variance_estimate(run_chain(op, args.n, seed=args.seed), f)
         clt_pass = bool(est <= bound + 3.0 * se)
@@ -368,7 +369,7 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     if args.out_dir is None:
-        args.out_dir = os.environ.get("GIBBSGAP_OUT", ".")
+        args.out_dir = os.environ.get("GIBBSGAP_OUT") or "."
     try:
         if args.seed < 0:  # numpy seeds only from non-negative integers
             raise ValidationError("--seed must be >= 0, got %d" % args.seed)

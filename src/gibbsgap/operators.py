@@ -24,11 +24,11 @@ Norm vs radius: a sweep is not self-adjoint, so its norm and its spectral
 radius differ.  For d = 2 the sweep P1 P2 is an alternating projection and
 with c the angle between the two coordinate subspaces
 ||P1 P2 - Pi|| = c  while  rho(P1 P2 - Pi) = c^2  (for the equicorrelated
-binary pair with epsilon = 0.25: c = 0.5, norm 0.5, radius 0.25).  The
-radius of a reversible operator (a random scan) is its norm; for a
-non-reversible one ``spectral_radius_centered`` uses dense ``eigvals``,
-which is uncertified: eigenvalues of a strongly non-normal kernel are
-ill-conditioned (see ``counterexample.ladder_gap`` for the ladder chain).
+binary pair with epsilon = 0.25: c = 0.5, norm 0.5, radius 0.25).  A random
+scan's radius is its norm, chosen by the scan's type; any other radius is dense
+``eigvals`` of D^{1/2} (P - Pi) D^{-1/2}, symmetric when P is reversible, and
+uncertified: eigenvalues of a strongly non-normal kernel are ill-conditioned
+(see ``counterexample.ladder_gap`` for the ladder chain).
 A solver that fails raises numpy's ``LinAlgError`` unwrapped.
 """
 from __future__ import annotations
@@ -225,9 +225,10 @@ def additive_reversibilization(op: MarkovOperator) -> MarkovOperator:
 
 
 def is_reversible(op: MarkovOperator) -> bool:
-    """Detailed balance check pi(x) P(x,y) = pi(y) P(y,x) within STOCHASTICITY_TOL."""
-    flow = op.stationary[:, None] * op.kernel
-    return bool(np.abs(flow - flow.T).max() <= STOCHASTICITY_TOL)
+    """Detailed balance pi(x) P(x,y) = pi(y) P(y,x): D^{1/2} (P - Pi) D^{-1/2} is symmetric
+    within STOCHASTICITY_TOL.  Unlike the flows, its entries do not shrink with pi."""
+    a = _centered_conjugated(op)
+    return bool(np.abs(a - a.T).max() <= STOCHASTICITY_TOL)
 
 
 def _centered_conjugated(op: MarkovOperator) -> np.ndarray:
@@ -243,12 +244,9 @@ def l2_norm_centered(op: MarkovOperator) -> float:
 
 
 def spectral_radius_centered(op: MarkovOperator) -> float:
-    """Largest eigenvalue modulus of P - Pi (complex eigenvalues allowed); a
-    reversible P - Pi is self-adjoint in L2(pi), so its radius is its norm."""
-    if is_reversible(op):
-        return l2_norm_centered(op)
-    vals = np.linalg.eigvals(op.kernel - op.stationary)  # Pi has every row pi
-    return float(np.abs(vals).max())
+    """Largest eigenvalue modulus of P - Pi (complex eigenvalues allowed), from
+    the similar matrix D^{1/2} (P - Pi) D^{-1/2}, symmetric when P is reversible."""
+    return float(np.abs(np.linalg.eigvals(_centered_conjugated(op))).max())
 
 
 class Spectra:

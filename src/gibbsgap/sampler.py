@@ -6,7 +6,7 @@ full sweep for a deterministic scan (there are no records inside a sweep),
 one record per single-coordinate update for a random scan.  The caller
 builds that operator once (``scan_operator``, for a target whose state
 count was checked against the cap when it was loaded) and passes it, with
-its rate ``rho`` (``spectral_radius_centered``), to every simulation.
+its rate ``rho`` (a random scan's norm, a sweep's radius), to every simulation.
 Every chain starts from the stationary law op.stationary, so the tail bound
 carries no ||d nu/d pi|| factor.  Each call draws from one numpy Generator
 seeded with its seed: a chain takes its start state and then one uniform per

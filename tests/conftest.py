@@ -16,6 +16,14 @@ def eps_pair() -> TargetDistribution:
     return equicorrelated_binary(2, 0.25)
 
 
+@pytest.fixture
+def skewed_2x2() -> TargetDistribution:
+    # full support, but three states of mass 2e-10: the flows pi(x) P(x, y) of its
+    # sweep are all below 1e-9, while the sweep is far from reversible (radius c^2,
+    # norm c = 0.4999999998)
+    return TargetDistribution(ProductSpace((2, 2)), np.array([2e-10, 2e-10, 2e-10, 1.0]))
+
+
 def make_suite(count: int = 100, seed: int = 12345):
     """The seeded random-target suite: d in {2,3,4}, |X_i| in {2,3}."""
     rng = np.random.default_rng(seed)

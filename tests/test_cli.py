@@ -88,6 +88,22 @@ class TestAnalyzeCommand:
         assert by_scan["dsg:1,2"]["spectral_radius_centered"] == pytest.approx(0.25, abs=1e-9)
         assert (tmp_path / "bounds.csv").exists()
 
+    def test_skewed_sweep_publishes_its_radius(self, tmp_path, skewed_2x2):
+        # the sweep's flows pi(x) P(x, y) are all below 1e-9, yet its radius is
+        # c^2 = 0.2499999998 (a 60-digit mpmath solve), not its norm c = 0.4999999998
+        spec = tmp_path / "skewed.json"
+        spec.write_text(json.dumps({"dims": [2, 2], "pmf": [2e-10, 2e-10, 2e-10, 1]}))
+        code = main(["analyze", "--target-file", str(spec), "--restarts", "4",
+                     "--out-dir", str(tmp_path)])
+        assert code == 0
+        rep = json.loads((tmp_path / "analyze.json").read_text())["report"]
+        row = {r["scan"]: r for r in rep["scans"]}["dsg:1,2"]
+        assert row["spectral_radius_centered"] == pytest.approx(0.2499999998, abs=1e-12)
+        assert row["spectral_gap"] == pytest.approx(0.7500000002, abs=1e-12)
+        assert row["spectral_radius_centered"] == pytest.approx(
+            operators.spectral_radius_centered(operators.dsg((1, 2), skewed_2x2)), abs=1e-15)
+        assert not row["reversible"]
+
     def test_byte_identical_rerun(self, tmp_path):
         argv = ["analyze", "--model", "equicorrelated_binary", "--d", "2",
                 "--epsilon", "0.1", "--restarts", "2"]
@@ -181,15 +197,15 @@ class TestAnalyzeCommand:
         assert not (tmp_path / "analyze.json").exists()
 
     def test_each_scan_operator_built_once(self, tmp_path, monkeypatch):
-        counts = _count_calls(monkeypatch, ("dsg", "rsg", "symmetrized_sweep",
+        counts = _count_calls(monkeypatch, ("dsg", "rsg", "symmetrized_sweep", "is_reversible",
                                             "l2_norm_centered", "spectral_radius_centered"))
         code = main(["analyze", "--model", "equicorrelated_binary", "--d", "3",
                      "--epsilon", "0.25", "--out-dir", str(tmp_path)])
         assert code == 0
         # 3! sweep orders, whose squared norms are the SYM panel; uniform plus 8 sampled
         # random scans; only the sweep's radius needs an eigen-solve, a random scan's
-        # radius is its norm
-        assert counts == Counter({"dsg": 6, "rsg": 9, "symmetrized_sweep": 0,
+        # radius is its norm by its type, with no reversibility probe
+        assert counts == Counter({"dsg": 6, "rsg": 9, "symmetrized_sweep": 0, "is_reversible": 0,
                                   "l2_norm_centered": 15, "spectral_radius_centered": 1})
 
     @pytest.mark.parametrize("target", ["model_d3", "pmf_2x3x2"])
@@ -410,6 +426,11 @@ class TestParser:
         monkeypatch.setenv("GIBBSGAP_OUT", str(tmp_path / "env"))
         assert main(["counterexample", "--N", "3"]) == 0
         assert (tmp_path / "env" / "counterexample.json").exists()
+        # an empty GIBBSGAP_OUT is unset: the working directory
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("GIBBSGAP_OUT", "")
+        assert main(["counterexample", "--N", "3"]) == 0
+        assert (tmp_path / "counterexample.json").exists()
 
 
 class TestSweepCommand:
@@ -516,10 +537,16 @@ class TestSampleCommand:
     @pytest.mark.parametrize("scan, solver", [("dsg:2,3,1", "spectral_radius_centered"),
                                               ("rsg:uniform", "l2_norm_centered")])
     def test_rho_solved_once_per_scan(self, tmp_path, monkeypatch, target_3x3x3, scan, solver):
-        counts = _count_calls(monkeypatch, ("spectral_radius_centered", "l2_norm_centered"))
+        counts = _count_calls(monkeypatch, ("spectral_radius_centered", "l2_norm_centered",
+                                            "is_reversible"))
         assert self._sample(tmp_path, target_3x3x3, scan) == 0
-        # sample asks for the radius once; for the reversible random scan that is one norm
-        assert counts == {"spectral_radius_centered": 1, solver: 1}
+        # one solve by the scan's type: a sweep's radius, the self-adjoint random scan's
+        # norm; no reversibility probe
+        assert counts == {solver: 1}
+        assert counts["is_reversible"] == 0
+        (panel,) = json.loads((tmp_path / "out" / "sample.json").read_text())["report"]["panels"]
+        op = operators.scan_operator(random_target(seed=5, dims=(3, 3, 3)), parse_scan(scan, 3))
+        assert panel["rho"] == getattr(operators, solver)(op)
 
     def test_state_cap_refused_before_any_step(self, tmp_path, monkeypatch):
         def fail(*args):
@@ -658,6 +685,14 @@ class TestReportContract:
         assert code == 2
         assert not (tmp_path / (command + ".json")).exists()
         assert capsys.readouterr().err.splitlines() == ["error: --seed must be >= 0, got -1"]
+
+    @pytest.mark.parametrize("command", list(_SMALL_RUNS))
+    def test_no_reversibility_probe(self, tmp_path, monkeypatch, command):
+        # a random scan is self-adjoint by its type; no command tests a kernel for it
+        counts = _count_calls(monkeypatch, ("is_reversible",))
+        main([command, *_SMALL_RUNS[command], "--out-dir", str(tmp_path)])
+        assert (tmp_path / (command + ".json")).exists()
+        assert counts["is_reversible"] == 0
 
     @pytest.mark.parametrize("command", list(_SMALL_RUNS))
     @pytest.mark.parametrize("under_a_file", [False, True], ids=["a_file", "under_a_file"])

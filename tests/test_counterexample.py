@@ -217,6 +217,11 @@ class TestConductance:
         with pytest.raises(ValidationError):
             conductance(op, [[0]])
 
+    def test_refuses_a_sweep_whose_flows_are_tiny(self, skewed_2x2):
+        # every flow pi(x) P(x, y) of this sweep is below 1e-9, yet it is not reversible
+        with pytest.raises(ValidationError, match="reversible"):
+            conductance(operators.dsg((1, 2), skewed_2x2), [[0]])
+
     def test_rung_cut_scaling(self):
         spec = LadderChainSpec(N=12, q=0.5)
         k_op = additive_reversibilization(build_ladder(spec))

@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -6,6 +7,7 @@ import pytest
 
 from gibbsgap.errors import ValidationError
 from gibbsgap import operators
+from gibbsgap.measure import ProductSpace, TargetDistribution
 from gibbsgap.operators import (
     DeterministicScan,
     MarkovOperator,
@@ -148,6 +150,12 @@ class TestSweeps:
         assert is_reversible(rsg(RandomScan.uniform(2), eps_pair))
         assert not is_reversible(dsg((1, 2), eps_pair))
 
+    def test_reversibility_does_not_shrink_with_pi(self, skewed_2x2):
+        # the sweep's flows pi(x) P(x, y) are all below 1e-9: an absolute tolerance on
+        # them cannot tell it from a reversible kernel
+        assert is_reversible(rsg(RandomScan.uniform(2), skewed_2x2))
+        assert not is_reversible(dsg((1, 2), skewed_2x2))
+
     def test_symmetrized_sweep_is_palindrome(self, eps_pair):
         k1 = small_step(1, eps_pair).kernel
         k2 = small_step(2, eps_pair).kernel
@@ -243,13 +251,46 @@ class TestSpectralQuantities:
             assert spectral_radius_centered(op) <= l2_norm_centered(op) + 1e-10
 
     def test_reversible_norm_equals_radius(self, target_suite):
-        # a random scan is self-adjoint in L2(pi): one SVD gives both, bit for bit
+        # a random scan is self-adjoint in L2(pi): the eigen-solve of its symmetric
+        # conjugate and the SVD agree to rounding (6.7e-15 over the suite)
         for pi in target_suite:
             d = pi.space.d
             graded = np.arange(1.0, d + 1.0)
             for scan in (RandomScan.uniform(d), RandomScan(tuple(graded / graded.sum()))):
                 op = rsg(scan, pi)
-                assert spectral_radius_centered(op) == l2_norm_centered(op)
+                assert abs(spectral_radius_centered(op) - l2_norm_centered(op)) <= 1e-13
+
+    def test_skewed_sweep_radius_is_norm_squared(self, skewed_2x2):
+        # a 60-digit mpmath solve gives 0.2499999998; the norm c is 0.4999999998
+        op = dsg((1, 2), skewed_2x2)
+        rho = spectral_radius_centered(op)
+        assert rho == pytest.approx(0.2499999998, abs=1e-12)
+        assert abs(rho - l2_norm_centered(op) ** 2) <= 1e-15
+
+    def test_two_step_sweep_radius_is_norm_squared_on_skewed_targets(self):
+        # at d = 2 the centered sweep is an alternating projection: norm c, radius c^2,
+        # however small some states' mass is (log-pmf N(0, sigma^2), sigma up to 30)
+        rng = np.random.default_rng(2024)
+        worst = 0.0
+        for _ in range(200):
+            dims = tuple(int(n) for n in rng.integers(2, 5, size=2))
+            log_pmf = rng.normal(0.0, rng.uniform(0.0, 30.0), size=dims[0] * dims[1])
+            pmf = np.exp(log_pmf - log_pmf.max())
+            pi = TargetDistribution(ProductSpace(dims), pmf / pmf.sum())
+            op = dsg((1, 2), pi)
+            worst = max(worst, abs(spectral_radius_centered(op) - l2_norm_centered(op) ** 2))
+        assert worst <= 1e-12
+
+    def test_sweep_radius_invariant_under_reversal_and_rotation(self, target_suite):
+        # the reversed sweep is the adjoint, a rotated one is BA for AB: same spectrum
+        for pi in target_suite[:20]:
+            d = pi.space.d
+            radius = {order: spectral_radius_centered(dsg(order, pi))
+                      for order in itertools.permutations(range(1, d + 1))}
+            for order, rho in radius.items():
+                assert abs(radius[order[::-1]] - rho) <= 1e-12
+                for k in range(1, d):
+                    assert abs(radius[order[k:] + order[:k]] - rho) <= 1e-12
 
     def test_norm_submultiplicative_under_powers(self, eps_pair):
         op = dsg((1, 2), eps_pair)
@@ -265,7 +306,7 @@ class TestSpectralQuantities:
         monkeypatch.setattr(np.linalg, "svd", fail)
         monkeypatch.setattr(np.linalg, "eigvals", fail)
         sweep, mix = dsg((1, 2), eps_pair), rsg((0.5, 0.5), eps_pair)
-        # the norm's SVD; the radius's eigvals (a sweep) or SVD (a reversible mix)
+        # the norm's SVD; the radius's eigvals, for a sweep and a reversible mix alike
         for solve, op in [(l2_norm_centered, sweep), (spectral_radius_centered, sweep),
                           (spectral_radius_centered, mix)]:
             with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
@@ -282,8 +323,9 @@ class TestSpectra:
                 l2_norm_centered(op), spectral_radius_centered(op))
         for weights in (RandomScan.uniform(3), RandomScan((0.2, 0.3, 0.5))):
             op = rsg(weights, pi)
+            # a random scan's radius is its norm, one SVD
             assert spectra.norm(weights) == l2_norm_centered(op)
-            assert spectra.radius(weights) == spectral_radius_centered(op)
+            assert spectra.radius(weights) == l2_norm_centered(op)
 
     def test_each_operator_built_once(self, eps_pair, monkeypatch):
         built = []

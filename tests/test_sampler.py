@@ -41,16 +41,16 @@ def _reference_chain(pi, scan, n, seed):
 
 
 def _op_rho(pi, scan):
-    """The kernel a scan simulates and its rate rho, as the sampler takes them."""
+    """The kernel a scan simulates and its rate rho, as the sample command takes them:
+    a random scan's norm, a sweep's eigenvalue radius."""
     op = scan_operator(pi, scan)
-    return op, spectral_radius_centered(op)
+    return op, (l2_norm_centered(op) if isinstance(scan, RandomScan)
+                else spectral_radius_centered(op))
 
 
 def _reference_tail(pi, scan, f, n, eps, replicas, seed):
     """One (n, eps) point simulated on its own, as a separate run per point."""
-    op = scan_operator(pi, scan)
-    rho = (l2_norm_centered(op) if isinstance(scan, RandomScan)
-           else spectral_radius_centered(op))
+    op, rho = _op_rho(pi, scan)
     cum = np.cumsum(op.kernel, axis=1)
     mu = float(pi.pmf @ f)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
@@ -236,12 +236,13 @@ class TestGuideStep:
 
 class TestScanRho:
     def test_norm_for_random_radius_for_deterministic(self, eps_pair):
-        # sample's rate is spectral_radius_centered: the norm of the reversible
-        # random scan, the eigenvalue radius c^2 = 0.25 of the sweep (norm c = 0.5)
-        rsg_op = scan_operator(eps_pair, RandomScan.uniform(2))
-        dsg_op = scan_operator(eps_pair, DeterministicScan((1, 2)))
-        assert spectral_radius_centered(rsg_op) == l2_norm_centered(rsg_op)
-        assert spectral_radius_centered(dsg_op) == pytest.approx(0.25, abs=1e-12)
+        # sample's rate: the norm of the self-adjoint random scan, which is its radius,
+        # and the eigenvalue radius c^2 = 0.25 of the sweep (norm c = 0.5)
+        rsg_op, rsg_rho = _op_rho(eps_pair, RandomScan.uniform(2))
+        dsg_op, dsg_rho = _op_rho(eps_pair, DeterministicScan((1, 2)))
+        assert rsg_rho == l2_norm_centered(rsg_op) == pytest.approx(0.75, abs=1e-12)
+        assert abs(spectral_radius_centered(rsg_op) - rsg_rho) <= 1e-13
+        assert dsg_rho == spectral_radius_centered(dsg_op) == pytest.approx(0.25, abs=1e-12)
         assert l2_norm_centered(dsg_op) == pytest.approx(0.5, abs=1e-12)
 
 

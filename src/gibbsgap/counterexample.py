@@ -37,8 +37,10 @@ The spider's eigenvalues below a shift are counted exactly by leaf-to-root
 LDL^T elimination (Sylvester's law of inertia; Jacobs & Trevisan, "Locating
 the eigenvalues of trees", LAA 434 (2011)).  A leg's pivots, taken from its
 tip, depend only on the rung's parity and the depth, so one recursion per
-parity serves all legs: O(N) per shift.  ``ladder_reversible_gap`` brackets
-the second-largest and the smallest spider eigenvalue by multisection.
+parity serves all legs: O(N) per shift.  ``ladder_reversible_gap`` counts
+once at -cos(pi/(N_e+1)) and cos(pi/(N_e+1)) and brackets the smallest or
+the second-largest spider eigenvalue by multisection only when it lies past
+that shift, where it can beat the rung modes.
 
 Conductance of K in closed form: the flow out of rung n is p(n)/E[tau], so
 the rung cut has 1/(n (1 - n p(n)/E[tau])), the origin singleton
@@ -220,18 +222,28 @@ def _spider_inertia(p: np.ndarray, shifts: np.ndarray) -> np.ndarray:
 def ladder_reversible_gap(spec: LadderChainSpec) -> float:
     """gap(K) = 1 - max(lambda_2, -lambda_min, cos(pi/(N_e+1))) of K = (P + P*)/2.
 
-    lambda_2 and lambda_min are the second-largest and the smallest spider
-    eigenvalue, each bracketed by multisection on ``_spider_inertia`` until
-    the bracket stops shrinking; cos(pi/(N_e+1)) is the largest modulus of the
-    antisymmetric rung modes (none when N = 1).
+    cos(pi/(N_e+1)) is the largest modulus of the antisymmetric rung modes
+    (none when N = 1).  One ``_spider_inertia`` count at -rung and rung
+    decides whether lambda_min < -rung and whether lambda_2 >= rung; a spider
+    eigenvalue on the near side of its rung shift cannot set the gap.  Each
+    one past its shift is bracketed by multisection between the shift and the
+    band edge until the bracket stops shrinking.
     """
     p = spec.jump_pmf()
-    size = 1 + sum((n + 1) // 2 for n in range(1, spec.N + 1))
-    k = np.array([1, size - 1])  # 1-based ranks of lambda_min and lambda_2
-    lo = np.full(2, -1.0 - 2.0 ** -30)
-    hi = np.full(2, 1.0 + 2.0 ** -30)
+    size = 1 + (spec.N + 1) ** 2 // 4  # 1 + sum of ceil(n/2) over n = 1..N
+    n_even = spec.N - spec.N % 2
+    rung = math.cos(math.pi / (n_even + 1)) if n_even else 0.0
+    at_rung = _spider_inertia(p, np.array([-rung, rung]))
+    search = np.array([at_rung[0] >= 1, at_rung[1] < size - 1])
+    if not search.any():
+        return 1.0 - rung
+    # rows lambda_min and lambda_2: 1-based ranks, brackets and signs in the gap
+    k = np.array([1, size - 1])[search]
+    lo = np.array([-1.0 - 2.0 ** -30, rung])[search]
+    hi = np.array([-rung, 1.0 + 2.0 ** -30])[search]
+    sign = np.array([-1.0, 1.0])[search]
     frac = np.arange(1, _MULTISECTION_POINTS + 1) / (_MULTISECTION_POINTS + 1.0)
-    rows = np.arange(2)
+    rows = np.arange(k.size)
     while True:
         grid = np.clip(lo[:, None] + (hi - lo)[:, None] * frac, lo[:, None], hi[:, None])
         counts = _spider_inertia(p, grid.ravel()).reshape(grid.shape)
@@ -244,10 +256,7 @@ def ladder_reversible_gap(spec: LadderChainSpec) -> float:
         if np.array_equal(new_lo, lo) and np.array_equal(new_hi, hi):
             break
         lo, hi = new_lo, new_hi
-    lam_min, lam_2 = 0.5 * (lo + hi)
-    n_even = spec.N - spec.N % 2
-    rung = math.cos(math.pi / (n_even + 1)) if n_even else 0.0
-    return 1.0 - max(lam_2, -lam_min, rung)
+    return 1.0 - max(float(np.max(sign * 0.5 * (lo + hi))), rung)
 
 
 def ladder_conductance(spec: LadderChainSpec) -> tuple[float, np.ndarray, np.ndarray]:

@@ -3,11 +3,12 @@
 Functions on a product space are plain arrays of values by flat state (last
 coordinate fastest), as everywhere in gibbsgap.
 """
+import math
 from typing import Sequence
 
 import numpy as np
 
-from gibbsgap.counterexample import LadderChainSpec
+from gibbsgap.counterexample import _MULTISECTION_POINTS, LadderChainSpec, _spider_inertia
 from gibbsgap.errors import ValidationError
 from gibbsgap.measure import ProductSpace, TargetDistribution
 from gibbsgap.operators import MarkovOperator, _centered_conjugated
@@ -73,6 +74,36 @@ def ladder_adjoint_kernel(spec: LadderChainSpec) -> np.ndarray:
             kernel[spec.state_index(n, k - 1), spec.state_index(n, k)] = 1.0
         kernel[spec.state_index(n, n), 0] = 1.0
     return kernel
+
+
+def ladder_reversible_gap_multisection(spec: LadderChainSpec) -> float:
+    """gap(K) of the ladder's reversibilization with lambda_2 and lambda_min
+    each bracketed by multisection over the whole band [-1, 1] (oracle for
+    ``counterexample.ladder_reversible_gap``, which skips a search the rung
+    modes make moot and starts the others at the rung shift)."""
+    p = spec.jump_pmf()
+    size = 1 + sum((n + 1) // 2 for n in range(1, spec.N + 1))
+    k = np.array([1, size - 1])  # 1-based ranks of lambda_min and lambda_2
+    lo = np.full(2, -1.0 - 2.0 ** -30)
+    hi = np.full(2, 1.0 + 2.0 ** -30)
+    frac = np.arange(1, _MULTISECTION_POINTS + 1) / (_MULTISECTION_POINTS + 1.0)
+    rows = np.arange(2)
+    while True:
+        grid = np.clip(lo[:, None] + (hi - lo)[:, None] * frac, lo[:, None], hi[:, None])
+        counts = _spider_inertia(p, grid.ravel()).reshape(grid.shape)
+        # keep count(lo) < k <= count(hi), so lambda_(k) lies in [lo, hi)
+        reached = counts >= k[:, None]
+        first = np.where(reached.any(axis=1), reached.argmax(axis=1), _MULTISECTION_POINTS)
+        new_lo = np.where(first > 0, grid[rows, first - 1], lo)
+        new_hi = np.where(first < _MULTISECTION_POINTS,
+                          grid[rows, np.minimum(first, _MULTISECTION_POINTS - 1)], hi)
+        if np.array_equal(new_lo, lo) and np.array_equal(new_hi, hi):
+            break
+        lo, hi = new_lo, new_hi
+    lam_min, lam_2 = 0.5 * (lo + hi)
+    n_even = spec.N - spec.N % 2
+    rung = math.cos(math.pi / (n_even + 1)) if n_even else 0.0
+    return 1.0 - max(lam_2, -lam_min, rung)
 
 
 def exact_asymptotic_variance(op: MarkovOperator, f: np.ndarray) -> float:

@@ -32,7 +32,7 @@ from gibbsgap.operators import (
     is_reversible,
     spectral_radius_centered,
 )
-from oracles import ladder_adjoint_kernel
+from oracles import ladder_adjoint_kernel, ladder_reversible_gap_multisection
 
 
 class TestLadderChainSpec:
@@ -276,7 +276,44 @@ class TestReversibleGap:
         counts = _spider_inertia(p, np.array([1.0 + 1e-12, -1.0 - 1e-12]))
         assert counts.tolist() == [size, 0]
 
-    @pytest.mark.parametrize("n_trunc", [200, 201])
+    @pytest.mark.parametrize(
+        "q", [1e-307, 1e-300, 1e-8, 0.05, 0.2, 0.5, 0.8, 0.95, 0.99, 0.999])
+    def test_matches_the_full_band_multisection(self, q):
+        # rung-bounded rows and rows that still search, e.g. q = 0.5 at
+        # N = 3, 5, 80, 201, 1000 and q = 1e-307 at N = 40
+        truncations = list(range(1, 41)) + [60, 80, 200, 201, 500, 1000]
+        mismatches = []
+        for n_trunc in truncations:
+            spec = LadderChainSpec(N=n_trunc, q=q)
+            if ladder_reversible_gap(spec) != ladder_reversible_gap_multisection(spec):
+                mismatches.append(n_trunc)
+        assert mismatches == []
+
+    @pytest.mark.parametrize("q, n_trunc, searches", [
+        (0.5, 10, False), (0.5, 30, False), (0.5, 40, False), (0.5, 60, False),
+        (0.5, 200, False), (0.5, 5000, False),
+        (0.5, 5, True), (0.5, 201, True), (1e-307, 40, True),
+    ])
+    def test_searches_only_past_the_rung_shifts(self, q, n_trunc, searches, monkeypatch):
+        grids = []
+
+        def spy(p, shifts):
+            grids.append(np.array(shifts))
+            return _spider_inertia(p, shifts)
+
+        monkeypatch.setattr(counterexample, "_spider_inertia", spy)
+        ladder_reversible_gap(LadderChainSpec(N=n_trunc, q=q))
+        n_even = n_trunc - n_trunc % 2
+        rung = math.cos(math.pi / (n_even + 1))
+        assert grids[0].tolist() == [-rung, rung]
+        assert (len(grids) > 1) == searches
+        edge = 1.0 + 2.0 ** -30
+        for grid in grids[1:]:
+            for row in grid.reshape(-1, counterexample._MULTISECTION_POINTS):
+                assert (np.all((-edge <= row) & (row <= -rung))
+                        or np.all((rung <= row) & (row <= edge)))
+
+    @pytest.mark.parametrize("n_trunc", [200, 201, 5000])
     def test_large_truncation_without_oracle(self, n_trunc):
         spec = LadderChainSpec(N=n_trunc, q=0.5)
         gap = ladder_reversible_gap(spec)

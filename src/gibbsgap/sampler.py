@@ -22,15 +22,17 @@ identical to one run per (n, eps) point from the same seed.
 Both simulations invert the cumulative table by one rule: from a uniform u
 a step moves to bisect_right(cdf, u) = #{k : cdf[k] <= u}, the first column
 whose cdf value exceeds u, which always has positive probability.  A chain
-(run_chain) bisects its row; the replicas look the count up in a guide
-table (indexed search: Chen & Asau, AIIE Trans. 6 (1974); Devroye,
-Non-Uniform Random Variate Generation (1986), sec. III.2.4): [0, 1) is cut
-into M = 2^j buckets, and a bucket that holds no cdf value of a row stores
-the count every draw in it shares.  A replica in a bucket that holds one
-counts over its whole row instead, so each step gives the same state as a
-bisection of the row, in expected O(1) work.  The uniforms are drawn a few
-steps at a time, rng.random((b, replicas)), the same stream as b calls
-rng.random(replicas).
+(run_chain) bisects its row; the replicas step through a bucket table
+(indexed search: Chen & Asau, AIIE Trans. 6 (1974); Devroye, Non-Uniform
+Random Variate Generation (1986), sec. III.2.4).  [0, 1) is cut into M = 2^j
+buckets; a bucket of a row that holds at most one distinct cdf value has two
+outcomes, the count below it and the count below its end, and one
+comparison of u with that value picks between them.  Only a draw at or
+above the first value of a bucket that holds more bisects the row, on the
+same memoryviews run_chain bisects, so every step gives the state of a
+bisection in expected O(1) work.  The uniforms are drawn a few steps at a
+time, rng.random((b, replicas)), the same stream as b calls
+rng.random(replicas), with their buckets floor(u * M) taken once per block.
 """
 from __future__ import annotations
 
@@ -48,10 +50,14 @@ from .operators import scan_operator  # not used here: tests and the benchmark t
 #: Uniforms drawn per rng call in run_chain; the stream equals one scalar
 #: draw per step, and memory stays flat in n.
 _UNIFORM_BLOCK = 4096
-#: Replica steps whose uniforms empirical_tails draws in one rng call.
-_TAIL_BLOCK = 8
-#: Entries of the cumulative table per chunk of rows in _guide_table.
-_GUIDE_CHUNK = 1 << 18
+#: Uniforms empirical_tails draws per rng call: max(1, _TAIL_BLOCK // replicas)
+#: steps of every replica, into a buffer it reuses, with their buckets in a
+#: second one; each holds at most max(_TAIL_BLOCK, replicas) entries.
+_TAIL_BLOCK = 8192
+#: Buckets per chunk of rows in _bucket_table.
+_TABLE_CHUNK = 1 << 12
+#: Bytes _bucket_table may take whatever the size of the cumulative table.
+_TABLE_MIN_BYTES = 1 << 20
 #: Fewest chain steps batch means accepts: 10 batches of 10 steps.
 BATCH_MEANS_MIN_STEPS = 100
 
@@ -82,59 +88,71 @@ def cumulative_table(kernel: np.ndarray) -> np.ndarray:
     return cum
 
 
-def _guide_table(cum: np.ndarray) -> np.ndarray:
-    """The guide table of a cumulative table, for _step_many: n rows of M
-    buckets, M a power of two, so that each edge m/M and floor(u * M) are
-    exact.
+def _rows(cum: np.ndarray) -> list[memoryview]:
+    """The rows of a cumulative table as memoryviews, which bisect can search
+    without copying them (Python-list rows would take four times the memory
+    of the array)."""
+    return [memoryview(row) for row in cum]
 
-    guide[x, m] = #{k : cum[x, k] < m/M}, the count every u in
-    [m/M, (m + 1)/M) shares, or -1 where a value of row x lies in that
-    bucket; the last bucket, which also takes the values >= 1, is always -1
-    (a -1 costs speed, never exactness).  The dtype is the smallest that
-    holds a state, and M the largest power of two that keeps the table
-    within twice the bytes of cum.  Row x is a run of 0s, then of 1s, ...
-    then of n's, which steps at the buckets e = min(floor(cum[x] * M) + 1, M)
-    (non-decreasing along a row of a cumulative table), and each bucket
-    e - 1 is marked.  Rows go _GUIDE_CHUNK entries of cum at a time, which
-    keeps the temporaries to a few MB at any state count.
+
+def _bucket_table(cum: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The bucket table of a cumulative table, for _bucket_step: thr and
+    pick over n rows of M buckets, M a power of two, so that each edge m/M
+    and floor(u * M) are exact.
+
+    For state x and bucket m, lo = #{k : cum[x, k] < m/M} and
+    hi = #{k : cum[x, k] < (m + 1)/M}; thr[x, m] = cum[x, lo], and
+    pick[x, m] = (lo, hi), with -1 for hi where the bucket holds two or
+    more distinct cdf values (cum[x, lo] != cum[x, hi - 1]).  Otherwise every u
+    in it has bisect_right(cum[x], u) = hi if u >= thr[x, m] else lo.
+    M is the power of two at or above 16 n, halved while the table takes
+    more than twice the bytes of cum (or _TABLE_MIN_BYTES); pick has the
+    smallest dtype that holds a state.  Row x of lo, extended by bucket M
+    (lo there is hi of bucket M - 1), is a run of 0s, then of 1s, ... then
+    of n's, which steps at the buckets min(floor(cum[x] * M) + 1, M + 1).
+    Rows go _TABLE_CHUNK buckets at a time (at least one row), so each
+    temporary holds about that many entries.
     """
     rows, cols = cum.shape
     dtype = next(t for t in (np.int8, np.int16, np.int32) if np.iinfo(t).max >= cols)
-    buckets = 1 << (16 * cols // np.dtype(dtype).itemsize).bit_length() - 1
-    guide = np.empty((rows, buckets), dtype)
-    span = max(1, _GUIDE_CHUNK // cols)
-    counts = np.tile(np.arange(cols + 1, dtype=dtype), span)
-    for lo in range(0, rows, span):
-        ends = np.minimum(np.floor(cum[lo:lo + span] * buckets) + 1, buckets).astype(np.intp)
-        runs = np.diff(ends, axis=1, prepend=0, append=buckets).ravel()
-        part = guide[lo:lo + span]
-        part[...] = np.repeat(counts[:runs.size], runs).reshape(part.shape)
-        np.put_along_axis(part, ends - 1, -1, axis=1)
-    return guide
+    budget = max(2 * cum.nbytes, _TABLE_MIN_BYTES)
+    fit = budget // (rows * (cum.itemsize + 2 * np.dtype(dtype).itemsize))
+    buckets = min(1 << (16 * cols - 1).bit_length(), 1 << fit.bit_length() - 1)
+    thr = np.empty((rows, buckets))
+    pick = np.empty((rows, buckets, 2), dtype)
+    span = max(1, _TABLE_CHUNK // buckets)
+    counts = np.tile(np.arange(cols + 1), span)
+    for start in range(0, rows, span):
+        part = cum[start:start + span]
+        ends = np.minimum(np.floor(part * buckets) + 1, buckets + 1).astype(np.intp)
+        runs = np.diff(ends, axis=1, prepend=0, append=buckets + 1).ravel()
+        below = np.repeat(counts[:runs.size], runs).reshape(part.shape[0], buckets + 1)
+        lo, hi = below[:, :-1], below[:, 1:]
+        first = thr[start:start + span] = np.take_along_axis(part, lo, axis=1)
+        last = np.take_along_axis(part, np.maximum(hi - 1, lo), axis=1)
+        pick[start:start + span, :, 0] = lo
+        pick[start:start + span, :, 1] = np.where(last == first, hi, -1)
+    return thr, pick
 
 
-def _step_many(cum: np.ndarray, guide: np.ndarray, states: np.ndarray,
-               u: np.ndarray) -> np.ndarray:
+def _bucket_step(rows: list[memoryview], thr: np.ndarray, pick: np.ndarray,
+                 states: np.ndarray, u: np.ndarray, m: np.ndarray) -> np.ndarray:
     """Advance a vector of chains one step by inverse-cdf sampling: the new
-    state is #{k : cum[x, k] <= u} = bisect_right(cum[x], u), as run_chain
-    steps.  One guide-table lookup per chain; only a chain whose bucket is
-    marked counts over its row.
+    state is bisect_right(cum[x], u), as run_chain steps, with m =
+    floor(u * M) the bucket of each draw.  One comparison per chain, against
+    thr of its bucket; only a draw at or above thr in a bucket that holds two
+    or more cdf values bisects its row.
     """
-    buckets = guide.shape[1]
-    nxt = guide.take(states * buckets + (u * buckets).astype(np.intp))
-    hard = np.flatnonzero(nxt < 0)
-    nxt = nxt.astype(np.intp)
-    if hard.size:
-        nxt[hard] = np.add.reduce(u[hard, None] >= cum.take(states[hard], axis=0), axis=1,
-                                  dtype=np.intp)
+    at = np.multiply(states, thr.shape[1], dtype=np.intp)
+    at += m
+    above = u >= thr.take(at)
+    at += at
+    at += above  # the flat index of pick[x, m, above]
+    nxt = pick.take(at)
+    if nxt.min() < 0:
+        for r in np.flatnonzero(nxt < 0).tolist():
+            nxt[r] = bisect_right(rows[states[r]], u[r])
     return nxt
-
-
-def _rows(kernel: np.ndarray) -> list[memoryview]:
-    """The rows of cumulative_table(kernel) as memoryviews, which bisect can
-    search without copying them (Python-list rows would take four times the
-    memory of the array)."""
-    return [memoryview(row) for row in cumulative_table(kernel)]
 
 
 def _walk(rows: list[memoryview], x: int, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -158,7 +176,7 @@ def run_chain(op: MarkovOperator, n: int, seed: int) -> np.ndarray:
         raise ValidationError("n must be >= 1, got %d" % n)
     rng = np.random.default_rng(seed)
     x0 = int(rng.choice(op.n_states, p=op.stationary))
-    return _walk(_rows(op.kernel), x0, n, rng)
+    return _walk(_rows(cumulative_table(op.kernel)), x0, n, rng)
 
 
 def clt_variance_bound(rho: float, f: np.ndarray, pi: TargetDistribution) -> float:
@@ -249,17 +267,25 @@ def empirical_tails(op: MarkovOperator, rho: float, f: np.ndarray,
     mu = float(op.stationary @ f)
     check_tail_inputs(mu, n_grid, eps_grid, replicas)
     cum = cumulative_table(op.kernel)
-    guide = _guide_table(cum)
+    rows = _rows(cum)
+    thr, pick = _bucket_table(cum)
+    buckets = thr.shape[1]
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     states = rng.choice(op.n_states, size=replicas, p=op.stationary)
     sums = np.zeros(replicas)
     snapshots = {}
     done = 0
+    steps = max(1, _TAIL_BLOCK // replicas)
+    block = np.empty((steps, replicas))
+    cells = np.empty(block.shape, np.intp)
     for horizon in sorted(set(n_grid)):
-        for start in range(done, horizon, _TAIL_BLOCK):
-            for u in rng.random((min(_TAIL_BLOCK, horizon - start), replicas)):
-                states = _step_many(cum, guide, states, u)
-                sums += f[states]
+        for start in range(done, horizon, steps):
+            draws = rng.random(out=block[:min(steps, horizon - start)])
+            # the cast to intp truncates u * M >= 0, which is exact: floor(u * M)
+            floors = np.multiply(draws, buckets, out=cells[:len(draws)], casting="unsafe")
+            for u, m in zip(draws, floors):
+                states = _bucket_step(rows, thr, pick, states, u, m)
+                sums += f.take(states)
         done = horizon
         snapshots[horizon] = sums.copy()
     checks = []

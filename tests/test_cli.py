@@ -553,8 +553,8 @@ class TestSampleCommand:
             raise AssertionError("simulated an over-cap target")
 
         monkeypatch.setattr(sampler, "_walk", fail)
-        monkeypatch.setattr(sampler, "_guide_table", fail)
-        monkeypatch.setattr(sampler, "_step_many", fail)
+        monkeypatch.setattr(sampler, "_bucket_table", fail)
+        monkeypatch.setattr(sampler, "_bucket_step", fail)
         code = main(["sample", "--model", "equicorrelated_binary", "--d", "2",
                      "--epsilon", "0.25", "--out-dir", str(tmp_path),
                      "--n", "1000", "--replicas", "10", "--state-cap", "3"])

@@ -1,3 +1,4 @@
+import tracemalloc
 from bisect import bisect_right
 
 import numpy as np
@@ -88,10 +89,32 @@ DYADIC_KERNEL = np.array([[0.5, 0.25, 0.25, 0.0],
 
 
 def _bisect_step(cum, states, u):
-    """run_chain's rule, bisect_right(cum[x], u), that the guide-table step
+    """run_chain's rule, bisect_right(cum[x], u), that the bucket-table step
     must reproduce."""
     rows = cum.tolist()
     return [bisect_right(rows[x], v) for x, v in zip(states.tolist(), u.tolist())]
+
+
+def _replica_step(cum, states, u):
+    """One replica step of empirical_tails: the bucket table of cum, and each
+    draw's bucket floor(u * M)."""
+    thr, pick = sampler._bucket_table(cum)
+    m = (u * thr.shape[1]).astype(np.intp)
+    return sampler._bucket_step(sampler._rows(cum), thr, pick, states, u, m)
+
+
+@pytest.fixture
+def fallbacks(monkeypatch):
+    """The rows _bucket_step bisects: a list of (row, u) that grows with each
+    fallback."""
+    calls = []
+
+    def counted(row, u):
+        calls.append((row.tolist(), u))
+        return bisect_right(row, u)
+
+    monkeypatch.setattr(sampler, "bisect_right", counted)
+    return calls
 
 
 def _probes(cum, buckets):
@@ -102,14 +125,13 @@ def _probes(cum, buckets):
     return np.unique(probes[(probes >= 0.0) & (probes < 1.0)])
 
 
-def _assert_guide_step_exact(cum, u):
-    """Every state of cum stepped with every draw in u: the guide step equals
+def _assert_bucket_step_exact(cum, u):
+    """Every state of cum stepped with every draw in u: the bucket step equals
     the bisection."""
     states = np.repeat(np.arange(cum.shape[0]), u.size)
     draws = np.tile(u, cum.shape[0])
-    np.testing.assert_array_equal(
-        sampler._step_many(cum, sampler._guide_table(cum), states, draws),
-        _bisect_step(cum, states, draws))
+    np.testing.assert_array_equal(_replica_step(cum, states, draws),
+                                  _bisect_step(cum, states, draws))
 
 
 class TestRunChain:
@@ -165,9 +187,8 @@ class TestCumulativeTable:
         raw = np.cumsum(SHORT_ROW_KERNEL, axis=1)
         assert np.searchsorted(raw[0], u, side="right") == 3  # out of range
         cum = cumulative_table(SHORT_ROW_KERNEL)
-        step = sampler._step_many(cum, sampler._guide_table(cum), np.array([0, 1]), np.array([u, u]))
-        assert step.tolist() == [1, 1]
-        walk = sampler._walk(sampler._rows(SHORT_ROW_KERNEL), 0, 3, _ConstantRng(u))
+        assert _replica_step(cum, np.array([0, 1]), np.array([u, u])).tolist() == [1, 1]
+        walk = sampler._walk(sampler._rows(cum), 0, 3, _ConstantRng(u))
         assert walk.tolist() == [1, 1, 1]
 
 
@@ -175,29 +196,81 @@ class TestGuideStep:
     @pytest.mark.parametrize("kernel", [DYADIC_KERNEL, SHORT_ROW_KERNEL], ids=["dyadic", "short-row"])
     def test_cdf_values_on_bucket_edges(self, kernel):
         cum = cumulative_table(kernel)
-        u = _probes(cum, sampler._guide_table(cum).shape[1])
+        u = _probes(cum, sampler._bucket_table(cum)[0].shape[1])
         assert {0.0, 0.25, 0.5, np.nextafter(0.5, 0.0)} <= set(u.tolist())
-        _assert_guide_step_exact(cum, u)
+        _assert_bucket_step_exact(cum, u)
 
     def test_edge_value_opens_its_bucket(self):
-        # row 0's cdf is 0.5, 0.75, 1, 1: 0.5 = (M/2)/M lies in bucket M/2,
-        # which is marked, and bucket M/2 - 1 below it holds the count 0
-        guide = sampler._guide_table(cumulative_table(DYADIC_KERNEL))
-        half = guide.shape[1] // 2
-        assert guide[0, half - 1:half + 2].tolist() == [0, -1, 1]
-        assert guide[0, -1] == -1  # the last bucket is always resolved on the row
+        # row 0's cdf is 0.5, 0.75, 1, 1: 0.5 = (M/2)/M lies in bucket M/2, whose
+        # draws move to 0 below it and to 1 from it on; bucket M/2 - 1 below it
+        # holds no cdf value, and neither does the last bucket, which 1.0 is past
+        thr, pick = sampler._bucket_table(cumulative_table(DYADIC_KERNEL))
+        half = thr.shape[1] // 2
+        assert pick[0, half - 1:half + 2].tolist() == [[0, 0], [0, 1], [1, 1]]
+        assert thr[0, half - 1:half + 2].tolist() == [0.5, 0.5, 0.75]
+        assert pick[0, -1].tolist() == [2, 2]
 
     def test_ties_move_past_the_cdf_value(self):
         # a replica counts cdf <= u, as run_chain's bisect_right does, so a draw
         # equal to a cdf value moves past that column
         cum = cumulative_table(DYADIC_KERNEL)
         u = np.array([0.0, np.nextafter(0.5, 0.0), 0.5, 0.75, np.nextafter(0.75, 1.0)])
-        step = sampler._step_many(cum, sampler._guide_table(cum), np.zeros(5, dtype=np.intp), u)
-        assert step.tolist() == [0, 0, 1, 2, 2]
+        assert _replica_step(cum, np.zeros(5, dtype=np.intp), u).tolist() == [0, 0, 1, 2, 2]
         # row [0, 0, 1, 0] at u = 0.0 moves to its one positive column, never to 0
-        walk = sampler._walk(sampler._rows(DYADIC_KERNEL), 1, 1, _ConstantRng(0.0))
-        step = sampler._step_many(cum, sampler._guide_table(cum), np.array([1]), np.array([0.0]))
-        assert walk.tolist() == step.tolist() == [2]
+        walk = sampler._walk(sampler._rows(cum), 1, 1, _ConstantRng(0.0))
+        assert walk.tolist() == _replica_step(cum, np.array([1]), np.array([0.0])).tolist() == [2]
+
+    def test_draw_equal_to_the_bucket_threshold(self, fallbacks):
+        # row 0's cdf is 0.3, 0.65, 1: each value lies alone in its bucket, whose
+        # threshold it is; u == thr moves past it, the float below stays
+        cum = cumulative_table(np.array([[0.3, 0.35, 0.35]]))
+        thr, pick = sampler._bucket_table(cum)
+        for k, value in enumerate(cum[0, :2].tolist()):
+            m = int(value * thr.shape[1])
+            assert thr[0, m] == value and pick[0, m].tolist() == [k, k + 1]
+            u = np.array([np.nextafter(value, 0.0), value])
+            assert _replica_step(cum, np.zeros(2, dtype=np.intp), u).tolist() == [k, k + 1]
+        assert fallbacks == []
+
+    def test_zero_columns_repeat_one_value(self, fallbacks):
+        # cdf 0.3, 0.3, 0.3, 1: three columns give one value, so the bucket of
+        # 0.3 is not split, and a draw from 0.3 on moves past all three
+        kernel = np.array([[0.3, 0.0, 0.0, 0.7], [0.0, 0.0, 0.0, 1.0],
+                           [0.25, 0.25, 0.5, 0.0], [0.0, 0.5, 0.0, 0.5]])
+        cum = cumulative_table(kernel)
+        thr, pick = sampler._bucket_table(cum)
+        m = int(0.3 * thr.shape[1])
+        assert thr[0, m] == 0.3 and pick[0, m].tolist() == [0, 3]
+        u = np.array([np.nextafter(0.3, 0.0), 0.3, np.nextafter(0.3, 1.0)])
+        assert _replica_step(cum, np.zeros(3, dtype=np.intp), u).tolist() == [0, 3, 3]
+        _assert_bucket_step_exact(cum, _probes(cum, thr.shape[1]))
+        assert fallbacks == []
+
+    def test_split_bucket_bisects_the_row(self, fallbacks):
+        # row 0's cdf 0.3, 0.3 + 1e-9, 1 puts two values in one bucket, which
+        # is marked; only draws at or above its threshold 0.3 fall back
+        cum = cumulative_table(np.array([[0.3, 1e-9, 0.7 - 1e-9], [0.5, 0.25, 0.25],
+                                         [0.0, 1.0, 0.0]]))
+        thr, pick = sampler._bucket_table(cum)
+        m = int(0.3 * thr.shape[1])
+        assert thr[0, m] == 0.3 and pick[0, m].tolist() == [0, -1]
+        assert (pick[1:, :, 1] >= 0).all()
+        u = np.array([np.nextafter(0.3, 0.0), 0.3, 0.3 + 5e-10, 0.3 + 1e-9, 0.3 + 2e-9])
+        assert _replica_step(cum, np.zeros(5, dtype=np.intp), u).tolist() == [0, 1, 1, 2, 2]
+        assert [v for _, v in fallbacks] == u[1:].tolist()
+        assert all(row == cum[0].tolist() for row, _ in fallbacks)
+        _assert_bucket_step_exact(cum, _probes(cum, thr.shape[1]))
+
+    def test_dyadic_kernel_never_falls_back(self, fallbacks):
+        # every cdf value of DYADIC_KERNEL is a multiple of 1/8, so no bucket of
+        # width 1/M <= 1/8 holds two of them
+        cum = cumulative_table(DYADIC_KERNEL)
+        thr, pick = sampler._bucket_table(cum)
+        assert (pick[:, :, 1] >= 0).all()
+        u = np.concatenate([_probes(cum, thr.shape[1]),
+                            np.random.default_rng(0).random(1000)])
+        _assert_bucket_step_exact(cum, u)
+        assert fallbacks == []
 
     @given(st.integers(min_value=0, max_value=2 ** 32 - 1), st.integers(min_value=1, max_value=40),
            st.booleans())
@@ -213,25 +286,35 @@ class TestGuideStep:
             kernel[np.arange(n), rng.integers(0, n, n)] += 0.01
             kernel /= kernel.sum(axis=1, keepdims=True)
         cum = cumulative_table(kernel)
-        u = np.concatenate([_probes(cum, sampler._guide_table(cum).shape[1]), rng.random(200)])
-        _assert_guide_step_exact(cum, u)
+        u = np.concatenate([_probes(cum, sampler._bucket_table(cum)[0].shape[1]), rng.random(200)])
+        _assert_bucket_step_exact(cum, u)
 
     def test_chunked_build_equals_one_chunk(self, monkeypatch):
         op = scan_operator(random_target(seed=5, dims=(3, 2, 3)), DeterministicScan((1, 2, 3)))
         cum = cumulative_table(op.kernel)
-        whole = sampler._guide_table(cum)
-        for chunk in (1, 2 * 18, 5 * 18):  # one row, two rows, a short last chunk
-            monkeypatch.setattr(sampler, "_GUIDE_CHUNK", chunk)
-            np.testing.assert_array_equal(sampler._guide_table(cum), whole)
+        thr, pick = sampler._bucket_table(cum)
+        buckets = thr.shape[1]
+        for chunk in (1, 2 * buckets, 5 * buckets):  # one row, two rows, a short last chunk
+            monkeypatch.setattr(sampler, "_TABLE_CHUNK", chunk)
+            chunked = sampler._bucket_table(cum)
+            np.testing.assert_array_equal(chunked[0], thr)
+            np.testing.assert_array_equal(chunked[1], pick)
 
-    @pytest.mark.parametrize("n", [1, 27, 127, 128, 256, 1000])
+    @pytest.mark.parametrize("n", [1, 27, 127, 128, 256, 1000, 1024])
     def test_table_size(self, n):
         cum = cumulative_table(np.full((n, n), 1.0 / n))
-        guide = sampler._guide_table(cum)
-        buckets = guide.shape[1]
-        assert buckets & (buckets - 1) == 0 and buckets >= 4 * n
-        assert guide.nbytes <= 2 * cum.nbytes
-        assert np.iinfo(guide.dtype).max >= n
+        thr, pick = sampler._bucket_table(cum)
+        buckets, table = thr.shape[1], thr.nbytes + pick.nbytes
+        budget = max(2 * cum.nbytes, sampler._TABLE_MIN_BYTES)
+        # 2^ceil(log2(16 n)) buckets, halved only while the table is over budget
+        assert buckets & (buckets - 1) == 0 and 2 * buckets > n
+        assert table <= budget
+        assert buckets == 1 << (16 * n - 1).bit_length() or 2 * table > budget
+        if n >= 1024:
+            assert table <= 2 * cum.nbytes
+        if n <= 27:
+            assert buckets >= 16 * n
+        assert np.iinfo(pick.dtype).max >= n
 
 
 class TestScanRho:
@@ -399,8 +482,8 @@ class TestEmpiricalTail:
         def no_steps(*args):
             raise AssertionError("simulated before validating eps")
 
-        monkeypatch.setattr(sampler, "_guide_table", no_steps)
-        monkeypatch.setattr(sampler, "_step_many", no_steps)
+        monkeypatch.setattr(sampler, "_bucket_table", no_steps)
+        monkeypatch.setattr(sampler, "_bucket_step", no_steps)
         f = np.array([0.0, 0.0, 1.0, 1.0])
         with pytest.raises(ValidationError):
             empirical_tails(*_op_rho(eps_pair, RandomScan.uniform(2)), f, [100, 1000], [0.1, eps],
@@ -425,12 +508,61 @@ class TestEmpiricalTails:
             assert (a.frequency, a.bound, a.std_error, a.passed) == \
                 (b.frequency, b.bound, b.std_error, b.passed)
 
+    def test_one_step_blocks_equal_separate_runs(self, monkeypatch):
+        # more replicas than _TAIL_BLOCK: one step's uniforms per rng call
+        monkeypatch.setattr(sampler, "_TAIL_BLOCK", 299)
+        pi, scan = random_target(seed=3, dims=(3, 3, 2)), DeterministicScan((2, 3, 1))
+        f = (pi.space.all_multi_indices()[:, 0] == 2).astype(float)
+        grid = empirical_tails(*_op_rho(pi, scan), f, [9, 4], [0.1], replicas=300, seed=11)
+        assert grid == [_reference_tail(pi, scan, f, n, 0.1, 300, 11) for n in (9, 4)]
+
     @pytest.mark.parametrize("scan", [DeterministicScan(tuple(range(1, 9))), RandomScan.uniform(8)],
                              ids=["dsg", "rsg"])
     def test_256_states_equal_separate_runs(self, scan):
         pi = equicorrelated_binary(8, 0.25)
         f = (pi.space.all_multi_indices()[:, 0] == 1).astype(float)
-        n_grid, eps_grid = [45, 13], [0.05, 0.2]  # horizons off the 8-step uniform blocks
+        n_grid, eps_grid = [45, 13], [0.05, 0.2]  # horizons off the 20-step uniform blocks
         grid = empirical_tails(*_op_rho(pi, scan), f, n_grid, eps_grid, replicas=400, seed=5)
         assert grid == [_reference_tail(pi, scan, f, n, e, 400, 5) for n in n_grid for e in eps_grid]
         assert any(t.frequency > 0.0 for t in grid)
+
+    @pytest.mark.parametrize("scan", [DeterministicScan((3, 1, 2)), RandomScan.uniform(3)],
+                             ids=["dsg", "rsg"])
+    def test_non_indicator_f_equals_separate_runs(self, scan):
+        # f takes non-dyadic values in [0, 1], so the partial sums round: the grid
+        # must add f along each replica in the order one run per point does
+        pi = random_target(seed=8, dims=(3, 2, 3))
+        f = np.random.default_rng(8).random(pi.space.total_states)
+        n_grid, eps_grid = [30, 11], [0.05, 0.15]
+        grid = empirical_tails(*_op_rho(pi, scan), f, n_grid, eps_grid, replicas=300, seed=2)
+        assert grid == [_reference_tail(pi, scan, f, n, e, 300, 2)
+                        for n in n_grid for e in eps_grid]
+        assert any(0.0 < t.frequency < 1.0 for t in grid)
+
+    def test_1024_states_hold_no_replica_by_state_block(self, monkeypatch):
+        # beside the cumulative and bucket tables, stepping 4,000 replicas over
+        # 1,024 states holds arrays of one entry per replica (1.4 MB in all,
+        # with the n x n masks of cumulative_table), never a (replicas x n)
+        # block of 32.8 MB, nor an eighth of one
+        pi = equicorrelated_binary(10, 0.25)
+        op = scan_operator(pi, DeterministicScan(tuple(range(1, 11))))
+        f = (pi.space.all_multi_indices()[:, 0] == 1).astype(float)
+        replicas, tables = 4000, []
+        build = sampler._bucket_table
+
+        def kept(cum):
+            thr, pick = build(cum)
+            tables.extend([cum, thr, pick])
+            return thr, pick
+
+        monkeypatch.setattr(sampler, "_bucket_table", kept)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            empirical_tails(op, 0.5, f, [20], [0.1], replicas, seed=0)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        held = sum(t.nbytes for t in tables)
+        assert held <= 3 * tables[0].nbytes
+        assert peak - held < op.n_states * 8 * replicas // 8

@@ -42,6 +42,7 @@ from .sampler import (
     asymptotic_variance_estimate,
     check_tail_inputs,
     clt_variance_bound,
+    cumulative_table,
     empirical_tails,
     run_chain,
 )
@@ -247,12 +248,13 @@ def cmd_sample(args) -> int:
         rho = (l2_norm_centered(op) if isinstance(scan, RandomScan)  # self-adjoint, as in Spectra
                else spectral_radius_centered(op))
         bound = clt_variance_bound(rho, f, pi)  # refuses rho = 1 before any step
-        est, se = asymptotic_variance_estimate(run_chain(op, args.n, seed=args.seed), f)
+        cum = cumulative_table(op.kernel)  # one table for the chain and the replicas
+        est, se = asymptotic_variance_estimate(run_chain(op, args.n, seed=args.seed, cum=cum), f)
         clt_pass = bool(est <= bound + 3.0 * se)
         tails = [{"n": t.n, "eps": t.eps, "frequency": t.frequency,
                   "bound": t.bound, "std_error": t.std_error, "pass": t.passed}
                  for t in empirical_tails(op, rho, f, args.n_grid, args.eps_grid,
-                                          args.replicas, seed=args.seed)]
+                                          args.replicas, seed=args.seed, cum=cum)]
         panel_pass = clt_pass and all(t["pass"] for t in tails)
         all_pass = all_pass and panel_pass
         panels.append({

@@ -26,13 +26,15 @@ to each other:
   certified as the global minimum.  The sandwich inequality applied to the
   exact c gives a further lower bound.
 
-Everything here runs on numpy alone.  The restarts' annealing stages use
-``_lbfgs``, a limited-memory BFGS with the stopping rules of scipy's
-L-BFGS-B.  No command loads scipy.
+Everything here runs on numpy alone.  The restarts run in lockstep: each
+annealing stage is one call of ``_lbfgs``, which steps every restart still
+in the schedule by its own limited-memory BFGS (the stopping rules of
+scipy's L-BFGS-B), all rows at once, with directions from the compact form
+of the BFGS matrix.  A restart's result does not depend on how many run
+beside it.  No command loads scipy.
 """
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
@@ -179,67 +181,139 @@ def _max_form(forms: np.ndarray, v: np.ndarray) -> float:
     return float(max(v @ a @ v for a in forms))
 
 
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    """|x[r]| of each row as a column, from the row's own BLAS dot product:
+    the bits of np.linalg.norm(x[r]), whatever the number of rows."""
+    return np.sqrt(x[:, None, :] @ x[:, :, None])[:, 0]
+
+
 def _smoothed_objective(w: np.ndarray, forms: np.ndarray, beta: float):
-    nw = np.linalg.norm(w)
+    """(1/beta) log sum_i exp(beta v^T A_i v) at v = w / |w| for each row of
+    w: (rows,) values and (rows, m) gradients in w.  Each row's A_i v is its
+    own BLAS matrix-vector product, so a row's result does not depend on the
+    rows beside it, as it would with one matrix-matrix product."""
+    d, m, _ = forms.shape
+    nw = _row_norms(w)
     v = w / nw
-    q = np.einsum("i,kij,j->k", v, forms, v)
-    m = q.max()
-    e = np.exp(beta * (q - m))
-    z = e.sum()
-    val = m + np.log(z) / beta
-    p = e / z
-    grad_v = 2.0 * np.einsum("k,kij,j->i", p, forms, v)
-    grad_w = (grad_v - (grad_v @ v) * v) / nw
+    av = np.matmul(forms.reshape(d * m, m), v[:, :, None]).reshape(-1, d, m)  # A_i v
+    q = np.sum(av * v[:, None, :], axis=2)
+    top = q.max(axis=1, keepdims=True)
+    e = np.exp(beta * (q - top))
+    z = e.sum(axis=1, keepdims=True)
+    val = top[:, 0] + np.log(z[:, 0]) / beta
+    grad_v = 2.0 * np.matmul((e / z)[:, None, :], av)[:, 0]
+    grad_w = (grad_v - np.sum(grad_v * v, axis=1, keepdims=True) * v) / nw
     return val, grad_w
 
 
-def _lbfgs(fun, x: np.ndarray, args=()) -> np.ndarray:
-    """Minimize fun(x, *args) -> (value, gradient) from x by limited-memory BFGS.
+def _pair_memory(rows: int, m: int) -> list:
+    """Empty curvature-pair memories for ``_lbfgs``: (s, y, sy, rinv, gamma)
+    of ``_lbfgs_direction``, every slot empty and gamma 0."""
+    s = np.zeros((rows, LBFGS_MEMORY, m))
+    return [s, np.zeros_like(s), np.zeros((rows, LBFGS_MEMORY)),
+            np.tile(np.eye(LBFGS_MEMORY), (rows, 1, 1)), np.zeros(rows)]
 
-    The search direction comes from the two-loop recursion over the last
-    LBFGS_MEMORY curvature pairs (Nocedal, Math. Comp. 35 (1980)), scaled by
-    s^T y / y^T y of the newest pair; the first step has length 1.  Steps
-    are halved until they meet the Armijo condition, and a pair is kept only
-    when s^T y > 0.  Stops on the LBFGS_* rules, or where rounding leaves no
-    descent direction or no step that decreases fun.
+
+def _push_pairs(mem: list, k, s: np.ndarray, y: np.ndarray, sy: np.ndarray) -> None:
+    """Make (s[k], y[k]) the newest pair of the memories of rows k, in place;
+    sy[k] = s^T y > 0.  Every slot moves one older and the oldest pair drops
+    out, which drops the first row and column of R and of R^-1; the new pair
+    borders R by the column (S^T y, sy), and R^-1 by (-R^-1 S^T y / sy, 1 / sy).
     """
+    s_mem, y_mem, sy_mem, rinv, gamma = mem
+    s_mem[k, :-1], y_mem[k, :-1], sy_mem[k, :-1] = s_mem[k, 1:], y_mem[k, 1:], sy_mem[k, 1:]
+    s_mem[k, -1], y_mem[k, -1], sy_mem[k, -1] = s[k], y[k], sy[k]
+    rinv[k, :-1, :-1] = rinv[k, 1:, 1:]
+    border = rinv[k, :-1, :-1] @ (s_mem[k, :-1] @ y[k][:, :, None])  # R^-1 S^T y
+    rinv[k, :-1, -1] = border[:, :, 0] / -sy[k, None]
+    rinv[k, -1, -1] = 1.0 / sy[k]
+    gamma[k] = sy[k] / np.sum(y[k] * y[k], axis=1)
+
+
+def _lbfgs_direction(mem: list, g: np.ndarray) -> np.ndarray:
+    """-H g for each row of g, H the BFGS update of gamma I by the row's
+    curvature pairs s[r, i], y[r, i] in mem = (s, y, sy, rinv, gamma): pairs
+    oldest first and zero in an empty slot, sy[r, i] = s_i^T y_i, rinv[r]
+    the inverse of R, the upper triangle of S^T Y with a unit diagonal entry
+    in an empty slot, and gamma = s^T y / y^T y of the newest pair.  A row
+    without pairs (gamma 0) gets -g / |g|.
+
+    H is taken in compact form, H = gamma I + [S gamma Y] M [S gamma Y]^T
+    with M = [[R^-T (D + gamma Y^T Y) R^-1, -R^-T], [-R^-1, 0]] and D the
+    diagonal of S^T Y (Byrd, Nocedal & Schnabel, Math. Programming 63 (1994),
+    Thm. 2.2): the direction of the two-loop recursion, in a fixed number of
+    batched products whatever the number of rows and pairs.
+    """
+    s, y, sy, rinv, gamma = mem
+    gc = g[:, :, None]
+    a = rinv @ (s @ gc)  # R^-1 S^T g
+    ya = a.transpose(0, 2, 1) @ y  # (Y R^-1 S^T g)^T
+    c = rinv.transpose(0, 2, 1) @ (sy[:, :, None] * a
+                                   + gamma[:, None, None] * (y @ (ya.transpose(0, 2, 1) - gc)))
+    p = gamma[:, None] * (ya[:, 0] - g) - (c.transpose(0, 2, 1) @ s)[:, 0]
+    return np.where(gamma[:, None] > 0.0, p, -g / _row_norms(g))
+
+
+def _rows_where(mask: np.ndarray, *arrays) -> list:
+    """Each array's rows where mask holds."""
+    return list(arrays) if mask.all() else [a[mask] for a in arrays]
+
+
+def _lbfgs(fun, x: np.ndarray, args=()) -> np.ndarray:
+    """Minimize fun(x, *args) -> (values, gradients) row by row from the
+    (rows, m) block x: each row runs its own limited-memory BFGS, and all rows
+    step in lockstep.
+
+    Each row keeps its newest LBFGS_MEMORY curvature pairs (s, y), a pair only
+    when s^T y > 0, and steps along ``_lbfgs_direction``: the direction of the
+    two-loop recursion (Nocedal, Math. Comp. 35 (1980)) scaled by s^T y / y^T y
+    of the newest pair, from the compact form; the first step has length 1.
+    Each row halves its step until it meets the Armijo condition and stops on
+    the LBFGS_* rules, or where rounding leaves it no descent direction or no
+    step that decreases fun.  A row that stops keeps its iterate and leaves
+    later calls of fun.  fun must compute each row alone; then a row's result
+    does not depend on the rows run beside it.
+    """
+    out = np.array(x, dtype=float)
+    live = np.arange(out.shape[0])
+    x = out.copy()
     f, g = fun(x, *args)
-    pairs = deque(maxlen=LBFGS_MEMORY)
+    mem = _pair_memory(*out.shape)
     for _ in range(LBFGS_MAX_ITER):
-        if np.abs(g).max() <= LBFGS_GTOL:
+        live, x, f, g, *mem = _rows_where(np.abs(g).max(axis=1) > LBFGS_GTOL, live, x, f, g, *mem)
+        if not live.size:
             break
-        p = -g
-        alphas = []
-        for s, y, rho in reversed(pairs):
-            alphas.append(rho * (s @ p))
-            p = p - alphas[-1] * y
-        if pairs:
-            s, y, _ = pairs[-1]
-            p = p * ((s @ y) / (y @ y))
-        else:
-            p = p / np.linalg.norm(p)
-        for (s, y, rho), alpha in zip(pairs, reversed(alphas)):
-            p = p + (alpha - rho * (y @ p)) * s
-        slope = g @ p
-        if slope >= 0.0:  # rounding only: the kept pairs make p descend
+        p = _lbfgs_direction(mem, g)
+        slope = np.sum(g * p, axis=1)
+        # a non-negative slope is rounding only: the kept pairs make p descend
+        live, x, f, g, p, slope, *mem = _rows_where(slope < 0.0, live, x, f, g, p, slope, *mem)
+        if not live.size:
             break
-        t = 1.0
-        for _ in range(60):  # halvings
-            x_t = x + t * p
-            f_t, g_t = fun(x_t, *args)
-            if f_t <= f + 1e-4 * t * slope:
+        t = np.ones(live.size)
+        x_t = x + p
+        f_t, g_t = fun(x_t, *args)
+        short = np.flatnonzero(~(f_t <= f + 1e-4 * slope))  # rows missing the Armijo condition
+        for _ in range(59):  # halvings
+            if not short.size:
                 break
-            t *= 0.5
-        else:
-            break
+            t[short] *= 0.5
+            x_t[short] = x[short] + t[short, None] * p[short]
+            f_t[short], g_t[short] = fun(x_t[short], *args)
+            short = short[~(f_t[short] <= f[short] + 1e-4 * t[short] * slope[short])]
+        stepped = np.ones(live.size, dtype=bool)
+        stepped[short] = False
+        live, x, f, g, x_t, f_t, g_t, *mem = _rows_where(stepped, live, x, f, g, x_t, f_t, g_t,
+                                                         *mem)
         s, y = x_t - x, g_t - g
-        if s @ y > 0.0:
-            pairs.append((s, y, 1.0 / (s @ y)))
-        done = f - f_t <= LBFGS_FTOL * max(abs(f), abs(f_t), 1.0)
+        sy = np.sum(s * y, axis=1)
+        kept = np.flatnonzero(sy > 0.0)
+        # a slice moves the slots in place when every row keeps its pair
+        _push_pairs(mem, slice(None) if kept.size == live.size else kept, s, y, sy)
+        done = f - f_t <= LBFGS_FTOL * np.maximum(np.maximum(np.abs(f), np.abs(f_t)), 1.0)
         x, f, g = x_t, f_t, g_t
-        if done:
-            break
-    return x
+        out[live] = x
+        live, x, f, g, *mem = _rows_where(~done, live, x, f, g, *mem)
+    return out
 
 
 def _simplex_newton_step(w: np.ndarray, g: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -379,11 +453,13 @@ def inclination(pi: TargetDistribution, restarts: int = 32,
     sum_i mu_i A_i whose forms are equal over supp(mu)); the first polish
     that passes ends the restart's schedule.  A restart whose polish never
     passes runs the whole schedule and keeps its last annealed iterate.
-    Restarts use seeded starts; ties resolve to the lowest restart index, so
-    the result is schedule-independent.  Either way ``lower`` is sqrt of the
-    dual, and ``kkt_residual`` is max_i v^T A_i v - lambda for the witness v
-    and the eigenvalue lambda it was certified or polished at (None when no
-    polish passed in the best restart).
+    The starts are one seeded draw of (restarts, m) normal values, the same
+    stream as drawing them one restart at a time; each stage runs the
+    restarts still in the schedule together, and ties resolve to the lowest
+    restart index, so the result is schedule-independent.  Either way
+    ``lower`` is sqrt of the dual, and ``kkt_residual`` is max_i v^T A_i v -
+    lambda for the witness v and the eigenvalue lambda it was certified or
+    polished at (None when no polish passed in the best restart).
     """
     if restarts < 1:
         raise ValidationError("restarts must be >= 1, got %d" % restarts)
@@ -396,29 +472,29 @@ def inclination(pi: TargetDistribution, restarts: int = 32,
                                  restarts=0, lower=ell_lower, certified=True,
                                  kkt_residual=upper - lower)
     rng = np.random.default_rng(seed)
-    best_val = np.inf
-    best_v = None
-    best_residual = None
-    for _ in range(restarts):
-        w = rng.standard_normal(q.shape[1])
-        w /= np.linalg.norm(w)
-        residual = None
-        for beta in (4.0, 32.0, 256.0, 2048.0, 16384.0):
-            w = _lbfgs(_smoothed_objective, w, (forms, beta))
-            w /= np.linalg.norm(w)
-            polished = _branch_polish(forms, w, beta) if beta >= POLISH_MIN_BETA else None
-            if polished is not None:
-                w, residual = polished
+    w = rng.standard_normal((restarts, q.shape[1]))
+    w /= _row_norms(w)
+    residuals = [None] * restarts
+    live = np.arange(restarts)
+    for beta in (4.0, 32.0, 256.0, 2048.0, 16384.0):
+        x = _lbfgs(_smoothed_objective, w[live], (forms, beta))
+        w[live] = x / _row_norms(x)
+        if beta >= POLISH_MIN_BETA:
+            for r in live.tolist():
+                polished = _branch_polish(forms, w[r], beta)
+                if polished is not None:
+                    w[r], residuals[r] = polished
+            live = np.array([r for r in live.tolist() if residuals[r] is None], dtype=np.intp)
+            if not live.size:
                 break
-        val = _max_form(forms, w)
-        if val < best_val - 1e-15:
-            best_val = val
-            best_v = w.copy()
-            best_residual = residual
-    ell_hat = float(np.sqrt(max(best_val, 0.0)))
-    witness = (q @ best_v) / s
-    return InclinationResult(value=ell_hat, witness=witness, restarts=restarts,
-                             lower=ell_lower, certified=False, kkt_residual=best_residual)
+    values = [_max_form(forms, v) for v in w]
+    best = 0
+    for r, val in enumerate(values):
+        if val < values[best] - 1e-15:
+            best = r
+    return InclinationResult(value=float(np.sqrt(max(values[best], 0.0))),
+                             witness=(q @ w[best]) / s, restarts=restarts, lower=ell_lower,
+                             certified=False, kkt_residual=residuals[best])
 
 
 def inclination_lower_bound(c: float, d: int) -> float:

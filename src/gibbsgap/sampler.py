@@ -6,7 +6,8 @@ full sweep for a deterministic scan (there are no records inside a sweep),
 one record per single-coordinate update for a random scan.  The caller
 builds that operator once (``scan_operator``, for a target whose state
 count was checked against the cap when it was loaded) and passes it, with
-its rate ``rho`` (a random scan's norm, a sweep's radius), to every simulation.
+its rate ``rho`` (a random scan's norm, a sweep's radius) and its
+``cumulative_table``, to every simulation.
 Every chain starts from the stationary law op.stationary, so the tail bound
 carries no ||d nu/d pi|| factor.  Each call draws from one numpy Generator
 seeded with its seed: a chain takes its start state and then one uniform per
@@ -168,15 +169,16 @@ def _walk(rows: list[memoryview], x: int, n: int, rng: np.random.Generator) -> n
     return states
 
 
-def run_chain(op: MarkovOperator, n: int, seed: int) -> np.ndarray:
+def run_chain(op: MarkovOperator, n: int, seed: int, *,
+              cum: np.ndarray | None = None) -> np.ndarray:
     """n steps of op's kernel from X_0 drawn from op.stationary: states[t] is
     the state after t + 1 recorded steps.  Identical inputs give identical
-    states."""
+    states.  cum is cumulative_table(op.kernel) where the caller holds it."""
     if n < 1:
         raise ValidationError("n must be >= 1, got %d" % n)
     rng = np.random.default_rng(seed)
     x0 = int(rng.choice(op.n_states, p=op.stationary))
-    return _walk(_rows(cumulative_table(op.kernel)), x0, n, rng)
+    return _walk(_rows(cumulative_table(op.kernel) if cum is None else cum), x0, n, rng)
 
 
 def clt_variance_bound(rho: float, f: np.ndarray, pi: TargetDistribution) -> float:
@@ -249,7 +251,8 @@ def check_tail_inputs(mu: float, n_grid: Sequence[int], eps_grid: Sequence[float
 
 def empirical_tails(op: MarkovOperator, rho: float, f: np.ndarray,
                     n_grid: Sequence[int], eps_grid: Sequence[float],
-                    replicas: int, seed: int) -> list[TailCheck]:
+                    replicas: int, seed: int, *,
+                    cum: np.ndarray | None = None) -> list[TailCheck]:
     """Monte Carlo frequencies of {sum_{i=1..n} f(X_i) >= n (mu + eps)} for
     chains of op, for every n in n_grid (outer) and eps in eps_grid (inner),
     in that order; each is checked against the tail bound with rate rho.
@@ -257,7 +260,8 @@ def empirical_tails(op: MarkovOperator, rho: float, f: np.ndarray,
     f must be valued in [0, 1].  Pass criterion: frequency <=
     bound + 3 binomial standard errors.  One set of replicas runs to the
     longest horizon; its partial sums at each n serve every eps, exactly as
-    separate runs from the same seed would.
+    separate runs from the same seed would.  cum is cumulative_table(op.kernel)
+    where the caller holds it.
     """
     f = np.asarray(f, dtype=float).reshape(-1)
     if f.shape[0] != op.n_states:
@@ -266,7 +270,8 @@ def empirical_tails(op: MarkovOperator, rho: float, f: np.ndarray,
         raise ValidationError("f must be valued in [0, 1]")
     mu = float(op.stationary @ f)
     check_tail_inputs(mu, n_grid, eps_grid, replicas)
-    cum = cumulative_table(op.kernel)
+    if cum is None:
+        cum = cumulative_table(op.kernel)
     rows = _rows(cum)
     thr, pick = _bucket_table(cum)
     buckets = thr.shape[1]

@@ -4,12 +4,14 @@ Functions on a product space are plain arrays of values by flat state (last
 coordinate fastest), as everywhere in gibbsgap.
 """
 import math
+from collections import deque
 from typing import Sequence
 
 import numpy as np
 
 from gibbsgap.counterexample import _MULTISECTION_POINTS, LadderChainSpec, _spider_inertia
 from gibbsgap.errors import ValidationError
+from gibbsgap.geometry import LBFGS_FTOL, LBFGS_GTOL, LBFGS_MAX_ITER, LBFGS_MEMORY
 from gibbsgap.measure import ProductSpace, TargetDistribution
 from gibbsgap.operators import MarkovOperator, _centered_conjugated
 
@@ -118,3 +120,70 @@ def exact_asymptotic_variance(op: MarkovOperator, f: np.ndarray) -> float:
     n = pi.shape[0]
     g = np.linalg.solve(np.eye(n) - op.kernel + pi[None, :], fbar)
     return float(pi @ (fbar * (2.0 * g - fbar)))
+
+
+def smoothed_objective(w: np.ndarray, forms: np.ndarray, beta: float):
+    """(1/beta) log sum_i exp(beta v^T A_i v) at v = w / |w| for one vector w,
+    with its gradient in w, by einsum (oracle for one row of
+    ``geometry._smoothed_objective``)."""
+    nw = np.linalg.norm(w)
+    v = w / nw
+    q = np.einsum("i,kij,j->k", v, forms, v)
+    m = q.max()
+    e = np.exp(beta * (q - m))
+    z = e.sum()
+    p = e / z
+    grad_v = 2.0 * np.einsum("k,kij,j->i", p, forms, v)
+    return m + np.log(z) / beta, (grad_v - (grad_v @ v) * v) / nw
+
+
+def two_loop_direction(pairs, g: np.ndarray) -> np.ndarray:
+    """-H g by the two-loop recursion over the curvature pairs (s, y, 1/s^T y),
+    oldest first (Nocedal, Math. Comp. 35 (1980)), H scaled by s^T y / y^T y
+    of the newest pair; -g / |g| without pairs."""
+    p = -g
+    alphas = []
+    for s, y, rho in reversed(pairs):
+        alphas.append(rho * (s @ p))
+        p = p - alphas[-1] * y
+    if pairs:
+        s, y, _ = pairs[-1]
+        p = p * ((s @ y) / (y @ y))
+    else:
+        p = p / np.linalg.norm(p)
+    for (s, y, rho), alpha in zip(pairs, reversed(alphas)):
+        p = p + (alpha - rho * (y @ p)) * s
+    return p
+
+
+def lbfgs(fun, x: np.ndarray, args=()) -> np.ndarray:
+    """Minimize fun(x, *args) -> (value, gradient) for one vector x by
+    limited-memory BFGS along ``two_loop_direction`` with the stopping rules of
+    ``geometry._lbfgs`` (oracle for one of its rows): Armijo halvings, a pair
+    kept only when s^T y > 0, the newest LBFGS_MEMORY pairs."""
+    f, g = fun(x, *args)
+    pairs = deque(maxlen=LBFGS_MEMORY)
+    for _ in range(LBFGS_MAX_ITER):
+        if np.abs(g).max() <= LBFGS_GTOL:
+            break
+        p = two_loop_direction(pairs, g)
+        slope = g @ p
+        if slope >= 0.0:
+            break
+        t = 1.0
+        for _ in range(60):  # halvings
+            x_t = x + t * p
+            f_t, g_t = fun(x_t, *args)
+            if f_t <= f + 1e-4 * t * slope:
+                break
+            t *= 0.5
+        else:
+            break
+        s, y = x_t - x, g_t - g
+        if s @ y > 0.0:
+            pairs.append((s, y, 1.0 / (s @ y)))
+        done = f - f_t <= LBFGS_FTOL * max(abs(f), abs(f_t), 1.0)
+        x, f, g = x_t, f_t, g_t
+        if done:
+            break
+    return x

@@ -534,6 +534,21 @@ class TestSampleCommand:
         assert self._sample(tmp_path, target_3x3x3, scan, "--state-cap", "25000") == 0
         assert built == [parse_scan(scan, 3)]
 
+    def test_cumulative_table_built_once_per_scan(self, tmp_path, monkeypatch, target_3x3x3):
+        # the chain and the tail replicas step through one table of each scan's kernel
+        built = []
+        original = sampler.cumulative_table
+
+        def counted(kernel):
+            built.append(kernel)
+            return original(kernel)
+
+        _patch_everywhere(monkeypatch, original, counted)
+        assert self._sample(tmp_path, target_3x3x3, "dsg:2,3,1", "--scan", "rsg:uniform") == 0
+        panels = json.loads((tmp_path / "out" / "sample.json").read_text())["report"]["panels"]
+        assert len(panels) == 2
+        assert len(built) == 2 and not np.array_equal(built[0], built[1])
+
     @pytest.mark.parametrize("scan, solver", [("dsg:2,3,1", "spectral_radius_centered"),
                                               ("rsg:uniform", "l2_norm_centered")])
     def test_rho_solved_once_per_scan(self, tmp_path, monkeypatch, target_3x3x3, scan, solver):

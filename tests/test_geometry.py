@@ -19,7 +19,7 @@ from gibbsgap.geometry import (
 )
 from gibbsgap.measure import ProductSpace, TargetDistribution, equicorrelated_binary
 from conftest import make_suite
-from oracles import conditional_mean, random_target
+from oracles import conditional_mean, lbfgs, random_target, smoothed_objective, two_loop_direction
 
 
 #: pmf proportional to this on (2, 2, 2): a cell of each coordinate has mass
@@ -176,6 +176,12 @@ class TestInclinationForms:
             assert np.abs(_inclination_forms(pi)[1] - chart).max() <= 1e-15
 
 
+def _one_row(w, forms, beta):
+    """_smoothed_objective of the single vector w: a value and a gradient."""
+    val, grad = _smoothed_objective(w[None, :], forms, beta)
+    return val[0], grad[0]
+
+
 def _restart_loop(pi, restarts, seed, nelder_mead=True):
     """The seeded multi-restart optimizer alone, as it ran before the dual:
     (ell_hat, witness).  Each restart ends with a Nelder-Mead search unless
@@ -188,7 +194,7 @@ def _restart_loop(pi, restarts, seed, nelder_mead=True):
         w /= np.linalg.norm(w)
         for beta in (4.0, 32.0, 256.0, 2048.0, 16384.0):
             res = scipy.optimize.minimize(
-                _smoothed_objective, w, args=(forms, beta), jac=True,
+                _one_row, w, args=(forms, beta), jac=True,
                 method="L-BFGS-B", options={"maxiter": 500, "ftol": 1e-14, "gtol": 1e-12},
             )
             w = res.x / np.linalg.norm(res.x)
@@ -328,15 +334,16 @@ class TestBranchPolish:
 
     def test_failed_polish_runs_the_restart_loop(self, open_target, monkeypatch):
         monkeypatch.setattr(geometry, "_branch_polish", lambda forms, w, beta: None)
-        betas = []
+        stages = []
         lbfgs = geometry._lbfgs
-        monkeypatch.setattr(geometry, "_lbfgs",
-                            lambda fun, x, args: betas.append(args[1]) or lbfgs(fun, x, args))
+        monkeypatch.setattr(geometry, "_lbfgs", lambda fun, x, args: stages.append(
+            (args[1], x.shape[0])) or lbfgs(fun, x, args))
         res = inclination(open_target, restarts=4, seed=0)
-        assert betas == [4.0, 32.0, 256.0, 2048.0, 16384.0] * 4
+        # no restart leaves the schedule, so every stage steps all four in one call
+        assert stages == [(beta, 4) for beta in (4.0, 32.0, 256.0, 2048.0, 16384.0)]
         # the scipy L-BFGS-B loop stops its stages elsewhere, and the unpolished
-        # ell_hat moves with the stopping point: 6.9e-11 apart here (up to
-        # 9.5e-9 on the open suite targets).  The best restart may differ, so
+        # ell_hat moves with the stopping point: 4.2e-10 apart here (up to
+        # 3.7e-9 on the open suite targets).  The best restart may differ, so
         # the witness is checked for its value only.
         value, _ = _restart_loop(open_target, restarts=4, seed=0, nelder_mead=False)
         assert res.value == pytest.approx(value, abs=1e-9)
@@ -350,31 +357,146 @@ class TestBranchPolish:
 class TestLbfgs:
     def test_rosenbrock(self):
         def rosenbrock(x):
-            a, b = x
+            a, b = x.T
             return ((1.0 - a) ** 2 + 100.0 * (b - a * a) ** 2,
-                    np.array([-2.0 * (1.0 - a) - 400.0 * a * (b - a * a), 200.0 * (b - a * a)]))
+                    np.stack([-2.0 * (1.0 - a) - 400.0 * a * (b - a * a), 200.0 * (b - a * a)],
+                             axis=1))
 
-        x = geometry._lbfgs(rosenbrock, np.array([-1.2, 1.0]))
-        np.testing.assert_allclose(x, [1.0, 1.0], atol=1e-9)
+        x = geometry._lbfgs(rosenbrock, np.array([[-1.2, 1.0], [2.0, -1.0], [-0.5, 3.0]]))
+        np.testing.assert_allclose(x, np.ones((3, 2)), atol=1e-9)
 
     def test_reaches_the_scipy_minimum(self, target_suite, open_target):
-        # each annealing stage from the same start: L-BFGS-B's value and
-        # _lbfgs's agree to 3.8e-11 at worst over 4 restarts of these targets
+        # each annealing stage from the same starts: L-BFGS-B's value and
+        # _lbfgs's agree to 6.8e-12 at worst over 2 restarts of these targets
         for pi in [target_suite[i] for i in OPEN_SUITE] + [open_target]:
             forms, q = _inclination_forms(pi)
             rng = np.random.default_rng(0)
-            for _ in range(2):
-                w = rng.standard_normal(q.shape[1])
-                w /= np.linalg.norm(w)
-                for beta in (4.0, 32.0, 256.0, 2048.0, 16384.0):
-                    ref = scipy.optimize.minimize(
-                        _smoothed_objective, w, args=(forms, beta), jac=True,
-                        method="L-BFGS-B",
-                        options={"maxiter": 500, "ftol": 1e-14, "gtol": 1e-12})
-                    x = geometry._lbfgs(_smoothed_objective, w, (forms, beta))
-                    assert _smoothed_objective(x, forms, beta)[0] == pytest.approx(ref.fun,
-                                                                                   abs=1e-9)
-                    w = ref.x / np.linalg.norm(ref.x)
+            w = rng.standard_normal((2, q.shape[1]))
+            w /= np.linalg.norm(w, axis=1, keepdims=True)
+            for beta in (4.0, 32.0, 256.0, 2048.0, 16384.0):
+                refs = [scipy.optimize.minimize(
+                    _one_row, start, args=(forms, beta), jac=True, method="L-BFGS-B",
+                    options={"maxiter": 500, "ftol": 1e-14, "gtol": 1e-12}) for start in w]
+                x = geometry._lbfgs(_smoothed_objective, w, (forms, beta))
+                values = _smoothed_objective(x, forms, beta)[0]
+                for value, ref in zip(values, refs):
+                    assert value == pytest.approx(ref.fun, abs=1e-9)
+                w = np.array([ref.x / np.linalg.norm(ref.x) for ref in refs])
+
+
+def _push(mem, rows, pairs_by_row, rng, m):
+    """Push one seeded valid pair (y = A s, A positive definite) into the
+    memories of the given rows, recording it in pairs_by_row."""
+    count = mem[0].shape[0]
+    s = rng.standard_normal((count, m))
+    root = rng.standard_normal((m, m))
+    y = s @ (root @ root.T + 0.5 * np.eye(m))
+    sy = np.einsum("ij,ij->i", s, y)
+    geometry._push_pairs(mem, rows, s, y, sy)
+    for r in rows:
+        pairs_by_row[r].append((s[r], y[r], 1.0 / (s[r] @ y[r])))
+
+
+class TestLockstep:
+    """Many rows stepped by one batched L-BFGS against the per-vector oracle."""
+
+    @pytest.mark.parametrize("m", [2, 15, 60])
+    def test_compact_direction_equals_two_loop(self, m):
+        # rows hold 0, 1, 3, 10 and (past the memory) 13 pairs, pushed in turns
+        rng = np.random.default_rng(m)
+        pushes = [0, 1, 3, 10, 13]
+        mem = geometry._pair_memory(len(pushes), m)
+        pairs = [[] for _ in pushes]
+        for step in range(max(pushes)):
+            _push(mem, np.array([r for r, k in enumerate(pushes) if k > step]), pairs, rng, m)
+        g = rng.standard_normal((len(pushes), m))
+        p = geometry._lbfgs_direction(mem, g)
+        for r in range(len(pushes)):
+            ref = two_loop_direction(pairs[r][-geometry.LBFGS_MEMORY:], g[r])
+            assert np.abs(p[r] - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    def test_objective_rows_equal_the_einsum_oracle(self, target_suite, open_target):
+        for pi in [target_suite[i] for i in OPEN_SUITE] + [open_target]:
+            forms, q = _inclination_forms(pi)
+            w = np.random.default_rng(1).standard_normal((4, q.shape[1]))
+            for beta in (4.0, 16384.0):
+                values, grads = _smoothed_objective(w, forms, beta)
+                for x, value, grad in zip(w, values, grads):
+                    ref_value, ref_grad = smoothed_objective(x, forms, beta)
+                    assert value == pytest.approx(ref_value, rel=1e-14)
+                    assert np.abs(grad - ref_grad).max() <= 1e-13
+
+    def test_rows_equal_single_row_calls(self, target_suite, open_target):
+        for pi in [target_suite[8], open_target]:
+            forms, q = _inclination_forms(pi)
+            w = np.random.default_rng(3).standard_normal((32, q.shape[1]))
+            for beta in (4.0, 32.0):
+                batch = geometry._lbfgs(_smoothed_objective, w, (forms, beta))
+                fours = np.concatenate([geometry._lbfgs(_smoothed_objective, w[i:i + 4],
+                                                        (forms, beta)) for i in range(0, 32, 4)])
+                assert np.array_equal(fours, batch)
+                for row, x in zip(w[:6], batch):
+                    assert np.array_equal(geometry._lbfgs(_smoothed_objective, row[None, :],
+                                                          (forms, beta))[0], x)
+
+    def test_rejected_pair_matches_the_oracle(self, monkeypatch):
+        # f = sum_j cos(x_j) + |x|^2 / 4 bends down near 0: the first step of
+        # the crafted row (row 1) gives s^T y < 0, while rows 0 and 2 start
+        # where f is convex along their first steps
+        def fun(x):
+            return np.cos(x).sum(axis=1) + 0.25 * (x * x).sum(axis=1), 0.5 * x - np.sin(x)
+
+        def one(x):
+            value, grad = fun(x[None, :])
+            return value[0], grad[0]
+
+        x0 = np.array([[3.0, -2.5, 4.0], [0.3, -0.2, 0.1], [2.0, 2.5, -3.5]])
+        g = one(x0[1])[1]
+        s = -g / np.linalg.norm(g)
+        assert one(x0[1] + s)[0] <= one(x0[1])[0] + 1e-4 * (g @ s)  # the unit step is taken
+        assert s @ (one(x0[1] + s)[1] - g) < 0.0
+
+        kept = []
+        direction = geometry._lbfgs_direction
+        monkeypatch.setattr(geometry, "_lbfgs_direction", lambda mem, g: kept.append(
+            (mem[2] > 0.0).sum(axis=1)) or direction(mem, g))
+        x = geometry._lbfgs(fun, x0)
+        # at the second step the crafted row holds no pair; the others hold theirs
+        assert kept[1].tolist() == [1, 0, 1]
+        monkeypatch.undo()
+        for row, start in zip(x, x0):
+            assert np.abs(row - lbfgs(one, start)).max() <= 1e-12
+            assert np.array_equal(geometry._lbfgs(fun, start[None, :])[0], row)
+
+    def test_row_at_a_stationary_point_comes_back_unchanged(self):
+        scale = np.array([1.0, 3.0, 10.0])
+
+        def fun(x):
+            return 0.5 * ((x - 1.0) ** 2 * scale).sum(axis=1), (x - 1.0) * scale
+
+        x0 = np.array([[4.0, -2.0, 0.5], [1.0, 1.0, 1.0], [1.0, 1.0 + 1e-13, 1.0]])
+        x = geometry._lbfgs(fun, x0)
+        assert np.array_equal(x[1:], x0[1:])  # |g| <= LBFGS_GTOL: no step
+        np.testing.assert_allclose(x[0], np.ones(3), atol=1e-9)
+
+    def test_starts_are_the_one_at_a_time_draws(self, open_target, monkeypatch):
+        starts = []
+        lbfgs_ = geometry._lbfgs
+        monkeypatch.setattr(geometry, "_lbfgs", lambda fun, x, args: starts.append(
+            x.copy()) or lbfgs_(fun, x, args))
+        inclination(open_target, restarts=4, seed=0)
+        rng = np.random.default_rng(0)
+        ref = [rng.standard_normal(15) for _ in range(4)]
+        assert np.array_equal(starts[0], np.array([w / np.linalg.norm(w) for w in ref]))
+
+    @pytest.mark.parametrize("index", OPEN_SUITE)
+    def test_more_restarts_no_worse_on_the_open_suite(self, index, target_suite):
+        pi = target_suite[index]
+        assert inclination(pi, restarts=32).value <= inclination(pi, restarts=4).value
+
+    def test_more_restarts_no_worse_on_the_open_target(self, open_target):
+        assert inclination(open_target, restarts=32).value <= inclination(open_target,
+                                                                          restarts=4).value
 
 
 class TestSandwich:

@@ -233,6 +233,27 @@ def _indicator(pi: TargetDistribution, spec_text: str) -> np.ndarray:
     return (states[:, i - 1] == top).astype(float)
 
 
+def _sample_panel(pi: TargetDistribution, scan, f: np.ndarray, args) -> dict:
+    """One scan's panel of cmd_sample.  The scan's kernel and cumulative table
+    live only in this call, so they are freed before the next scan is built."""
+    op = scan_operator(pi, scan)
+    rho = (l2_norm_centered(op) if isinstance(scan, RandomScan)  # self-adjoint, as in Spectra
+           else spectral_radius_centered(op))
+    bound = clt_variance_bound(rho, f, pi)  # refuses rho = 1 before any step
+    cum = cumulative_table(op.kernel)  # one table for the chain and the replicas
+    est, se = asymptotic_variance_estimate(run_chain(op, args.n, seed=args.seed, cum=cum), f)
+    clt_pass = bool(est <= bound + 3.0 * se)
+    tails = [{"n": t.n, "eps": t.eps, "frequency": t.frequency,
+              "bound": t.bound, "std_error": t.std_error, "pass": t.passed}
+             for t in empirical_tails(op, rho, f, args.n_grid, args.eps_grid,
+                                      args.replicas, seed=args.seed, cum=cum)]
+    return {
+        "scan": _scan_label(scan), "rho": rho,
+        "clt": {"estimate": est, "std_error": se, "bound": bound, "pass": clt_pass},
+        "tails": tails, "pass": clt_pass and all(t["pass"] for t in tails),
+    }
+
+
 def cmd_sample(args) -> int:
     pi = _load_target(args)
     scans = _requested_scans(args, pi.space.d)
@@ -241,27 +262,8 @@ def cmd_sample(args) -> int:
         raise ValidationError("--n must be >= %d for batch means" % BATCH_MEANS_MIN_STEPS)
     check_tail_inputs(float(pi.pmf @ f), args.n_grid, args.eps_grid, args.replicas)
 
-    panels = []
-    all_pass = True
-    for scan in scans:
-        op = scan_operator(pi, scan)
-        rho = (l2_norm_centered(op) if isinstance(scan, RandomScan)  # self-adjoint, as in Spectra
-               else spectral_radius_centered(op))
-        bound = clt_variance_bound(rho, f, pi)  # refuses rho = 1 before any step
-        cum = cumulative_table(op.kernel)  # one table for the chain and the replicas
-        est, se = asymptotic_variance_estimate(run_chain(op, args.n, seed=args.seed, cum=cum), f)
-        clt_pass = bool(est <= bound + 3.0 * se)
-        tails = [{"n": t.n, "eps": t.eps, "frequency": t.frequency,
-                  "bound": t.bound, "std_error": t.std_error, "pass": t.passed}
-                 for t in empirical_tails(op, rho, f, args.n_grid, args.eps_grid,
-                                          args.replicas, seed=args.seed, cum=cum)]
-        panel_pass = clt_pass and all(t["pass"] for t in tails)
-        all_pass = all_pass and panel_pass
-        panels.append({
-            "scan": _scan_label(scan), "rho": rho,
-            "clt": {"estimate": est, "std_error": se, "bound": bound, "pass": clt_pass},
-            "tails": tails, "pass": panel_pass,
-        })
+    panels = [_sample_panel(pi, scan, f, args) for scan in scans]
+    all_pass = all(p["pass"] for p in panels)
     body = {"function": args.function, "panels": panels, "all_pass": all_pass}
     return _report(args, "sample", body,
                    None if all_pass else "a simulation panel exceeded its bound")

@@ -33,7 +33,8 @@ above the first value of a bucket that holds more bisects the row, on the
 same memoryviews run_chain bisects, so every step gives the state of a
 bisection in expected O(1) work.  The uniforms are drawn a few steps at a
 time, rng.random((b, replicas)), the same stream as b calls
-rng.random(replicas), with their buckets floor(u * M) taken once per block.
+rng.random(replicas), and each block's buckets floor(u * M) are taken in
+one cast.
 """
 from __future__ import annotations
 
@@ -52,11 +53,9 @@ from .operators import scan_operator  # not used here: tests and the benchmark t
 #: draw per step, and memory stays flat in n.
 _UNIFORM_BLOCK = 4096
 #: Uniforms empirical_tails draws per rng call: max(1, _TAIL_BLOCK // replicas)
-#: steps of every replica, into a buffer it reuses, with their buckets in a
-#: second one; each holds at most max(_TAIL_BLOCK, replicas) entries.
+#: steps of every replica, so a block and its buckets each hold at most
+#: max(_TAIL_BLOCK, replicas) entries.
 _TAIL_BLOCK = 8192
-#: Buckets per chunk of rows in _bucket_table.
-_TABLE_CHUNK = 1 << 12
 #: Bytes _bucket_table may take whatever the size of the cumulative table.
 _TABLE_MIN_BYTES = 1 << 20
 #: Fewest chain steps batch means accepts: 10 batches of 10 steps.
@@ -108,31 +107,26 @@ def _bucket_table(cum: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     in it has bisect_right(cum[x], u) = hi if u >= thr[x, m] else lo.
     M is the power of two at or above 16 n, halved while the table takes
     more than twice the bytes of cum (or _TABLE_MIN_BYTES); pick has the
-    smallest dtype that holds a state.  Row x of lo, extended by bucket M
-    (lo there is hi of bucket M - 1), is a run of 0s, then of 1s, ... then
-    of n's, which steps at the buckets min(floor(cum[x] * M) + 1, M + 1).
-    Rows go _TABLE_CHUNK buckets at a time (at least one row), so each
-    temporary holds about that many entries.
+    smallest dtype that holds a state.  Each row's counts below the M + 1
+    edges come from one searchsorted.  That is exact even where a row's
+    cumsum passed 1 before its last positive column (cumulative_table
+    leaves, say, 0.5, 1 + 2^-52, 1): only values >= 1 are out of order, and
+    every edge is <= 1, so cum[x, k] < m/M stays monotone in k.
     """
     rows, cols = cum.shape
     dtype = next(t for t in (np.int8, np.int16, np.int32) if np.iinfo(t).max >= cols)
     budget = max(2 * cum.nbytes, _TABLE_MIN_BYTES)
     fit = budget // (rows * (cum.itemsize + 2 * np.dtype(dtype).itemsize))
     buckets = min(1 << (16 * cols - 1).bit_length(), 1 << fit.bit_length() - 1)
+    edges = np.arange(buckets + 1) / buckets
     thr = np.empty((rows, buckets))
     pick = np.empty((rows, buckets, 2), dtype)
-    span = max(1, _TABLE_CHUNK // buckets)
-    counts = np.tile(np.arange(cols + 1), span)
-    for start in range(0, rows, span):
-        part = cum[start:start + span]
-        ends = np.minimum(np.floor(part * buckets) + 1, buckets + 1).astype(np.intp)
-        runs = np.diff(ends, axis=1, prepend=0, append=buckets + 1).ravel()
-        below = np.repeat(counts[:runs.size], runs).reshape(part.shape[0], buckets + 1)
-        lo, hi = below[:, :-1], below[:, 1:]
-        first = thr[start:start + span] = np.take_along_axis(part, lo, axis=1)
-        last = np.take_along_axis(part, np.maximum(hi - 1, lo), axis=1)
-        pick[start:start + span, :, 0] = lo
-        pick[start:start + span, :, 1] = np.where(last == first, hi, -1)
+    for x, row in enumerate(cum):
+        below = row.searchsorted(edges)
+        lo, hi = below[:-1], below[1:]
+        first = thr[x] = row[lo]
+        pick[x, :, 0] = lo
+        pick[x, :, 1] = np.where(row[np.maximum(hi - 1, lo)] == first, hi, -1)
     return thr, pick
 
 
@@ -281,14 +275,11 @@ def empirical_tails(op: MarkovOperator, rho: float, f: np.ndarray,
     snapshots = {}
     done = 0
     steps = max(1, _TAIL_BLOCK // replicas)
-    block = np.empty((steps, replicas))
-    cells = np.empty(block.shape, np.intp)
     for horizon in sorted(set(n_grid)):
         for start in range(done, horizon, steps):
-            draws = rng.random(out=block[:min(steps, horizon - start)])
+            draws = rng.random((min(steps, horizon - start), replicas))
             # the cast to intp truncates u * M >= 0, which is exact: floor(u * M)
-            floors = np.multiply(draws, buckets, out=cells[:len(draws)], casting="unsafe")
-            for u, m in zip(draws, floors):
+            for u, m in zip(draws, (draws * buckets).astype(np.intp)):
                 states = _bucket_step(rows, thr, pick, states, u, m)
                 sums += f.take(states)
         done = horizon

@@ -14,6 +14,7 @@ from gibbsgap.errors import ValidationError
 from gibbsgap.geometry import LBFGS_FTOL, LBFGS_GTOL, LBFGS_MAX_ITER, LBFGS_MEMORY
 from gibbsgap.measure import ProductSpace, TargetDistribution
 from gibbsgap.operators import MarkovOperator, _centered_conjugated
+from gibbsgap.sampler import _TABLE_MIN_BYTES
 
 
 def random_target(seed: int, dims: Sequence[int]) -> TargetDistribution:
@@ -120,6 +121,34 @@ def exact_asymptotic_variance(op: MarkovOperator, f: np.ndarray) -> float:
     n = pi.shape[0]
     g = np.linalg.solve(np.eye(n) - op.kernel + pi[None, :], fbar)
     return float(pi @ (fbar * (2.0 * g - fbar)))
+
+
+def bucket_table(cum: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """thr and pick of ``sampler._bucket_table``, with its choice of M and
+    dtype, by run-length expansion: row x of lo = #{k : cum[x, k] < m/M},
+    extended by bucket M, is a run of 0s, then of 1s, ... then of n's, which
+    steps at the buckets min(floor(cum[x] * M) + 1, M + 1).  Rows go 4,096
+    buckets at a time (at least one row)."""
+    rows, cols = cum.shape
+    dtype = next(t for t in (np.int8, np.int16, np.int32) if np.iinfo(t).max >= cols)
+    budget = max(2 * cum.nbytes, _TABLE_MIN_BYTES)
+    fit = budget // (rows * (cum.itemsize + 2 * np.dtype(dtype).itemsize))
+    buckets = min(1 << (16 * cols - 1).bit_length(), 1 << fit.bit_length() - 1)
+    thr = np.empty((rows, buckets))
+    pick = np.empty((rows, buckets, 2), dtype)
+    span = max(1, (1 << 12) // buckets)
+    counts = np.tile(np.arange(cols + 1), span)
+    for start in range(0, rows, span):
+        part = cum[start:start + span]
+        ends = np.minimum(np.floor(part * buckets) + 1, buckets + 1).astype(np.intp)
+        runs = np.diff(ends, axis=1, prepend=0, append=buckets + 1).ravel()
+        below = np.repeat(counts[:runs.size], runs).reshape(part.shape[0], buckets + 1)
+        lo, hi = below[:, :-1], below[:, 1:]
+        first = thr[start:start + span] = np.take_along_axis(part, lo, axis=1)
+        last = np.take_along_axis(part, np.maximum(hi - 1, lo), axis=1)
+        pick[start:start + span, :, 0] = lo
+        pick[start:start + span, :, 1] = np.where(last == first, hi, -1)
+    return thr, pick
 
 
 def smoothed_objective(w: np.ndarray, forms: np.ndarray, beta: float):

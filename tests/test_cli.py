@@ -4,6 +4,7 @@ import importlib
 import json
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -548,6 +549,44 @@ class TestSampleCommand:
         panels = json.loads((tmp_path / "out" / "sample.json").read_text())["report"]["panels"]
         assert len(panels) == 2
         assert len(built) == 2 and not np.array_equal(built[0], built[1])
+
+    def test_first_scan_freed_before_the_second_is_built(self, tmp_path, monkeypatch):
+        # at 256 states one kernel is 512 KB; the first scan's kernel and
+        # cumulative table (about 1 MB) must be gone when the second is built
+        n = 256
+        held = []
+        original = operators.scan_operator
+
+        def traced(pi, spec):
+            if tracemalloc.is_tracing():
+                held.append(tracemalloc.get_traced_memory()[0] - base)
+            return original(pi, spec)
+
+        def sample(d, *extra):
+            return main(["sample", "--model", "equicorrelated_binary", "--d", str(d),
+                         "--epsilon", "0.25", "--n", "1000", "--replicas", "50",
+                         "--n-grid", "100", "--out-dir", str(tmp_path), *extra])
+
+        _patch_everywhere(monkeypatch, original, traced)
+        # a first sample in the process imports modules it keeps (about 0.8 MB)
+        assert sample(2) == 0
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            code = sample(8, "--scan", "dsg:1,2,3,4,5,6,7,8", "--scan", "rsg:uniform")
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and len(held) == 2
+        assert held[1] < n * n * 8, held
+
+    def test_scan_order_leaves_each_panel_unchanged(self, tmp_path, target_3x3x3):
+        panels = []
+        for first, second in (("dsg:2,3,1", "rsg:uniform"), ("rsg:uniform", "dsg:2,3,1")):
+            assert self._sample(tmp_path, target_3x3x3, first, "--scan", second) == 0
+            doc = json.loads((tmp_path / "out" / "sample.json").read_text())
+            panels.append({p["scan"]: p for p in doc["report"]["panels"]})
+        assert list(panels[0]) == list(panels[1])[::-1]
+        assert panels[0] == panels[1]
 
     @pytest.mark.parametrize("scan, solver", [("dsg:2,3,1", "spectral_radius_centered"),
                                               ("rsg:uniform", "l2_norm_centered")])

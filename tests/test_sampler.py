@@ -26,7 +26,7 @@ from gibbsgap.sampler import (
     run_chain,
     scan_operator,
 )
-from oracles import exact_asymptotic_variance, random_target
+from oracles import bucket_table, exact_asymptotic_variance, random_target
 
 
 def _reference_chain(pi, scan, n, seed):
@@ -86,6 +86,11 @@ DYADIC_KERNEL = np.array([[0.5, 0.25, 0.25, 0.0],
                           [0.0, 0.0, 1.0, 0.0],
                           [0.125, 0.0, 0.375, 0.5],
                           [0.0, 0.75, 0.0, 0.25]])
+#: Row 0's np.cumsum passes 1 before its last positive column, so
+#: cumulative_table leaves 0.5, 1 + 2^-52, 1: not sorted past 1.
+LONG_ROW_KERNEL = np.array([[0.5, 0.5000000000000002, 1e-300],
+                            [0.25, 0.25, 0.5],
+                            [0.0, 1.0, 0.0]])
 
 
 def _bisect_step(cum, states, u):
@@ -123,6 +128,14 @@ def _probes(cum, buckets):
     points = np.concatenate([np.arange(buckets) / buckets, cum[cum < 1.0]])
     probes = np.concatenate([points, np.nextafter(points, 0.0), np.nextafter(points, 1.0)])
     return np.unique(probes[(probes >= 0.0) & (probes < 1.0)])
+
+
+def _assert_table_equals_oracle(cum):
+    """_bucket_table equals the run-length construction of the oracle, dtype
+    and all."""
+    for got, want in zip(sampler._bucket_table(cum), bucket_table(cum)):
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
 
 
 def _assert_bucket_step_exact(cum, u):
@@ -286,23 +299,30 @@ class TestGuideStep:
             kernel[np.arange(n), rng.integers(0, n, n)] += 0.01
             kernel /= kernel.sum(axis=1, keepdims=True)
         cum = cumulative_table(kernel)
+        _assert_table_equals_oracle(cum)
         u = np.concatenate([_probes(cum, sampler._bucket_table(cum)[0].shape[1]), rng.random(200)])
         _assert_bucket_step_exact(cum, u)
 
-    def test_chunked_build_equals_one_chunk(self, monkeypatch):
-        op = scan_operator(random_target(seed=5, dims=(3, 2, 3)), DeterministicScan((1, 2, 3)))
-        cum = cumulative_table(op.kernel)
-        thr, pick = sampler._bucket_table(cum)
-        buckets = thr.shape[1]
-        for chunk in (1, 2 * buckets, 5 * buckets):  # one row, two rows, a short last chunk
-            monkeypatch.setattr(sampler, "_TABLE_CHUNK", chunk)
-            chunked = sampler._bucket_table(cum)
-            np.testing.assert_array_equal(chunked[0], thr)
-            np.testing.assert_array_equal(chunked[1], pick)
+    @pytest.mark.parametrize("kernel", [DYADIC_KERNEL, SHORT_ROW_KERNEL], ids=["dyadic", "short-row"])
+    def test_table_equals_the_run_length_oracle(self, kernel):
+        _assert_table_equals_oracle(cumulative_table(kernel))
+
+    def test_row_past_one_before_its_last_column(self):
+        # 1 + 2^-52 then 1.0 is out of order, yet no edge m/M <= 1 lies above
+        # either, so cum[0, k] < m/M stays monotone in k and bisection counts it
+        cum = cumulative_table(LONG_ROW_KERNEL)
+        assert cum[0].tolist() == [0.5, 1.0000000000000002, 1.0]
+        _assert_table_equals_oracle(cum)
+        _assert_bucket_step_exact(cum, _probes(cum, sampler._bucket_table(cum)[0].shape[1]))
+
+    def test_1024_states_equal_the_run_length_oracle(self):
+        op = scan_operator(equicorrelated_binary(10, 0.25), DeterministicScan(tuple(range(1, 11))))
+        _assert_table_equals_oracle(cumulative_table(op.kernel))
 
     @pytest.mark.parametrize("n", [1, 27, 127, 128, 256, 1000, 1024])
     def test_table_size(self, n):
         cum = cumulative_table(np.full((n, n), 1.0 / n))
+        _assert_table_equals_oracle(cum)
         thr, pick = sampler._bucket_table(cum)
         buckets, table = thr.shape[1], thr.nbytes + pick.nbytes
         budget = max(2 * cum.nbytes, sampler._TABLE_MIN_BYTES)

@@ -53,23 +53,27 @@ WEIGHT_SAMPLES = 8
 
 
 def parse_scan(text: str, d: int):
-    """A scan from the mini-grammar; ``rsg:uniform`` is the uniform scan on d coordinates."""
+    """A scan of d coordinates from the mini-grammar; ``rsg:uniform`` is the uniform scan."""
     kind, _, rest = text.partition(":")
     if kind == "dsg":
         try:
             order = tuple(int(x) for x in rest.split(","))
         except ValueError:
             raise ValidationError("bad scan spec %r" % text)
-        return DeterministicScan(order)
-    if kind == "rsg":
-        if rest == "uniform":
-            return RandomScan.uniform(d)
+        scan = DeterministicScan(order)
+    elif kind == "rsg" and rest == "uniform":
+        scan = RandomScan.uniform(d)
+    elif kind == "rsg":
         try:
             weights = tuple(float(x) for x in rest.split(","))
         except ValueError:
             raise ValidationError("bad scan spec %r" % text)
-        return RandomScan(weights)
-    raise ValidationError("unknown scan kind in %r (want dsg:... or rsg:...)" % text)
+        scan = RandomScan(weights)
+    else:
+        raise ValidationError("unknown scan kind in %r (want dsg:... or rsg:...)" % text)
+    if scan.d != d:  # refused with every other scan, before any is built
+        raise ValidationError("scan has %d coordinates, target has %d" % (scan.d, d))
+    return scan
 
 
 def _requested_scans(args, d: int) -> list:
@@ -81,6 +85,8 @@ def _requested_scans(args, d: int) -> list:
 def _load_target(args) -> TargetDistribution:
     if args.target_file and args.model:
         raise ValidationError("give exactly one of --target-file and --model")
+    if args.target_file and (args.d is not None or args.epsilon is not None):
+        raise ValidationError("--d and --epsilon go with --model, not with --target-file")
     if args.target_file:
         try:
             with open(args.target_file, "r", encoding="utf-8") as fh:

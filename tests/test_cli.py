@@ -29,7 +29,8 @@ class TestScanGrammar:
         assert parse_scan("rsg:uniform", 2) == RandomScan.uniform(2)
 
     def test_bad_specs(self):
-        for text in ("mh:1,2", "dsg:a,b", "rsg:x"):
+        # the last three are valid scans of the wrong length
+        for text in ("mh:1,2", "dsg:a,b", "rsg:x", "dsg:1", "dsg:1,2,3", "rsg:0.25,0.25,0.5"):
             with pytest.raises(ValidationError):
                 parse_scan(text, 2)
 
@@ -164,6 +165,34 @@ class TestAnalyzeCommand:
                      "0.25", "--scan", "dsg:1,2", "--out-dir", str(tmp_path)])
         assert code == 2
 
+    def test_target_file_model_entry(self, tmp_path):
+        spec = tmp_path / "model.json"
+        spec.write_text(json.dumps({"dims": [2, 2, 2],
+                                    "model": {"name": "equicorrelated_binary", "epsilon": 0.25}}))
+        code = main(["analyze", "--target-file", str(spec), "--restarts", "4",
+                     "--out-dir", str(tmp_path)])
+        assert code == 0
+        target = json.loads((tmp_path / "analyze.json").read_text())["report"]["target"]
+        assert target == {"dims": [2, 2, 2],
+                          "pmf": measure.equicorrelated_binary(3, 0.25).pmf.tolist()}
+
+    def test_default_restarts_no_worse_on_an_open_target(self, tmp_path):
+        # a random 2x2x2x2 pmf whose dual bracket stays open, at 4 and the default 32 restarts
+        g = np.random.default_rng([2]).gamma(1.0, size=16)
+        spec = tmp_path / "open.json"
+        spec.write_text(json.dumps({"dims": [2] * 4, "pmf": (g / g.sum()).tolist()}))
+        reports = []
+        for restarts in (["--restarts", "4"], []):
+            out = tmp_path / str(len(reports))
+            assert main(["analyze", "--target-file", str(spec), *restarts,
+                         "--out-dir", str(out)]) == 0
+            reports.append(json.loads((out / "analyze.json").read_text())["report"])
+        r4, r32 = reports
+        assert not r4["inclination_certified"] and r4["inclination_restarts"] == 4
+        assert r32["inclination_restarts"] == 32
+        assert r32["inclination_upper_bound"] <= r4["inclination_upper_bound"]
+        assert abs(r32["inclination_kkt_residual"]) <= 1e-12
+
     def test_target_file_input(self, tmp_path):
         spec_file = tmp_path / "target.json"
         spec_file.write_text('{"dims": [2, 2], "pmf": [0.25, 0.25, 0.25, 0.25]}')
@@ -256,6 +285,36 @@ class TestAnalyzeCommand:
         code = main(["sweep", "--d-list", "2,3,4", "--out-dir", str(tmp_path)])
         assert code == 0
         assert [pi.space.d for pi in built[1:]] == [2, 3, 4]
+
+    @pytest.mark.parametrize("command", ["analyze", "sample"])
+    @pytest.mark.parametrize("model_args", [["--d", "5"], ["--epsilon", "0.3"]],
+                             ids=["d", "epsilon"])
+    def test_model_options_with_target_file_exit_2(self, tmp_path, monkeypatch, capsys,
+                                                   command, model_args):
+        monkeypatch.setattr(cli, "parse_target", lambda *a, **kw: pytest.fail("target read"))
+        spec = tmp_path / "target.json"
+        spec.write_text(json.dumps({"dims": [2, 2, 2], "pmf": [0.125] * 8}))
+        code = main([command, "--target-file", str(spec), *model_args,
+                     "--out-dir", str(tmp_path)])
+        assert code == 2
+        assert not (tmp_path / (command + ".json")).exists()
+        assert capsys.readouterr().err.splitlines() == [
+            "error: --d and --epsilon go with --model, not with --target-file"]
+
+    @pytest.mark.parametrize("command", ["analyze", "sample"])
+    def test_wrong_length_scan_refused_before_any_step(self, tmp_path, monkeypatch, capsys,
+                                                       command):
+        def fail(*args, **kwargs):
+            raise AssertionError("built a scan before checking every scan's length")
+
+        _patch_everywhere(monkeypatch, operators._small_step_kernel, fail)
+        code = main([command, "--model", "equicorrelated_binary", "--d", "3", "--epsilon",
+                     "0.25", "--scan", "dsg:1,2,3", "--scan", "dsg:1,2",
+                     "--out-dir", str(tmp_path)])
+        assert code == 2
+        assert not (tmp_path / (command + ".json")).exists()
+        assert capsys.readouterr().err.splitlines() == [
+            "error: scan has 2 coordinates, target has 3"]
 
     @pytest.mark.parametrize("command", ["analyze", "sample"])
     def test_missing_target_file_exit_2(self, tmp_path, command):
@@ -654,6 +713,14 @@ class TestCounterexampleCommand:
         gaps = [r["gap_K"] for r in rows]
         assert gaps == sorted(gaps, reverse=True)
         assert (tmp_path / "counterexample.csv").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["--q", "0.5", "--N", "200,201", "--state-cap", "25000"],  # no dense kernel
+        ["--q", "0.1", "--N", "400", "--b", "6,1.5", "--state-cap", "100000"],  # p(N) underflows
+        ["--q", "1e-307", "--N", "40"],  # at the normal floor of q
+    ], ids=["N200-201", "q0.1-N400", "q1e-307"])
+    def test_large_n_and_extreme_q_exit_0(self, tmp_path, argv):
+        assert main(["counterexample", *argv, "--out-dir", str(tmp_path)]) == 0
 
     def test_bad_q_exit_2(self, tmp_path):
         assert main(["counterexample", "--q", "1.5", "--out-dir", str(tmp_path)]) == 2

@@ -1,7 +1,5 @@
 import numpy as np
 import pytest
-import scipy.linalg
-import scipy.optimize
 
 from gibbsgap import geometry
 from gibbsgap.errors import ValidationError
@@ -108,6 +106,10 @@ class TestFriedrichsAngle:
         assert friedrichs_angle_bruteforce(pi) == pytest.approx(friedrichs_angle_from_norm(pi),
                                                                 abs=1e-12)
 
+    def test_methods_agree_at_256_states(self):
+        pi = equicorrelated_binary(8, 0.25)
+        assert abs(friedrichs_angle_bruteforce(pi) - friedrichs_angle_from_norm(pi)) <= 1e-9
+
     def test_angle_in_valid_range(self, target_suite):
         for pi in target_suite[:40]:
             d = pi.space.d
@@ -171,8 +173,9 @@ class TestInclinationForms:
 
     def test_chart_is_scipy_null_space(self, target_suite):
         # the chart fixes where the seeded restarts start, so it must not move
+        linalg = pytest.importorskip("scipy.linalg")
         for pi in target_suite:
-            chart = scipy.linalg.null_space(np.sqrt(pi.pmf)[None, :])
+            chart = linalg.null_space(np.sqrt(pi.pmf)[None, :])
             assert np.abs(_inclination_forms(pi)[1] - chart).max() <= 1e-15
 
 
@@ -186,6 +189,7 @@ def _restart_loop(pi, restarts, seed, nelder_mead=True):
     """The seeded multi-restart optimizer alone, as it ran before the dual:
     (ell_hat, witness).  Each restart ends with a Nelder-Mead search unless
     nelder_mead is False."""
+    optimize = pytest.importorskip("scipy.optimize")
     forms, q = _inclination_forms(pi)
     rng = np.random.default_rng(seed)
     best_val, best_v = np.inf, None
@@ -193,13 +197,13 @@ def _restart_loop(pi, restarts, seed, nelder_mead=True):
         w = rng.standard_normal(q.shape[1])
         w /= np.linalg.norm(w)
         for beta in (4.0, 32.0, 256.0, 2048.0, 16384.0):
-            res = scipy.optimize.minimize(
+            res = optimize.minimize(
                 _one_row, w, args=(forms, beta), jac=True,
                 method="L-BFGS-B", options={"maxiter": 500, "ftol": 1e-14, "gtol": 1e-12},
             )
             w = res.x / np.linalg.norm(res.x)
         if nelder_mead and q.shape[1] <= 12:
-            polish = scipy.optimize.minimize(
+            polish = optimize.minimize(
                 lambda x: _max_form(forms, x / np.linalg.norm(x)), w,
                 method="Nelder-Mead",
                 options={"xatol": 1e-12, "fatol": 1e-14, "maxiter": 4000},
@@ -280,12 +284,13 @@ def _first_order_residual(forms, v):
     """Independent stationarity check of a witness v of min_v max_i v^T A_i v:
     the distance from 0 to the convex hull of the sphere gradients
     A_i v - (v^T A_i v) v of the forms active at v."""
+    optimize = pytest.importorskip("scipy.optimize")
     g = np.einsum("i,kij,j->k", v, forms, v)
     active = g >= g.max() - 1e-9
     grads = (forms[active] @ v - g[active, None] * v).T
     big = 1e3
     a = np.vstack([grads, np.full(active.sum(), big)])
-    mu, _ = scipy.optimize.nnls(a, np.append(np.zeros(v.shape[0]), big))
+    mu, _ = optimize.nnls(a, np.append(np.zeros(v.shape[0]), big))
     return float(np.linalg.norm(grads @ mu)), float(g.max() - g[active].min())
 
 
@@ -368,13 +373,14 @@ class TestLbfgs:
     def test_reaches_the_scipy_minimum(self, target_suite, open_target):
         # each annealing stage from the same starts: L-BFGS-B's value and
         # _lbfgs's agree to 6.8e-12 at worst over 2 restarts of these targets
+        optimize = pytest.importorskip("scipy.optimize")
         for pi in [target_suite[i] for i in OPEN_SUITE] + [open_target]:
             forms, q = _inclination_forms(pi)
             rng = np.random.default_rng(0)
             w = rng.standard_normal((2, q.shape[1]))
             w /= np.linalg.norm(w, axis=1, keepdims=True)
             for beta in (4.0, 32.0, 256.0, 2048.0, 16384.0):
-                refs = [scipy.optimize.minimize(
+                refs = [optimize.minimize(
                     _one_row, start, args=(forms, beta), jac=True, method="L-BFGS-B",
                     options={"maxiter": 500, "ftol": 1e-14, "gtol": 1e-12}) for start in w]
                 x = geometry._lbfgs(_smoothed_objective, w, (forms, beta))

@@ -3,7 +3,12 @@ hook parameter it wraps: one traced run of three commands reaches each layer."""
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 from gibbsgap.cli import main
+
+# the tracer imports scipy.optimize to wrap it, though no command loads scipy
+pytest.importorskip("scipy.optimize")
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -27,26 +26,9 @@ EXHAUSTIVE_PERM_DIM = 5
 SAMPLED_PERMS = 24
 
 
-@dataclass(frozen=True)
-class BoundEntry:
-    name: str
-    bound: float
-    exact: float
-    inputs: dict = field(default_factory=dict)
-    sharp: bool = False
-
-    @property
-    def slack(self) -> float:
-        return self.bound - self.exact
-
-
-@dataclass(frozen=True)
-class BoundReport:
-    angle: float
-    entries: tuple[BoundEntry, ...]
-
-    def violations(self) -> list[BoundEntry]:
-        return [e for e in self.entries if e.slack < -SLACK_TOL]
+def violations(rows: Sequence[dict]) -> list[dict]:
+    """The bounds rows whose slack is below -SLACK_TOL."""
+    return [row for row in rows if row["slack"] < -SLACK_TOL]
 
 
 def _check_c(c: float, d: int) -> None:
@@ -112,65 +94,47 @@ def sample_permutations(d: int, seed: int = 0) -> list[tuple[int, ...]]:
     return sorted(out)
 
 
-def verify_bounds(spectra: Spectra, dsg_scans: Sequence[DeterministicScan],
-                  rsg_scans: Sequence[RandomScan], ell_lower: float) -> BoundReport:
-    """Exact norms (from spectra) of the given scans versus every applicable
-    bound.
+def _row(name: str, bound: float, exact: float, inputs: dict, sharp: bool = False) -> dict:
+    """One bounds row; its slack is computed here and nowhere else."""
+    return {"name": name, "bound": bound, "exact": exact, "slack": bound - exact,
+            "sharp": sharp, "inputs": inputs}
 
-    Asserts nothing itself; callers inspect ``violations()``.  Includes the
-    uniform-weight sharpness entry, the universal 1/d lower bound, and the
-    deterministic-scan bound from ``ell_lower``, a lower bound on the
-    inclination such as ``InclinationResult.lower``.
+
+def verify_bounds(spectra: Spectra, dsg_scans: Sequence[DeterministicScan],
+                  rsg_scans: Sequence[RandomScan], ell_lower: float) -> tuple[float, list[dict]]:
+    """The angle c and the report's bounds rows: each bound against the exact
+    norm (from spectra) of a given scan.
+
+    A row holds ``name``, ``bound``, ``exact``, ``slack`` = bound - exact,
+    ``sharp`` and the ``inputs`` the bound was evaluated from.  Asserts
+    nothing itself; callers pass the rows to ``violations``.  The rows are
+    the uniform-weight sharpness row, the universal 1/d lower bound, one per
+    random scan, and three per deterministic scan: from c, from the
+    certified inclination floor, and from ``ell_lower``, a lower bound on
+    the inclination such as ``InclinationResult.lower``.
     """
     d = spectra.pi.space.d
     uniform = RandomScan.uniform(d)
     exact_uniform = spectra.norm(uniform)
     c = angle_from_uniform_norm(exact_uniform, d)
-    entries: list[BoundEntry] = []
-
-    entries.append(BoundEntry(
-        name="rsg_uniform_sharpness",
-        bound=rsg_norm_bound(c, d, uniform),
-        exact=exact_uniform,
-        inputs={"c": c, "d": d, "weights": uniform.weights},
-        sharp=True,
-    ))
-    # universal floor: exact norm >= 1/d, recorded as bound=exact, exact=1/d
-    entries.append(BoundEntry(
-        name="rsg_lower_bound_1_over_d",
-        bound=exact_uniform,
-        exact=1.0 / d,
-        inputs={"d": d},
-    ))
-
-    for scan in rsg_scans:
-        entries.append(BoundEntry(
-            name="rsg_norm_bound",
-            bound=rsg_norm_bound(c, d, scan),
-            exact=spectra.norm(scan),
-            inputs={"c": c, "d": d, "weights": scan.weights},
-        ))
+    rows = [
+        _row("rsg_uniform_sharpness", rsg_norm_bound(c, d, uniform), exact_uniform,
+             {"c": c, "d": d, "weights": uniform.weights}, sharp=True),
+        # universal floor: exact norm >= 1/d, recorded as bound=exact, exact=1/d
+        _row("rsg_lower_bound_1_over_d", exact_uniform, 1.0 / d, {"d": d}),
+    ]
+    rows += [_row("rsg_norm_bound", rsg_norm_bound(c, d, scan), spectra.norm(scan),
+                  {"c": c, "d": d, "weights": scan.weights}) for scan in rsg_scans]
 
     cor2 = dsg_norm_bound_from_c(c, d)
     for scan in dsg_scans:
         exact = spectra.norm(scan)
-        entries.append(BoundEntry(
-            name="dsg_norm_bound",
-            bound=cor2,
-            exact=exact,
-            inputs={"c": c, "d": d, "sigma": scan.order},
-        ))
-        entries.append(BoundEntry(
-            name="dsg_norm_bound_via_certified_l",
-            bound=dsg_norm_bound_from_l(inclination_lower_bound(c, d), d),
-            exact=exact,
-            inputs={"c": c, "d": d, "sigma": scan.order},
-        ))
-        entries.append(BoundEntry(
-            name="dsg_norm_bound_via_dual_l",
-            bound=dsg_norm_bound_from_l(ell_lower, d),
-            exact=exact,
-            inputs={"ell_lower": ell_lower, "d": d, "sigma": scan.order},
-        ))
-
-    return BoundReport(angle=c, entries=tuple(entries))
+        rows += [
+            _row("dsg_norm_bound", cor2, exact, {"c": c, "d": d, "sigma": scan.order}),
+            _row("dsg_norm_bound_via_certified_l",
+                 dsg_norm_bound_from_l(inclination_lower_bound(c, d), d), exact,
+                 {"c": c, "d": d, "sigma": scan.order}),
+            _row("dsg_norm_bound_via_dual_l", dsg_norm_bound_from_l(ell_lower, d), exact,
+                 {"ell_lower": ell_lower, "d": d, "sigma": scan.order}),
+        ]
+    return c, rows

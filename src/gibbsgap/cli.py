@@ -131,9 +131,9 @@ def cmd_analyze(args) -> int:
     # the bounds cover the requested scans of each kind, else perms or the uniform scan
     dsg_scans = [s for s in scans if isinstance(s, DeterministicScan)] or perms
     rsg_scans = [s for s in scans if isinstance(s, RandomScan)] or [RandomScan.uniform(d)]
-    bound_report = bounds_mod.verify_bounds(spectra, dsg_scans, rsg_scans, incl.lower)
+    c, bound_rows = bounds_mod.verify_bounds(spectra, dsg_scans, rsg_scans, incl.lower)
     angle_bf = geometry.friedrichs_angle_bruteforce(pi)
-    sandwich = geometry.check_sandwich(bound_report.angle, incl.value, d)
+    sandwich = geometry.check_sandwich(c, incl.value, d)
 
     # numeric surrogates for the six equivalent gap conditions
     perm_norms = {",".join(map(str, s.order)): spectra.norm(s) for s in perms}
@@ -165,7 +165,7 @@ def cmd_analyze(args) -> int:
 
     body = {
         "target": {"dims": pi.space.dims, "pmf": pi.pmf},
-        "angle_closed_form": bound_report.angle,
+        "angle_closed_form": c,
         "angle_brute_force": angle_bf,
         "inclination_upper_bound": incl.value,
         "inclination_lower_bound_dual": incl.lower,
@@ -174,12 +174,10 @@ def cmd_analyze(args) -> int:
         "inclination_restarts": incl.restarts,
         "sandwich": sandwich,
         "scans": scan_rows,
-        "bounds": [{"name": e.name, "bound": e.bound, "exact": e.exact,
-                    "slack": e.slack, "sharp": e.sharp, "inputs": e.inputs}
-                   for e in bound_report.entries],
+        "bounds": bound_rows,
         "equivalence_panel": panel,
     }
-    violations = bound_report.violations()
+    violations = bounds_mod.violations(bound_rows)
     failure = None
     if violations or not sandwich["left_pass"] or not panel["all_conditions_agree"]:
         failure = ("%d bound violations, sandwich left pass=%s, panel agree=%s"
@@ -234,6 +232,8 @@ def _indicator(pi: TargetDistribution, spec_text: str) -> np.ndarray:
     i = int(rest)
     if not 1 <= i <= pi.space.d:
         raise ValidationError("coordinate %d out of range" % i)
+    if pi.space.dims[i - 1] == 1:
+        raise ValidationError("coordinate %d has one value, so %s is constant" % (i, spec_text))
     states = pi.space.all_multi_indices()
     top = pi.space.dims[i - 1] - 1
     return (states[:, i - 1] == top).astype(float)
@@ -249,10 +249,8 @@ def _sample_panel(pi: TargetDistribution, scan, f: np.ndarray, args) -> dict:
     cum = cumulative_table(op.kernel)  # one table for the chain and the replicas
     est, se = asymptotic_variance_estimate(run_chain(op, args.n, seed=args.seed, cum=cum), f)
     clt_pass = bool(est <= bound + 3.0 * se)
-    tails = [{"n": t.n, "eps": t.eps, "frequency": t.frequency,
-              "bound": t.bound, "std_error": t.std_error, "pass": t.passed}
-             for t in empirical_tails(op, rho, f, args.n_grid, args.eps_grid,
-                                      args.replicas, seed=args.seed, cum=cum)]
+    tails = empirical_tails(op, rho, f, args.n_grid, args.eps_grid, args.replicas,
+                            seed=args.seed, cum=cum)
     return {
         "scan": _scan_label(scan), "rho": rho,
         "clt": {"estimate": est, "std_error": se, "bound": bound, "pass": clt_pass},

@@ -255,7 +255,7 @@ class Spectra:
     pi is taken as given: the command that loaded it has already checked it
     against the state cap.  Values are memoized as floats (no scan kernel is
     kept); ``norm_and_radius`` takes both from one build of the operator.  A
-    random scan's radius is its norm: one build, one SVD, no reversibility probe.
+    random scan's radius is its norm: one build, one SVD.
     """
 
     def __init__(self, pi: TargetDistribution):

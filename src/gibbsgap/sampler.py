@@ -39,7 +39,6 @@ one cast.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -60,16 +59,6 @@ _TAIL_BLOCK = 8192
 _TABLE_MIN_BYTES = 1 << 20
 #: Fewest chain steps batch means accepts: 10 batches of 10 steps.
 BATCH_MEANS_MIN_STEPS = 100
-
-
-@dataclass(frozen=True)
-class TailCheck:
-    n: int
-    eps: float
-    frequency: float
-    bound: float
-    std_error: float
-    passed: bool
 
 
 def cumulative_table(kernel: np.ndarray) -> np.ndarray:
@@ -246,10 +235,12 @@ def check_tail_inputs(mu: float, n_grid: Sequence[int], eps_grid: Sequence[float
 def empirical_tails(op: MarkovOperator, rho: float, f: np.ndarray,
                     n_grid: Sequence[int], eps_grid: Sequence[float],
                     replicas: int, seed: int, *,
-                    cum: np.ndarray | None = None) -> list[TailCheck]:
+                    cum: np.ndarray | None = None) -> list[dict]:
     """Monte Carlo frequencies of {sum_{i=1..n} f(X_i) >= n (mu + eps)} for
     chains of op, for every n in n_grid (outer) and eps in eps_grid (inner),
     in that order; each is checked against the tail bound with rate rho.
+    One row per point, with the report's keys: ``n``, ``eps``, ``frequency``,
+    ``bound``, ``std_error`` and ``pass``.
 
     f must be valued in [0, 1].  Pass criterion: frequency <=
     bound + 3 binomial standard errors.  One set of replicas runs to the
@@ -284,18 +275,18 @@ def empirical_tails(op: MarkovOperator, rho: float, f: np.ndarray,
                 sums += f.take(states)
         done = horizon
         snapshots[horizon] = sums.copy()
-    checks = []
+    rows = []
     for n in n_grid:
         for eps in eps_grid:
             freq = float(np.mean(snapshots[n] >= n * (mu + eps) - 1e-12))
             bound = hoeffding_bound(rho, n, eps)
             se = float(np.sqrt(max(freq * (1.0 - freq), 1.0 / replicas) / replicas))
-            checks.append(TailCheck(n=n, eps=eps, frequency=freq, bound=bound, std_error=se,
-                                    passed=freq <= bound + 3.0 * se))
-    return checks
+            rows.append({"n": n, "eps": eps, "frequency": freq, "bound": bound, "std_error": se,
+                         "pass": freq <= bound + 3.0 * se})
+    return rows
 
 
 def empirical_tail(op: MarkovOperator, rho: float, f: np.ndarray,
-                   n: int, eps: float, replicas: int, seed: int) -> TailCheck:
-    """The single grid point (n, eps) of empirical_tails."""
+                   n: int, eps: float, replicas: int, seed: int) -> dict:
+    """The row of the single grid point (n, eps) of empirical_tails."""
     return empirical_tails(op, rho, f, [n], [eps], replicas, seed)[0]

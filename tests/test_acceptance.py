@@ -253,7 +253,7 @@ def test_c10_hoeffding_tails():
             for eps in (0.1, 0.2, 0.3):
                 check = empirical_tail(op, spectral_radius_centered(op), f, n=n, eps=eps,
                                        replicas=10_000, seed=5)
-                ok = ok and check.passed
+                ok = ok and check["pass"]
     elapsed = time.perf_counter() - start
     _emit("C10", "empirical tails vs exponential bound", ok and elapsed <= 300.0,
           "all (n, eps) grid points within 3 SE, %.1fs" % elapsed)

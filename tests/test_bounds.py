@@ -4,13 +4,14 @@ import pytest
 
 from gibbsgap.bounds import (
     SAMPLED_PERMS,
-    BoundEntry,
+    SLACK_TOL,
     dsg_norm_bound_from_c,
     dsg_norm_bound_from_l,
     rapid_mixing_transfer,
     rsg_norm_bound,
     sample_permutations,
     verify_bounds,
+    violations,
 )
 from gibbsgap.errors import ValidationError
 from gibbsgap.geometry import friedrichs_angle_from_norm, inclination
@@ -104,37 +105,45 @@ class TestSamplePermutations:
 
 
 class TestVerifyBounds:
-    def test_slack_sign_convention(self):
-        e = BoundEntry(name="x", bound=0.9, exact=0.8)
-        assert e.slack == pytest.approx(0.1)
+    def test_slack_sign_convention(self, eps_pair):
+        _, rows = _verify(eps_pair, _orders(2), [RandomScan((0.3, 0.7))])
+        for row in rows:
+            assert row["slack"] == row["bound"] - row["exact"]
+        floor = next(r for r in rows if r["name"] == "rsg_lower_bound_1_over_d")
+        assert floor["slack"] == pytest.approx(0.75 - 0.5, abs=1e-12)
+
+    def test_violations_rule(self):
+        rows = [{"name": name, "slack": slack}
+                for name, slack in (("a", 0.0), ("b", -SLACK_TOL), ("c", -2 * SLACK_TOL))]
+        assert violations(rows) == [rows[2]]
 
     def test_no_violations_on_suite(self, target_suite):
         for pi in target_suite[:25]:
-            report = _verify(pi, _orders(pi.space.d), [RandomScan.uniform(pi.space.d)])
-            assert report.violations() == []
+            _, rows = _verify(pi, _orders(pi.space.d), [RandomScan.uniform(pi.space.d)])
+            assert violations(rows) == []
 
     def test_uniform_entry_is_sharp(self, eps_pair):
-        report = _verify(eps_pair, _orders(2), [RandomScan.uniform(2)])
-        sharp = [e for e in report.entries if e.name == "rsg_uniform_sharpness"]
+        _, rows = _verify(eps_pair, _orders(2), [RandomScan.uniform(2)])
+        sharp = [r for r in rows if r["name"] == "rsg_uniform_sharpness"]
         assert len(sharp) == 1
-        assert abs(sharp[0].slack) <= 1e-10
+        assert abs(sharp[0]["slack"]) <= 1e-10
 
     def test_floor_entry_present(self, eps_pair):
-        report = _verify(eps_pair, _orders(2), [RandomScan.uniform(2)])
-        floor = [e for e in report.entries if e.name == "rsg_lower_bound_1_over_d"]
+        _, rows = _verify(eps_pair, _orders(2), [RandomScan.uniform(2)])
+        floor = [r for r in rows if r["name"] == "rsg_lower_bound_1_over_d"]
         assert len(floor) == 1
-        assert floor[0].slack >= -1e-10
+        assert floor[0]["slack"] >= -1e-10
 
     def test_custom_scans(self, eps_pair):
-        report = _verify(eps_pair, [DeterministicScan((2, 1))], [RandomScan((0.3, 0.7))])
-        names = [e.name for e in report.entries]
+        _, rows = _verify(eps_pair, [DeterministicScan((2, 1))], [RandomScan((0.3, 0.7))])
+        names = [r["name"] for r in rows]
         assert names.count("dsg_norm_bound") == 1
         assert names.count("dsg_norm_bound_via_dual_l") == 1
         assert names.count("rsg_norm_bound") == 1
-        assert report.violations() == []
+        assert violations(rows) == []
 
     def test_near_degenerate_target(self):
         pi = equicorrelated_binary(2, 1e-6)
-        report = _verify(pi, _orders(2), [RandomScan.uniform(2)])
-        assert report.violations() == []
-        assert report.angle == pytest.approx(1.0 - 2e-6, abs=1e-9)
+        c, rows = _verify(pi, _orders(2), [RandomScan.uniform(2)])
+        assert violations(rows) == []
+        assert c == pytest.approx(1.0 - 2e-6, abs=1e-9)

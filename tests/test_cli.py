@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 import importlib
 import json
@@ -702,6 +701,75 @@ class TestSampleCommand:
         assert code == 2
         assert not (tmp_path / "sample.json").exists()
 
+    def test_constant_function_exit_2_before_any_kernel(self, tmp_path, monkeypatch, capsys):
+        # coordinate 1 takes one value, so coord:1 is identically 1, whatever eps is
+        def fail(*args, **kwargs):
+            raise AssertionError("built a kernel for a constant function")
+
+        monkeypatch.setattr(operators, "_small_step_kernel", fail)
+        path = tmp_path / "target.json"
+        path.write_text(json.dumps({"dims": [1, 2], "pmf": [0.5, 0.5]}))
+        code = main(["sample", "--target-file", str(path), "--n", "200", "--replicas", "10",
+                     "--out-dir", str(tmp_path)])
+        assert code == 2
+        assert not (tmp_path / "sample.json").exists()
+        assert capsys.readouterr().err.splitlines() == [
+            "error: coordinate 1 has one value, so coord:1 is constant"]
+
+
+class TestReportRows:
+    """The bounds and tail rows of a report are the rows the library returns."""
+
+    BOUND_KEYS = {"name", "bound", "exact", "slack", "sharp", "inputs"}
+    TAIL_KEYS = {"n", "eps", "frequency", "bound", "std_error", "pass"}
+
+    @staticmethod
+    def _target(tmp_path, dims, seed):
+        path = tmp_path / "target.json"
+        path.write_text(json.dumps({"dims": list(dims),
+                                    "pmf": random_target(seed, dims).pmf.tolist()}))
+        return str(path), measure.parse_target(path.read_text())
+
+    def test_analyze_bounds_are_verify_bounds_rows(self, tmp_path):
+        path, pi = self._target(tmp_path, (2, 3, 2), seed=4)
+        scans = ["dsg:3,1,2", "rsg:0.5,0.25,0.25"]
+        code = main(["analyze", "--target-file", path, "--scan", scans[0], "--scan", scans[1],
+                     "--restarts", "2", "--seed", "3", "--out-dir", str(tmp_path)])
+        assert code == 0
+        rep = json.loads((tmp_path / "analyze.json").read_text())["report"]
+        c, rows = bounds.verify_bounds(operators.Spectra(pi), [parse_scan(scans[0], 3)],
+                                       [parse_scan(scans[1], 3)],
+                                       geometry.inclination(pi, restarts=2, seed=3).lower)
+        assert rep["angle_closed_form"] == c
+        assert rep["bounds"] == json.loads(json.dumps(rows))  # tuples read back as lists
+        assert [r["name"] for r in rows] == [
+            "rsg_uniform_sharpness", "rsg_lower_bound_1_over_d", "rsg_norm_bound",
+            "dsg_norm_bound", "dsg_norm_bound_via_certified_l", "dsg_norm_bound_via_dual_l"]
+        for row in rep["bounds"]:
+            assert set(row) == self.BOUND_KEYS
+            assert row["slack"] == row["bound"] - row["exact"]
+        header = (tmp_path / "bounds.csv").read_text().splitlines()[0]
+        assert header == "name,bound,exact,slack,sharp"
+
+    def test_sample_tails_are_empirical_tails_rows(self, tmp_path):
+        path, pi = self._target(tmp_path, (3, 2, 3), seed=6)
+        scans = ["dsg:2,3,1", "rsg:uniform"]
+        code = main(["sample", "--target-file", path, "--scan", scans[0], "--scan", scans[1],
+                     "--n", "1000", "--replicas", "200", "--n-grid", "40,90",
+                     "--eps-grid", "0.05,0.15", "--seed", "7", "--out-dir", str(tmp_path)])
+        assert code == 0
+        panels = json.loads((tmp_path / "sample.json").read_text())["report"]["panels"]
+        f = (pi.space.all_multi_indices()[:, 0] == 2).astype(float)
+        for panel, text in zip(panels, scans, strict=True):
+            scan = parse_scan(text, 3)
+            op = operators.scan_operator(pi, scan)
+            rho = (operators.l2_norm_centered(op) if isinstance(scan, RandomScan)
+                   else operators.spectral_radius_centered(op))
+            rows = sampler.empirical_tails(op, rho, f, [40, 90], [0.05, 0.15], 200, seed=7)
+            assert panel["rho"] == rho
+            assert panel["tails"] == rows
+            assert all(set(row) == self.TAIL_KEYS for row in panel["tails"])
+
 
 class TestCounterexampleCommand:
     def test_end_to_end(self, tmp_path):
@@ -784,8 +852,8 @@ class TestReportContract:
 
     @pytest.mark.parametrize("command, module, name, tamper", [
         ("analyze", geometry, "check_sandwich", lambda s: {**s, "left_pass": False}),
-        ("analyze", bounds, "verify_bounds", lambda r: dataclasses.replace(
-            r, entries=tuple(dataclasses.replace(e, exact=e.bound + 1.0) for e in r.entries))),
+        ("analyze", bounds, "verify_bounds", lambda r: (
+            r[0], [{**row, "exact": row["bound"] + 1.0, "slack": -1.0} for row in r[1]])),
         ("sweep", bounds, "rapid_mixing_transfer", lambda floor: 1.0),
         ("sample", cli, "clt_variance_bound", lambda bound: -1.0),
         ("counterexample", cli, "reversibilization_gap_sweep",

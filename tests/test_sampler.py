@@ -63,8 +63,8 @@ def _reference_tail(pi, scan, f, n, eps, replicas, seed):
     freq = float(np.mean(sums >= n * (mu + eps) - 1e-12))
     bound = hoeffding_bound(rho, n, eps)
     se = float(np.sqrt(max(freq * (1.0 - freq), 1.0 / replicas) / replicas))
-    return sampler.TailCheck(n=n, eps=eps, frequency=freq, bound=bound, std_error=se,
-                             passed=freq <= bound + 3.0 * se)
+    return {"n": n, "eps": eps, "frequency": freq, "bound": bound, "std_error": se,
+            "pass": freq <= bound + 3.0 * se}
 
 
 class _ConstantRng:
@@ -458,14 +458,14 @@ class TestEmpiricalTail:
         f = np.array([0.0, 0.0, 1.0, 1.0])
         check = empirical_tail(*_op_rho(eps_pair, RandomScan.uniform(2)), f,
                                n=200, eps=0.2, replicas=4000, seed=0)
-        assert check.passed
-        assert 0.0 <= check.frequency <= 1.0
+        assert check["pass"]
+        assert 0.0 <= check["frequency"] <= 1.0
 
     def test_dsg_tail_respects_bound(self, eps_pair):
         f = np.array([0.0, 0.0, 1.0, 1.0])
         check = empirical_tail(*_op_rho(eps_pair, DeterministicScan((1, 2))), f,
                                n=100, eps=0.2, replicas=4000, seed=0)
-        assert check.passed
+        assert check["pass"]
 
     def test_rejects_unbounded_f(self, eps_pair):
         with pytest.raises(ValidationError):
@@ -484,7 +484,7 @@ class TestEmpiricalTail:
                            replicas=500, seed=4)
         b = empirical_tail(*_op_rho(eps_pair, RandomScan.uniform(2)), f, n=50, eps=0.2,
                            replicas=500, seed=4)
-        assert a.frequency == b.frequency
+        assert a["frequency"] == b["frequency"]
 
 
     @pytest.mark.parametrize("n", [0, -5])
@@ -519,14 +519,14 @@ class TestEmpiricalTails:
         n_grid, eps_grid = [60, 7, 25], [0.1, 0.25]
         op, rho = _op_rho(pi, scan)
         grid = empirical_tails(op, rho, f, n_grid, eps_grid, replicas=300, seed=11)
-        assert [(t.n, t.eps) for t in grid] == [(n, e) for n in n_grid for e in eps_grid]
+        assert [(t["n"], t["eps"]) for t in grid] == [(n, e) for n in n_grid for e in eps_grid]
         separate = [_reference_tail(pi, scan, f, n, e, 300, 11) for n in n_grid for e in eps_grid]
         single = [empirical_tail(op, rho, f, n, e, 300, 11) for n in n_grid for e in eps_grid]
         assert grid == separate
         assert grid == single
         for a, b in zip(grid, separate):
-            assert (a.frequency, a.bound, a.std_error, a.passed) == \
-                (b.frequency, b.bound, b.std_error, b.passed)
+            assert (a["frequency"], a["bound"], a["std_error"], a["pass"]) == \
+                (b["frequency"], b["bound"], b["std_error"], b["pass"])
 
     def test_one_step_blocks_equal_separate_runs(self, monkeypatch):
         # more replicas than _TAIL_BLOCK: one step's uniforms per rng call
@@ -544,7 +544,7 @@ class TestEmpiricalTails:
         n_grid, eps_grid = [45, 13], [0.05, 0.2]  # horizons off the 20-step uniform blocks
         grid = empirical_tails(*_op_rho(pi, scan), f, n_grid, eps_grid, replicas=400, seed=5)
         assert grid == [_reference_tail(pi, scan, f, n, e, 400, 5) for n in n_grid for e in eps_grid]
-        assert any(t.frequency > 0.0 for t in grid)
+        assert any(t["frequency"] > 0.0 for t in grid)
 
     @pytest.mark.parametrize("scan", [DeterministicScan((3, 1, 2)), RandomScan.uniform(3)],
                              ids=["dsg", "rsg"])
@@ -557,7 +557,7 @@ class TestEmpiricalTails:
         grid = empirical_tails(*_op_rho(pi, scan), f, n_grid, eps_grid, replicas=300, seed=2)
         assert grid == [_reference_tail(pi, scan, f, n, e, 300, 2)
                         for n in n_grid for e in eps_grid]
-        assert any(0.0 < t.frequency < 1.0 for t in grid)
+        assert any(0.0 < t["frequency"] < 1.0 for t in grid)
 
     def test_1024_states_hold_no_replica_by_state_block(self, monkeypatch):
         # beside the cumulative and bucket tables, stepping 4,000 replicas over

@@ -114,6 +114,19 @@ def cmd_analyze(args) -> int:
     spectra = Spectra(pi)
     d = pi.space.d
     scans = _requested_scans(args, d)
+    # before the pass: after it, the inclination's forms raised max RSS by 5 MB at d = 8, 9
+    incl = geometry.inclination(pi, restarts=args.restarts, seed=args.seed)
+    perms = [DeterministicScan(s) for s in bounds_mod.sample_permutations(d, seed=args.seed)]
+    uniform = RandomScan.uniform(d)
+    rng = np.random.default_rng(args.seed)
+    weighted = []
+    for _ in range(WEIGHT_SAMPLES):
+        w = rng.dirichlet(np.ones(d))
+        w = np.maximum(w, 1e-9)
+        weighted.append(RandomScan(tuple(w / w.sum())))
+    # every scan the report reads, measured in one stacked pass
+    spectra.measure([(s, "radius") for s in scans]
+                    + [(s, "norm") for s in [*scans, *perms, uniform, *weighted]])
 
     scan_rows = []
     for scan in scans:
@@ -126,27 +139,19 @@ def cmd_analyze(args) -> int:
             "reversible": isinstance(scan, RandomScan),
         })
 
-    incl = geometry.inclination(pi, restarts=args.restarts, seed=args.seed)
-    perms = [DeterministicScan(s) for s in bounds_mod.sample_permutations(d, seed=args.seed)]
     # the bounds cover the requested scans of each kind, else perms or the uniform scan
     dsg_scans = [s for s in scans if isinstance(s, DeterministicScan)] or perms
-    rsg_scans = [s for s in scans if isinstance(s, RandomScan)] or [RandomScan.uniform(d)]
+    rsg_scans = [s for s in scans if isinstance(s, RandomScan)] or [uniform]
     c, bound_rows = bounds_mod.verify_bounds(spectra, dsg_scans, rsg_scans, incl.lower)
     angle_bf = geometry.friedrichs_angle_bruteforce(pi)
     sandwich = geometry.check_sandwich(c, incl.value, d)
 
     # numeric surrogates for the six equivalent gap conditions
     perm_norms = {",".join(map(str, s.order)): spectra.norm(s) for s in perms}
-    rng = np.random.default_rng(args.seed)
-    weight_norms = []
-    for _ in range(WEIGHT_SAMPLES):
-        w = rng.dirichlet(np.ones(d))
-        w = np.maximum(w, 1e-9)
-        w = w / w.sum()
-        weight_norms.append(spectra.norm(RandomScan(tuple(w))))
+    weight_norms = [spectra.norm(s) for s in weighted]
     # each P_i is a self-adjoint projection, so the palindromic sweep is D D*
     sym_norms = {key: norm ** 2 for key, norm in perm_norms.items()}
-    uniform_norm = spectra.norm(RandomScan.uniform(d))
+    uniform_norm = spectra.norm(uniform)
     panel = {
         "some_rsg_norm_lt_1": bool(uniform_norm < 1.0 - GAP_POSITIVE_TOL),
         "all_rsg_norm_lt_1": bool(all(v < 1.0 - GAP_POSITIVE_TOL for v in [uniform_norm] + weight_norms)),
@@ -202,7 +207,8 @@ def cmd_sweep(args) -> int:
             raise ValidationError("random-scan gap %.3g at d=%d is not above %g: no decay rate "
                                   "can be fitted" % (gap_rsg, d, GAP_POSITIVE_TOL))
         perms = bounds_mod.sample_permutations(d, seed=args.seed)
-        gaps = [1.0 - spectra.radius(DeterministicScan(s)) for s in perms]
+        radii = spectra.measure([(DeterministicScan(s), "radius") for s in perms])
+        gaps = [1.0 - rho for rho in radii]
         rows.append({
             "d": d,
             "gap_rsg": gap_rsg,

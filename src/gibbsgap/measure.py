@@ -155,9 +155,12 @@ _MODELS = {
 
 
 def model_states(name: str, d: int) -> int:
-    """State count of a named model family at dimension d, without building it."""
+    """State count of a named model family at dimension d, without building it.
+    An unknown name, then a d below 2, is a ValidationError."""
     if name not in _MODELS:
         raise ValidationError("unknown model %r; known: %s" % (name, sorted(_MODELS)))
+    if d < 2:
+        raise ValidationError("%s needs d >= 2, got %d" % (name, d))
     return _MODELS[name][1] ** d
 
 

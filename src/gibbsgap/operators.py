@@ -3,8 +3,11 @@
 Every scan is built from the small steps P_1..P_d: ``dsg`` multiplies them
 along an update path, ``rsg`` mixes them.  Each step is densified on demand
 from the target's table of full conditionals (``TargetDistribution.conditionals``),
-so a sweep holds at most three dense kernels at once.  ``Spectra`` serves the
-norms and radii of all scans of one target.  No command needs the palindromic
+so ``dsg`` holds at most three dense kernels at once: the product so far, the
+next step and their product.  ``Spectra`` measures every scan a command reads
+in one pass: it stacks a chunk of kernels, built as ``dsg`` and ``rsg`` build
+them from small steps densified once per pass where they fit its byte budget,
+and solves the chunk by one ``eigvals`` and one SVD call.  No command needs the palindromic
 ``symmetrized_sweep``: it is D D* for the sweep D, so its centered norm is
 ||D - Pi||^2.  It stays as a hook of perfbench's tracer and as the tests' oracle.
 
@@ -33,6 +36,7 @@ A solver that fails raises numpy's ``LinAlgError`` unwrapped.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence, Union
@@ -63,7 +67,7 @@ class MarkovOperator:
     stationary: np.ndarray
 
     def __post_init__(self):
-        kernel = np.asarray(self.kernel, dtype=float)
+        kernel = np.array(self.kernel, dtype=float)  # a fresh array, safe to clamp and freeze
         pi = np.asarray(self.stationary, dtype=float).reshape(-1)
         n = pi.shape[0]
         if kernel.shape != (n, n):
@@ -72,17 +76,7 @@ class MarkovOperator:
             )
         if not np.all(pi > 0):
             raise ValidationError("stationary law must have full support")
-        low = kernel.min()
-        if low < -NEGATIVE_DUST_TOL:
-            raise ValidationError("kernel has entry %g below the dust tolerance" % low)
-        kernel = np.clip(kernel, 0.0, None)  # a fresh array, safe to freeze
-        # "not err <= tol", so that a NaN entry fails the checks
-        row_err = np.abs(kernel.sum(axis=1) - 1.0).max()
-        if not row_err <= STOCHASTICITY_TOL:
-            raise ValidationError("kernel rows sum to 1 only within %g" % row_err)
-        stat_err = np.abs(pi @ kernel - pi).max()
-        if not stat_err <= STOCHASTICITY_TOL:
-            raise ValidationError("stationarity violated: max |pi^T P - pi^T| = %g" % stat_err)
+        _check_kernels(kernel, pi)
         kernel.flags.writeable = False
         pi = pi.copy()
         pi.flags.writeable = False
@@ -92,6 +86,28 @@ class MarkovOperator:
     @property
     def n_states(self) -> int:
         return self.stationary.shape[0]
+
+
+def _check_kernels(kernels: np.ndarray, pi: np.ndarray) -> None:
+    """Clamp the dust of one kernel or a (k, n, n) stack of them to 0, in place.
+
+    Each kernel in turn must have no entry below -NEGATIVE_DUST_TOL, rows
+    summing to 1 and pi stationary, both within STOCHASTICITY_TOL; the first
+    kernel to fail a check raises its ValidationError.
+    """
+    lows = kernels.min(axis=(-2, -1))
+    np.clip(kernels, 0.0, None, out=kernels)
+    row_errs = np.abs(kernels.sum(axis=-1) - 1.0).max(axis=-1)
+    stat_errs = np.abs(pi @ kernels - pi).max(axis=-1)
+    errs = (np.ravel(e).tolist() for e in (lows, row_errs, stat_errs))
+    for low, row_err, stat_err in zip(*errs):
+        if low < -NEGATIVE_DUST_TOL:
+            raise ValidationError("kernel has entry %g below the dust tolerance" % low)
+        # "not err <= tol", so that a NaN entry fails the checks
+        if not row_err <= STOCHASTICITY_TOL:
+            raise ValidationError("kernel rows sum to 1 only within %g" % row_err)
+        if not stat_err <= STOCHASTICITY_TOL:
+            raise ValidationError("stationarity violated: max |pi^T P - pi^T| = %g" % stat_err)
 
 
 @dataclass(frozen=True)
@@ -168,27 +184,35 @@ def _checked_scan(spec, kind: type, pi: TargetDistribution):
     return scan
 
 
-def _sweep(path: Sequence[int], pi: TargetDistribution) -> np.ndarray:
-    """Kernel of the small steps P_path[0], ..., P_path[-1] run in time order."""
-    kernel = _small_step_kernel(path[0], pi)
+def _sweep(path: Sequence[int], step) -> np.ndarray:
+    """Kernel of the small steps P_path[0], ..., P_path[-1] run in time order,
+    with P_i = step(i)."""
+    kernel = step(path[0])
     for i in path[1:]:
-        kernel = kernel @ _small_step_kernel(i, pi)
+        kernel = kernel @ step(i)
+    return kernel
+
+
+def _mix(weights: Sequence[float], step) -> np.ndarray:
+    """Kernel of the random scan sum_i w_i P_i, summed for i = 1..d, with P_i = step(i)."""
+    kernel = weights[0] * step(1)
+    for i, w in enumerate(weights[1:], start=2):
+        kernel += w * step(i)
     return kernel
 
 
 def dsg(sigma: Sequence[int], pi: TargetDistribution) -> MarkovOperator:
     """Deterministic scan: one full sweep updating sigma(1) first, sigma(d) last."""
     scan = _checked_scan(sigma, DeterministicScan, pi)
-    return MarkovOperator(_sweep(scan.order, pi), pi.pmf)
+    return MarkovOperator(_sweep(scan.order, functools.partial(_small_step_kernel, pi=pi)),
+                          pi.pmf)
 
 
 def rsg(weights: Union[RandomScan, Sequence[float]], pi: TargetDistribution) -> MarkovOperator:
     """Random scan: the convex combination sum_i w_i P_i; reversible w.r.t. pi."""
     scan = _checked_scan(weights, RandomScan, pi)
-    kernel = np.zeros((pi.space.total_states,) * 2)
-    for i, w in enumerate(scan.weights, start=1):
-        kernel += w * _small_step_kernel(i, pi)
-    return MarkovOperator(kernel, pi.pmf)
+    return MarkovOperator(_mix(scan.weights, functools.partial(_small_step_kernel, pi=pi)),
+                          pi.pmf)
 
 
 def symmetrized_sweep(sigma: Sequence[int], pi: TargetDistribution) -> MarkovOperator:
@@ -199,7 +223,8 @@ def symmetrized_sweep(sigma: Sequence[int], pi: TargetDistribution) -> MarkovOpe
     """
     scan = _checked_scan(sigma, DeterministicScan, pi)
     path = scan.order + scan.order[-2::-1]
-    return MarkovOperator(_sweep(path, pi), pi.pmf)
+    return MarkovOperator(_sweep(path, functools.partial(_small_step_kernel, pi=pi)),
+                          pi.pmf)
 
 
 def scan_operator(pi: TargetDistribution, scan: ScanSpec) -> MarkovOperator:
@@ -227,35 +252,61 @@ def additive_reversibilization(op: MarkovOperator) -> MarkovOperator:
 def is_reversible(op: MarkovOperator) -> bool:
     """Detailed balance pi(x) P(x,y) = pi(y) P(y,x): D^{1/2} (P - Pi) D^{-1/2} is symmetric
     within STOCHASTICITY_TOL.  Unlike the flows, its entries do not shrink with pi."""
-    a = _centered_conjugated(op)
+    a = _centered_conjugated(op.kernel, op.stationary)
     return bool(np.abs(a - a.T).max() <= STOCHASTICITY_TOL)
 
 
-def _centered_conjugated(op: MarkovOperator) -> np.ndarray:
-    """D^{1/2} (P - Pi) D^{-1/2}; its singular values give the L2(pi) norm."""
-    pi = op.stationary
+def _centered_conjugated(kernels: np.ndarray, pi: np.ndarray) -> np.ndarray:
+    """D^{1/2} (P - Pi) D^{-1/2} for one kernel P or each of a stack; its singular
+    values give the L2(pi) norm."""
     s = np.sqrt(pi)
-    return (op.kernel - pi) * s[:, None] / s[None, :]
+    return (kernels - pi) * s[:, None] / s[None, :]
+
+
+def _norms(a: np.ndarray) -> np.ndarray:
+    """Largest singular value of a matrix, or of each matrix of a stack in one call."""
+    return np.linalg.svd(a, compute_uv=False)[..., 0]
+
+
+def _radii(a: np.ndarray) -> np.ndarray:
+    """Largest eigenvalue modulus of a matrix, or of each matrix of a stack in one call."""
+    return np.abs(np.linalg.eigvals(a)).max(axis=-1)
 
 
 def l2_norm_centered(op: MarkovOperator) -> float:
     """||P - Pi|| in L2(pi); always <= 1 for a stationary Markov kernel."""
-    return float(np.linalg.svd(_centered_conjugated(op), compute_uv=False)[0])
+    return float(_norms(_centered_conjugated(op.kernel, op.stationary)))
 
 
 def spectral_radius_centered(op: MarkovOperator) -> float:
     """Largest eigenvalue modulus of P - Pi (complex eigenvalues allowed), from
     the similar matrix D^{1/2} (P - Pi) D^{-1/2}, symmetric when P is reversible."""
-    return float(np.abs(np.linalg.eigvals(_centered_conjugated(op))).max())
+    return float(_radii(_centered_conjugated(op.kernel, op.stationary)))
+
+
+#: Bytes of dense kernels that one chunk of a ``Spectra`` pass may hold.
+_STACK_BYTES = 1 << 20
 
 
 class Spectra:
     """Centered norms and radii of the DSG and RSG scans of pi.
 
     pi is taken as given: the command that loaded it has already checked it
-    against the state cap.  Values are memoized as floats (no scan kernel is
-    kept); ``norm_and_radius`` takes both from one build of the operator.  A
-    random scan's radius is its norm: one build, one SVD.
+    against the state cap.  ``measure`` serves a list of requests in one
+    pass over the scans not yet measured: each chunk of their kernels, built
+    as ``dsg`` and ``rsg`` build them, is stacked as one (k, n, n) array,
+    checked as ``MarkovOperator`` checks one kernel, and solved by one
+    ``eigvals`` call for its sweep radii and one SVD call for its norms.
+    Stacked LAPACK calls give the bits of per-matrix calls, so each value
+    equals ``spectral_radius_centered`` or ``l2_norm_centered`` of the scan's
+    operator.
+
+    The chunks fit _STACK_BYTES, three n x n arrays per scan.  Where all d
+    small steps fit beside one scan, each is densified once per pass and kept
+    for it; otherwise at each use, so a kernel above the budget is measured
+    one scan at a time with about three n x n arrays, as ``dsg`` builds it.
+    Values are memoized as floats (no kernel is kept), so a repeated request
+    builds nothing.  A random scan's radius is its norm.
     """
 
     def __init__(self, pi: TargetDistribution):
@@ -264,22 +315,49 @@ class Spectra:
 
     def norm(self, scan: ScanSpec) -> float:
         """||K - Pi|| for the kernel K that the scan simulates."""
-        return self._measure(scan, ("norm",))[0]
-
-    def radius(self, scan: ScanSpec) -> float:
-        """rho(K - Pi) for the kernel K that the scan simulates."""
-        return self._measure(scan, ("radius",))[0]
+        return self.measure([(scan, "norm")])[0]
 
     def norm_and_radius(self, scan: ScanSpec) -> tuple[float, float]:
-        return self._measure(scan, ("norm", "radius"))
+        return tuple(self.measure([(scan, "norm"), (scan, "radius")]))
 
-    def _measure(self, scan: ScanSpec, names: tuple) -> tuple:
-        if isinstance(scan, RandomScan):  # self-adjoint in L2(pi)
-            names = ("norm",) * len(names)
-        missing = [name for name in dict.fromkeys(names) if (scan, name) not in self._memo]
+    def measure(self, requests: Sequence[tuple[ScanSpec, str]]) -> list[float]:
+        """The value of each (scan, "norm" or "radius") request; the ones not
+        memoized yet are measured in one pass."""
+        # a random scan is self-adjoint in L2(pi)
+        requests = [(scan, "norm" if isinstance(scan, RandomScan) else name)
+                    for scan, name in requests]
+        missing = [request for request in requests if request not in self._memo]
         if missing:
-            op = scan_operator(self.pi, scan)
-            for name in missing:
-                self._memo[scan, name] = (l2_norm_centered(op) if name == "norm"
-                                          else spectral_radius_centered(op))
-        return tuple(self._memo[scan, name] for name in names)
+            self._measure(missing)
+        return [self._memo[request] for request in requests]
+
+    def _measure(self, requests: list) -> None:
+        """Memoize every (scan, name) request in one stacked pass, every scan
+        checked against the target before any kernel is built."""
+        wanted: dict = {}
+        for scan, name in requests:
+            if not isinstance(scan, (DeterministicScan, RandomScan)):
+                raise ValidationError("unknown scan spec %r" % (scan,))
+            wanted.setdefault(_checked_scan(scan, type(scan), self.pi), set()).add(name)
+        scans = list(wanted)
+        d, n = self.pi.space.d, self.pi.space.total_states
+        units = _STACK_BYTES // (8 * n * n)
+        step = functools.partial(_small_step_kernel, pi=self.pi)
+        if units >= d + 3:  # all d small steps fit beside one scan: keep them
+            step = functools.cache(step)
+            units -= d
+        size = max(1, units // 3)
+        for start in range(0, len(scans), size):
+            chunk = scans[start:start + size]
+            kernels = np.stack([_sweep(scan.order, step) if isinstance(scan, DeterministicScan)
+                                else _mix(scan.weights, step) for scan in chunk])
+            _check_kernels(kernels, self.pi.pmf)
+            a = _centered_conjugated(kernels, self.pi.pmf)
+            del kernels
+            for name, solve in (("radius", _radii), ("norm", _norms)):
+                rows = [j for j, scan in enumerate(chunk) if name in wanted[scan]]
+                if rows:
+                    self._memo.update(((chunk[j], name), value)
+                                      for j, value in zip(rows, solve(a[rows]).tolist()))
+            del a  # the next chunk's stack is built without this one
+

@@ -55,7 +55,7 @@ def conditional_mean(f: np.ndarray, i: int, pi: TargetDistribution) -> np.ndarra
 
 def power_norm_sequence(op: MarkovOperator, n_max: int) -> list[float]:
     """[||P^n - Pi|| for n = 1..n_max]; non-increasing and <= ||P - Pi||^n."""
-    a = _centered_conjugated(op)
+    a = _centered_conjugated(op.kernel, op.stationary)
     out = []
     power = np.eye(a.shape[0])
     for _ in range(n_max):

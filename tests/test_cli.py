@@ -228,14 +228,26 @@ class TestAnalyzeCommand:
     def test_each_scan_operator_built_once(self, tmp_path, monkeypatch):
         counts = _count_calls(monkeypatch, ("dsg", "rsg", "symmetrized_sweep", "is_reversible",
                                             "l2_norm_centered", "spectral_radius_centered"))
+        stepped = Counter()
+        original = operators._small_step_kernel
+        _patch_everywhere(monkeypatch, original,
+                          lambda i, pi: stepped.update([i]) or original(i, pi))
+        stacked = []
+        for name in ("svd", "eigvals"):
+            solver = getattr(np.linalg, name)
+            monkeypatch.setattr(np.linalg, name, lambda a, *args, _n=name, _s=solver, **kw:
+                                (np.ndim(a) == 3 and stacked.append((_n, np.shape(a))))
+                                or _s(a, *args, **kw))
         code = main(["analyze", "--model", "equicorrelated_binary", "--d", "3",
                      "--epsilon", "0.25", "--out-dir", str(tmp_path)])
         assert code == 0
-        # 3! sweep orders, whose squared norms are the SYM panel; uniform plus 8 sampled
-        # random scans; only the sweep's radius needs an eigen-solve, a random scan's
-        # radius is its norm by its type, with no reversibility probe
-        assert counts == Counter({"dsg": 6, "rsg": 9, "symmetrized_sweep": 0, "is_reversible": 0,
-                                  "l2_norm_centered": 15, "spectral_radius_centered": 1})
+        # one pass: each small step densified once; 3! sweep orders, whose squared norms
+        # are the SYM panel, the uniform and 8 sampled random scans in one SVD call; only
+        # the identity sweep's radius needs an eigen-solve, a random scan's radius is its
+        # norm by its type, with no reversibility probe and no per-scan operator
+        assert stepped == Counter({1: 1, 2: 1, 3: 1})
+        assert stacked == [("eigvals", (1, 8, 8)), ("svd", (15, 8, 8))]
+        assert counts == Counter()
 
     @pytest.mark.parametrize("target", ["model_d3", "pmf_2x3x2"])
     def test_sym_norms_are_the_palindromic_norms(self, tmp_path, target):
@@ -280,10 +292,13 @@ class TestAnalyzeCommand:
         assert code == 0
         # the forms, every sweep and every random scan read one table
         assert len(built) == 1
-        assert len(stepped) > 3 and all(pi is built[0] for pi in stepped)
+        assert len(stepped) == 3 and all(pi is built[0] for pi in stepped)
         code = main(["sweep", "--d-list", "2,3,4", "--out-dir", str(tmp_path)])
         assert code == 0
         assert [pi.space.d for pi in built[1:]] == [2, 3, 4]
+        # two passes per target, each densifying every small step once: the random-scan
+        # gap is checked before any radius is built
+        assert [pi.space.d for pi in stepped[3:]] == [2] * 4 + [3] * 6 + [4] * 8
 
     @pytest.mark.parametrize("command", ["analyze", "sample"])
     @pytest.mark.parametrize("model_args", [["--d", "5"], ["--epsilon", "0.3"]],
@@ -447,6 +462,24 @@ class TestModelStateCap:
         assert measure.model_states("equicorrelated_binary", 20) == 2 ** 20
         with pytest.raises(ValidationError):
             measure.model_states("nonsense", 2)
+        for d in (1, 0, -2):  # 2 ** -2 would be a state count of 0.25
+            with pytest.raises(ValidationError, match="needs d >= 2, got %d" % d):
+                measure.model_states("equicorrelated_binary", d)
+
+    @pytest.mark.parametrize("run", [["sweep", "--d-list", "4,5,1"],
+                                     ["analyze", "--model", "equicorrelated_binary", "--d", "1",
+                                      "--epsilon", "0.25"]], ids=["sweep", "analyze"])
+    def test_dimension_below_two_refused_before_any_step(self, tmp_path, monkeypatch, capsys,
+                                                         run):
+        def fail(*args, **kwargs):
+            raise AssertionError("a small step was built before every d was checked")
+
+        _model_builder_fails(monkeypatch)
+        _patch_everywhere(monkeypatch, operators._small_step_kernel, fail)
+        code = main([*run, "--out-dir", str(tmp_path)])
+        assert code == 2
+        assert capsys.readouterr().err == "error: equicorrelated_binary needs d >= 2, got 1\n"
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestParser:
@@ -535,6 +568,16 @@ class TestSweepCommand:
                      "--out-dir", str(tmp_path)])
         assert code == 2
         assert not (tmp_path / "sweep.json").exists()
+
+    def test_gap_refused_before_any_radius(self, tmp_path, monkeypatch, capsys):
+        def fail(*args, **kwargs):
+            raise AssertionError("a radius was solved before the random-scan gap was checked")
+
+        monkeypatch.setattr(np.linalg, "eigvals", fail)
+        # at epsilon = 0 the random-scan gap is 0 from d = 2 on
+        code = main(["sweep", "--epsilon", "0", "--d-list", "2,3,4", "--out-dir", str(tmp_path)])
+        assert code == 2
+        assert "random-scan gap" in capsys.readouterr().err
 
 
 class TestSampleCommand:

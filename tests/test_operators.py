@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from gibbsgap.errors import ValidationError
-from gibbsgap import operators
+from gibbsgap import measure, operators
 from gibbsgap.measure import ProductSpace, TargetDistribution
 from gibbsgap.operators import (
     DeterministicScan,
@@ -19,6 +19,7 @@ from gibbsgap.operators import (
     is_reversible,
     l2_norm_centered,
     rsg,
+    scan_operator,
     small_step,
     spectral_radius_centered,
     symmetrized_sweep,
@@ -325,22 +326,78 @@ class TestSpectra:
             op = rsg(weights, pi)
             # a random scan's radius is its norm, one SVD
             assert spectra.norm(weights) == l2_norm_centered(op)
-            assert spectra.radius(weights) == l2_norm_centered(op)
+            assert spectra.norm_and_radius(weights) == (l2_norm_centered(op),) * 2
 
     def test_each_operator_built_once(self, eps_pair, monkeypatch):
-        built = []
-        for name in ("dsg", "rsg", "symmetrized_sweep"):
-            original = getattr(operators, name)
-            monkeypatch.setattr(operators, name,
-                                lambda *a, _o=original, _n=name, **kw: built.append(_n) or _o(*a, **kw))
+        stepped = []
+        original = operators._small_step_kernel
+        monkeypatch.setattr(operators, "_small_step_kernel",
+                            lambda i, pi: stepped.append(i) or original(i, pi))
         spectra = Spectra(eps_pair)
         scans = (DeterministicScan((2, 1)), RandomScan.uniform(2))
-        for _ in range(2):
-            for scan in scans:
-                spectra.norm_and_radius(scan)
-                spectra.norm(scan)
-                spectra.radius(scan)
-        assert sorted(built) == ["dsg", "rsg"]
+        spectra.measure([(scan, name) for scan in scans for name in ("norm", "radius")])
+        assert sorted(stepped) == [1, 2]  # one pass densifies each small step once
+        for scan in scans:  # memo hits
+            spectra.norm_and_radius(scan)
+            spectra.norm(scan)
+        assert sorted(stepped) == [1, 2]
+
+    @pytest.mark.parametrize("chunk", [None, 1, 5],
+                             ids=["budget", "one-scan-chunks", "split-orders"])
+    def test_pass_equals_per_scan_values(self, monkeypatch, chunk):
+        # stacked SVD and eigvals make the per-matrix LAPACK calls: equal bits
+        rng = np.random.default_rng(8)
+        for seed, dims in enumerate(((3, 2), (2, 3, 2), (2, 2, 3, 2), (2, 2, 2, 2, 2))):
+            pi = random_target(seed, dims)
+            d, n = pi.space.d, pi.space.total_states
+            if chunk == 1:  # no small step kept: one scan per chunk, as above the budget
+                monkeypatch.setattr(operators, "_STACK_BYTES", 1)
+            elif chunk == 5:  # every small step kept, five scans per chunk
+                monkeypatch.setattr(operators, "_STACK_BYTES", 8 * n * n * (d + 3 * chunk))
+            sweeps = [DeterministicScan(p) for p in itertools.permutations(range(1, d + 1))]
+            mixes = [RandomScan.uniform(d)] + [RandomScan(tuple(w / w.sum()))
+                                               for w in rng.uniform(0.1, 1.0, size=(4, d))]
+            # sweeps wanting both values, only the norm, or only the radius
+            wants = [(scan, name) for j, scan in enumerate(sweeps)
+                     for name in (("norm", "radius"), ("norm",), ("radius",))[j % 3]]
+            wants += [(scan, "norm") for scan in mixes] + [(mixes[1], "radius")]
+            expected = [spectral_radius_centered(dsg(scan, pi)) if name == "radius"
+                        and isinstance(scan, DeterministicScan)
+                        else l2_norm_centered(scan_operator(pi, scan)) for scan, name in wants]
+            assert Spectra(pi).measure(wants) == expected
+
+    def test_refuses_a_kernel_as_markov_operator_does(self, eps_pair, monkeypatch):
+        original = operators._small_step_kernel
+
+        def off_by_1e9(i, pi):
+            kernel = original(i, pi)
+            kernel[0, 0] += 1e-9  # row 0 sums to 1 + 1e-9
+            return kernel
+
+        monkeypatch.setattr(operators, "_small_step_kernel", off_by_1e9)
+        for scan in (DeterministicScan((2, 1)), RandomScan.uniform(2)):
+            with pytest.raises(ValidationError) as per_scan:
+                scan_operator(eps_pair, scan)
+            with pytest.raises(ValidationError) as stacked:
+                Spectra(eps_pair).norm(scan)
+            assert str(stacked.value) == str(per_scan.value)
+            assert str(stacked.value).startswith("kernel rows sum to 1 only within")
+
+    def test_pass_above_the_budget_holds_three_dense_kernels(self):
+        pi = measure.equicorrelated_binary(10, 0.25)
+        n = pi.space.total_states
+        pi.conditionals  # the O(n d) table is the target's, not the pass's
+        identity = DeterministicScan(tuple(range(1, 11)))
+        tracemalloc.start()
+        try:
+            Spectra(pi).measure([(identity, "norm"), (identity, "radius"),
+                                 (RandomScan.uniform(10), "norm")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the per-scan path held 3.01 kernels for these calls: the sweep so far, the
+        # next step and their product
+        assert peak <= 3.05 * 8 * n * n
 
     def test_conditionals_smaller_than_one_dense_kernel(self):
         pi = random_target(5, (2, 3, 2, 2))

@@ -14,10 +14,33 @@ pi(0,0) = 1/E[tau], pi(n, k) = p(n)/E[tau] with E[tau] = sum (n+1) p(n).
 Spectrum of P: the chain is a renewal chain (return time n + 1 to the origin
 with probability p(n)), so the nonzero eigenvalues of P are the roots of the
 renewal polynomial  lambda^(N+1) - sum_n p(n) lambda^(N-n),  one of them
-lambda = 1, and the time reversal P* has the same spectrum.  ``ladder_gap``
-takes gap(P) = gap(P*) from those roots.  The kernel is strongly non-normal,
-so its dense eigenvalues are ill-conditioned (off by up to 7e-2 at N = 80)
-and are not used for it.
+lambda = 1, and the time reversal P* has the same spectrum.  For the
+geometric law, lambda = q/nu turns it into the monic
+g(nu) = sum_{k=1}^{N+1} nu^k - c  with  c = q (1 - q^(N+1)) / (1 - q),  whose
+root nu = q is lambda = 1.  Times (nu - 1) it is the trinomial
+T(nu) = nu^(N+2) - (1 + c) nu + c, and one of its roots sets the gap
+(Theobald & de Wolff, "Norms of roots of trinomials", Math. Ann. 366 (2016)):
+  1. Only q lies inside the unit circle.  c = q + ... + q^(N+1) < N + 1, so on
+     |nu| = 1 - eps, for eps small, |(1+c) nu - c| >= 1 - (1+c) eps
+     > (1 - eps)^(N+2), and by Rouche T has one root inside, q.  On |nu| = 1
+     only nu = 1 is a root, since |(1+c) nu - c| > 1 elsewhere.
+  2. The roots lie on one curve.  For 0 <= theta <= pi the equation
+     r^(N+2) = |(1+c) r e^(i theta) - c| has one solution r(theta) >= 1 (the
+     r-derivative of the difference is at least (N+2) - (1+c) > 0), and
+     r(theta) increases with theta.
+  3. Phi(theta) = (N+2) theta - arg((1+c) r(theta) e^(i theta) - c) runs
+     continuously from 0 at nu = 1 to (N+1) pi at theta = pi, and the roots
+     on the curve are where Phi lies in 2 pi Z.  T is convex on the positive
+     axis, so its real roots are q, 1 and, for odd N only, one negative root;
+     the other floor(N/2) roots of the open upper half-plane meet the
+     floor(N/2) levels 2 pi k in (0, (N+1) pi).  So Phi meets each level
+     exactly once, in order, and k names the roots by increasing modulus.
+  4. The k = 1 root nu_1 and its conjugate have the smallest modulus of all
+     roots other than q and 1, and gap(P) = gap(P*) = 1 - q / |nu_1|.  For
+     N = 1, nu_1 = -(1 + q) and gap(P) = 1 / (1 + q).
+``ladder_gap`` finds nu_1 in O(1) work whatever N.  The kernel is strongly
+non-normal, so its dense eigenvalues are ill-conditioned (off by up to 7e-2
+at N = 80) and are not used for it.
 
 Spectrum of K = (P + P*)/2, without a matrix: under K each rung n closes
 with the origin into a cycle of n + 1 states walked with weight 1/2 each way
@@ -51,6 +74,7 @@ commands do not call them.
 """
 from __future__ import annotations
 
+import cmath
 import math
 import sys
 from dataclasses import dataclass
@@ -65,6 +89,12 @@ from .operators import MarkovOperator, is_reversible
 # shifts per multisection round, and the pivot that stands in for an exact zero
 _MULTISECTION_POINTS = 63
 _PIVMIN = np.finfo(float).tiny
+# contraction and Newton steps before the renewal root counts as not found;
+# the contraction hands over to Newton at a step below _CONTRACTION_RTOL |u|,
+# and Newton stops at one below _ROOT_RTOL |nu|
+_ROOT_STEPS = 64
+_ROOT_RTOL = 1e-14
+_CONTRACTION_RTOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -77,8 +107,8 @@ class LadderChainSpec:
     def __post_init__(self):
         if self.N < 1:
             raise ValidationError("truncation N must be >= 1, got %d" % self.N)
-        # for a subnormal q, ladder_gap's smallest root nu ~ q underflows to
-        # 0 and the eigenvalue q / nu overflows
+        # below the normal float floor q and the jump law p(n) ~ q^n, n >= 1,
+        # carry fewer significant bits than a float
         if not sys.float_info.min <= self.q < 1.0:
             raise ValidationError("geometric ratio q must lie in [%g, 1), got %g"
                                   % (sys.float_info.min, self.q))
@@ -165,27 +195,78 @@ def return_time_moment(spec: LadderChainSpec, b: float) -> float:
     return value
 
 
+def _trinomial(nu: complex, N: int, c: float) -> tuple[complex, complex]:
+    """T(nu) = nu^(N+2) - (1+c) nu + c and T'(nu), with nu^(N+1) = exp((N+1) log nu)."""
+    w = cmath.exp((N + 1) * cmath.log(nu))
+    return nu * w - (1.0 + c) * nu + c, (N + 2) * w - (1.0 + c)
+
+
+def _newton_root(nu: complex, N: int, c: float) -> complex | None:
+    """The root of T that Newton reaches from nu, or None if no step falls
+    below _ROOT_RTOL |nu| within _ROOT_STEPS or an iterate overflows."""
+    for _ in range(_ROOT_STEPS):
+        try:
+            t, dt = _trinomial(nu, N, c)
+            step = t / dt
+        except (OverflowError, ZeroDivisionError, ValueError):
+            return None
+        nu -= step
+        if abs(step) <= _ROOT_RTOL * abs(nu):
+            return nu
+    return None
+
+
+def _root_index(nu: complex, N: int, c: float) -> float:
+    """Phi / (2 pi) at nu: the integer k at the k-th root of the upper half-plane."""
+    return ((N + 2) * cmath.phase(nu) - cmath.phase((1.0 + c) * nu - c)) / (2.0 * math.pi)
+
+
+def _is_first_root(nu: complex | None, N: int, c: float) -> bool:
+    """The certificate that a converged root of T is nu_1: Im nu > 0 excludes
+    the real roots q and 1, and Phi / (2 pi) names the rest."""
+    return nu is not None and nu.imag > 0.0 and round(_root_index(nu, N, c)) == 1
+
+
+def _first_root(N: int, c: float) -> complex | None:
+    """nu_1 from the fixed point of u -> (Log((1+c) e^u - c) + 2 pi i) / (N+2),
+    u = log nu, polished by Newton."""
+    u = 2j * math.pi / (N + 1)
+    for _ in range(_ROOT_STEPS):
+        u, last = (cmath.log((1.0 + c) * cmath.exp(u) - c) + 2j * math.pi) / (N + 2), u
+        if abs(u - last) <= _CONTRACTION_RTOL * abs(u):
+            break
+    return _newton_root(cmath.exp(u), N, c)
+
+
 def ladder_gap(spec: LadderChainSpec) -> tuple[float, float]:
     """(gap, root residual) of the ladder kernel P, which is also the gap of P*.
 
-    The roots of the renewal polynomial are found with the substitution
-    lambda = q / nu: nu solves sum_n p(n) q^-(n+1) nu^(n+1) = 1, and for the
-    geometric law every coefficient p(n) q^-(n+1) is the same
-    (1-q) / (q (1 - q^(N+1))).  Divided by it, the equation is the monic
-    g(nu) = sum_{k=1}^{N+1} nu^k - q (1 - q^(N+1)) / (1-q) = 0.  So the
-    float64 companion solve is accurate where the one on the unscaled
-    polynomial is not, and no coefficient underflows or overflows however
-    small p(N) or q is.  One Newton step polishes the roots.  The residual
-    is max over all roots of |g(nu)|, on the scale of g's unit coefficients.
+    gap = 1 - q / |nu_1| for the root nu_1 of the module docstring's lemma.
+    On u = log nu it iterates Psi(u) = (Log((1+c) e^u - c) + 2 pi i) / (N+2)
+    from u = 2 pi i / (N+1).  On the convex strip Re u >= 0, 0 <= Im u <= pi,
+    z = (1+c) e^u - c has |z| >= (1+c) |e^u| - c >= |e^u| >= 1 and Im z >= 0,
+    so Psi maps the strip into itself with
+    |Psi'| = (1+c) |e^u| / ((N+2) |z|) <= (1+c) / (N+2) < 1.  Its
+    one fixed point solves T with Phi = 2 pi, which is nu_1.  Newton on T
+    polishes it, and the root is taken only with a certificate: Newton's last
+    step fell below 1e-14 |nu|, Im nu > 0, and
+    Phi / (2 pi) = ((N+2) arg nu - arg((1+c) nu - c)) / (2 pi) rounds to 1.
+    The work is O(1) whatever N.
+
+    The residual is |g(nu_1)| = |T(nu_1) / (nu_1 - 1)|, on the scale of g's
+    unit coefficients.  |g'(nu_1)| grows like N^2, so even the float nearest
+    nu_1 leaves a residual near 1e-12 at N = 1,000 and 1e-5 at N = 10^6.
     """
-    q = spec.q
-    g = np.append(np.ones(spec.N + 1), -q * _geometric_mass(spec) / (1.0 - q))
-    nu = np.roots(g)
-    nu = nu - np.polyval(g, nu) / np.polyval(np.polyder(g), nu)
-    residual = float(np.abs(np.polyval(g, nu)).max())
-    lam = q / nu
-    others = np.delete(lam, np.argmin(np.abs(lam - 1.0)))
-    return 1.0 - float(np.abs(others).max()), residual
+    N, q = spec.N, spec.q
+    c = q * _geometric_mass(spec) / (1.0 - q)
+    if N == 1:
+        nu = complex(-1.0 - q)
+    else:
+        nu = _first_root(N, c)
+        if not _is_first_root(nu, N, c):
+            raise ArithmeticError("renewal root nu_1 not certified at N = %d, q = %g" % (N, q))
+    t, _ = _trinomial(nu, N, c)
+    return 1.0 - q / abs(nu), abs(t / (nu - 1.0))
 
 
 def _spider_inertia(p: np.ndarray, shifts: np.ndarray) -> np.ndarray:
@@ -315,13 +396,21 @@ def reversibilization_gap_sweep(q: float, n_list: Sequence[int],
     """
     if any(a >= b for a, b in zip(n_list, n_list[1:])):
         raise ValidationError("truncations must be strictly increasing")
+    specs = [LadderChainSpec(N=int(n_trunc), q=q) for n_trunc in n_list]
+    # every moment before any gap, so one past the float range is refused at once
+    moments = []
+    for spec in specs:
+        moment = {}
+        for b in b_list:
+            moment["moment_b%g" % b] = return_time_moment(spec, b)
+            moment["moment_b%g_analytic_finite" % b] = bool(b * spec.q < 1.0)
+        moments.append(moment)
     rows = []
-    for n_trunc in n_list:
-        spec = LadderChainSpec(N=int(n_trunc), q=q)
+    for spec, moment in zip(specs, moments):
         kappa, rung_values, _ = ladder_conductance(spec)
         gap_k = ladder_reversible_gap(spec)
         gap_p, residual = ladder_gap(spec)
-        row = {
+        rows.append({
             "N": spec.N,
             "n_states": spec.n_states,
             "gap_K": gap_k,
@@ -333,9 +422,6 @@ def reversibilization_gap_sweep(q: float, n_list: Sequence[int],
             "cheeger_upper_ok": bool(gap_k <= 2.0 * kappa + 1e-9),
             "cheeger_lower_value": kappa ** 2 / 2.0,
             "pi_origin": 1.0 / _expected_return_time(spec.jump_pmf()),
-        }
-        for b in b_list:
-            row["moment_b%g" % b] = return_time_moment(spec, b)
-            row["moment_b%g_analytic_finite" % b] = bool(b * spec.q < 1.0)
-        rows.append(row)
+            **moment,
+        })
     return rows

@@ -9,7 +9,12 @@ from typing import Sequence
 
 import numpy as np
 
-from gibbsgap.counterexample import _MULTISECTION_POINTS, LadderChainSpec, _spider_inertia
+from gibbsgap.counterexample import (
+    _MULTISECTION_POINTS,
+    LadderChainSpec,
+    _geometric_mass,
+    _spider_inertia,
+)
 from gibbsgap.errors import ValidationError
 from gibbsgap.geometry import LBFGS_FTOL, LBFGS_GTOL, LBFGS_MAX_ITER, LBFGS_MEMORY
 from gibbsgap.measure import ProductSpace, TargetDistribution
@@ -77,6 +82,33 @@ def ladder_adjoint_kernel(spec: LadderChainSpec) -> np.ndarray:
             kernel[spec.state_index(n, k - 1), spec.state_index(n, k)] = 1.0
         kernel[spec.state_index(n, n), 0] = 1.0
     return kernel
+
+
+def _renewal_coefficients(spec: LadderChainSpec) -> np.ndarray:
+    """g(nu) = sum_{k=1}^{N+1} nu^k - q (1 - q^(N+1)) / (1 - q), highest power
+    first: the renewal polynomial of the ladder under lambda = q / nu, divided
+    by its common coefficient."""
+    q = spec.q
+    return np.append(np.ones(spec.N + 1), -q * _geometric_mass(spec) / (1.0 - q))
+
+
+def renewal_roots_companion(spec: LadderChainSpec) -> np.ndarray:
+    """All N + 1 roots nu of g from the float64 companion solve, each polished
+    by one Newton step; nu = q is the eigenvalue lambda = 1."""
+    g = _renewal_coefficients(spec)
+    nu = np.roots(g)
+    return nu - np.polyval(g, nu) / np.polyval(np.polyder(g), nu)
+
+
+def ladder_gap_companion(spec: LadderChainSpec) -> tuple[float, float]:
+    """(gap, max over all roots of |g(nu)|) of the ladder kernel from every root
+    of g (oracle for ``counterexample.ladder_gap``, which solves for the one
+    root that sets the gap)."""
+    nu = renewal_roots_companion(spec)
+    residual = float(np.abs(np.polyval(_renewal_coefficients(spec), nu)).max())
+    lam = spec.q / nu
+    others = np.delete(lam, np.argmin(np.abs(lam - 1.0)))
+    return 1.0 - float(np.abs(others).max()), residual
 
 
 def ladder_reversible_gap_multisection(spec: LadderChainSpec) -> float:

@@ -9,7 +9,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from gibbsgap import bounds, cli, geometry, measure, operators, sampler
+from gibbsgap import bounds, cli, counterexample, geometry, measure, operators, sampler
 from gibbsgap.cli import main, parse_scan
 from gibbsgap.errors import ValidationError
 from gibbsgap.operators import DeterministicScan, RandomScan
@@ -850,6 +850,22 @@ class TestCounterexampleCommand:
         assert not (tmp_path / "counterexample.json").exists()
         assert not (tmp_path / "counterexample.csv").exists()
         assert message in capsys.readouterr().err
+
+    def test_moment_past_the_float_range_refused_before_any_gap(self, tmp_path, capsys,
+                                                                 monkeypatch):
+        def refuse(spec):
+            raise AssertionError("solved a gap before every moment was checked")
+
+        monkeypatch.setattr(counterexample, "ladder_reversible_gap", refuse)
+        monkeypatch.setattr(counterexample, "ladder_gap", refuse)
+        # (b q)^2500 = 1.425^2500 is past the float range; N = 40 and 300 are not
+        code = main(["counterexample", "--q", "0.95", "--N", "40,300,2500", "--b", "1.5",
+                     "--state-cap", "4000000", "--out-dir", str(tmp_path)])
+        assert code == 2
+        assert ("E[b^tau] for b = 1.5 at N = 2500 exceeds the float range"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "counterexample.json").exists()
+        assert not (tmp_path / "counterexample.csv").exists()
 
     def test_repeated_truncations_exit_2(self, tmp_path):
         assert main(["counterexample", "--N", "10,10", "--out-dir", str(tmp_path)]) == 2

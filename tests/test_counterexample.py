@@ -1,3 +1,5 @@
+import cmath
+import functools
 import importlib
 import itertools
 import json
@@ -32,7 +34,12 @@ from gibbsgap.operators import (
     is_reversible,
     spectral_radius_centered,
 )
-from oracles import ladder_adjoint_kernel, ladder_reversible_gap_multisection
+from oracles import (
+    ladder_adjoint_kernel,
+    ladder_gap_companion,
+    ladder_reversible_gap_multisection,
+    renewal_roots_companion,
+)
 
 
 class TestLadderChainSpec:
@@ -149,6 +156,33 @@ class TestReturnTimeMoment:
         assert value == pytest.approx(float(exact), rel=2e-15)
 
 
+def _gap_from_polished_roots(spec):
+    """gap(P) from every root of h(mu) = sum_n p(n) mu^(n+1) - 1, mu = 1/lambda,
+    each polished at 60 digits from a float companion root.  Checks
+    |h| <= 1e-50 at every root, the trivial root lambda = 1 to 1e-50, and that
+    the roots are N + 1 distinct ones, so they are all of them."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(60):
+        q = mpmath.mpf(spec.q)
+        p0 = 1 / mpmath.fsum(q ** n for n in range(spec.N + 1))
+
+        def h(mu):  # p(n) = p0 q^n, summed as a geometric series
+            return p0 * mu * (1 - (q * mu) ** (spec.N + 1)) / (1 - q * mu) - 1
+
+        starts = renewal_roots_companion(spec) / spec.q
+        roots = [mpmath.findroot(h, (mpmath.mpc(s), mpmath.mpc(s) * (1 + 1e-9)))
+                 for s in starts]
+        assert max(abs(h(mu)) for mu in roots) <= 1e-50
+        lam = [1 / mu for mu in roots]
+        trivial = min(range(len(lam)), key=lambda k: abs(lam[k] - 1))
+        assert abs(lam[trivial] - 1) <= 1e-50
+        oracle = 1 - float(max(abs(z) for k, z in enumerate(lam) if k != trivial))
+    as_float = np.array([complex(z) for z in lam])
+    apart = np.abs(as_float[:, None] - as_float[None, :]) + np.eye(spec.N + 1)
+    assert apart.min() > 1e-6
+    return oracle
+
+
 class TestLadderGap:
     SMALL_SPECS = [LadderChainSpec(N=n, q=0.5) for n in (1, 2, 5, 10, 20)]
 
@@ -162,53 +196,86 @@ class TestLadderGap:
 
     @pytest.mark.parametrize("n_trunc, expected", [(40, 0.500299466180), (80, 0.500038281486)])
     def test_matches_high_precision_renewal_roots(self, n_trunc, expected):
-        mpmath = pytest.importorskip("mpmath")
         spec = LadderChainSpec(N=n_trunc, q=0.5)
-        with mpmath.workdps(60):
-            w = [mpmath.mpf(spec.q) ** n for n in range(n_trunc + 1)]
-            total = mpmath.fsum(w)
-            p = [x / total for x in w]
-            roots = mpmath.polyroots([mpmath.mpf(1)] + [-x for x in p],
-                                     maxsteps=2000, extraprec=240)
-        trivial = min(roots, key=lambda z: abs(z - 1))
-        oracle = 1.0 - float(max(abs(z) for z in roots if z is not trivial))
+        oracle = _gap_from_polished_roots(spec)
         assert oracle == pytest.approx(expected, abs=1e-12)
         gap, residual = ladder_gap(spec)
         assert gap == pytest.approx(oracle, abs=1e-9)
         assert residual <= 1e-12
 
     def test_past_the_float_floor_matches_high_precision_roots(self):
-        # p(N) = 0 in float64 at q = 0.1, N = 400.  Every root of
-        # h(mu) = sum_n p(n) mu^(n+1) - 1, mu = 1/lambda, is polished at 60
-        # digits from a float start; N + 1 distinct roots are all of them.
-        mpmath = pytest.importorskip("mpmath")
+        # p(N) = 0 in float64 at q = 0.1, N = 400
         spec = LadderChainSpec(N=400, q=0.1)
         gap, residual = ladder_gap(spec)
-        with mpmath.workdps(60):
-            q = mpmath.mpf(spec.q)
-            p0 = 1 / mpmath.fsum(q ** n for n in range(spec.N + 1))
-
-            def h(mu):  # p(n) = p0 q^n, summed as a geometric series
-                return p0 * mu * (1 - (q * mu) ** (spec.N + 1)) / (1 - q * mu) - 1
-
-            starts = np.roots(np.append(np.ones(spec.N + 1), -1.0 / float(q * p0))) / spec.q
-            roots = [mpmath.findroot(h, (mpmath.mpc(s), mpmath.mpc(s) * (1 + 1e-9)))
-                     for s in starts]
-            assert max(abs(h(mu)) for mu in roots) <= 1e-50
-            lam = [1 / mu for mu in roots]
-            trivial = min(range(len(lam)), key=lambda k: abs(lam[k] - 1))
-            assert abs(lam[trivial] - 1) <= 1e-50
-            oracle = 1 - float(max(abs(z) for k, z in enumerate(lam) if k != trivial))
-        as_float = np.array([complex(z) for z in lam])
-        apart = np.abs(as_float[:, None] - as_float[None, :]) + np.eye(spec.N + 1)
-        assert apart.min() > 1e-6
-        assert gap == pytest.approx(oracle, abs=1e-9)
+        assert gap == pytest.approx(_gap_from_polished_roots(spec), abs=1e-9)
         assert residual <= 1e-10
 
     @pytest.mark.parametrize("n_trunc", [1, 10, 40, 80, 120])
     def test_root_residual_small(self, n_trunc):
         _, residual = ladder_gap(LadderChainSpec(N=n_trunc, q=0.5))
         assert residual <= 1e-12
+
+
+GRID_Q = [1e-300, 1e-5, 0.1, 0.2, 0.5, 0.8, 0.9, 0.95, 0.99, 0.999]
+GRID_N = [1, 2, 3, 4, 5, 7, 10, 20, 30, 40, 60, 100, 200, 400]
+
+
+@functools.cache
+def _companion_gap(q, n_trunc):
+    return ladder_gap_companion(LadderChainSpec(N=n_trunc, q=q))[0]
+
+
+def _trinomial_constant(spec):
+    """c of T(nu) = nu^(N+2) - (1+c) nu + c."""
+    return spec.q * counterexample._geometric_mass(spec) / (1.0 - spec.q)
+
+
+class TestCertifiedRoot:
+    """The one certified root of the renewal trinomial against every root of
+    the companion solve."""
+
+    @pytest.mark.parametrize("q", GRID_Q)
+    def test_matches_the_companion_solve(self, q):
+        errors = {n: abs(ladder_gap(LadderChainSpec(N=n, q=q))[0] - _companion_gap(q, n))
+                  for n in GRID_N}
+        assert max(errors.values()) <= 1e-13, errors
+
+    @pytest.mark.parametrize("q", GRID_Q)
+    def test_closed_form_at_one_rung(self, q):
+        # g(nu) = nu + nu^2 - q (1 + q) has the roots q and -(1 + q)
+        gap, residual = ladder_gap(LadderChainSpec(N=1, q=q))
+        assert gap == pytest.approx(1.0 / (1.0 + q), rel=1e-15)
+        assert residual <= 1e-15
+
+    @pytest.mark.parametrize("q, n_trunc", [(1e-300, 4), (0.2, 7), (0.5, 10), (0.5, 400),
+                                            (0.8, 40), (0.95, 200)])
+    def test_certificate_refuses_the_second_root(self, q, n_trunc, monkeypatch):
+        spec = LadderChainSpec(N=n_trunc, q=q)
+        c = _trinomial_constant(spec)
+        nu = counterexample._newton_root(cmath.exp(4j * math.pi / (n_trunc + 1)), n_trunc, c)
+        # the lemma's k = 2 root: the second smallest modulus in the upper half-plane
+        upper = sorted((z for z in renewal_roots_companion(spec) if z.imag > 0), key=abs)
+        assert nu == pytest.approx(upper[1], abs=1e-12)
+        assert round(counterexample._root_index(nu, n_trunc, c)) == 2
+        assert not counterexample._is_first_root(nu, n_trunc, c)
+        assert not counterexample._is_first_root(nu.conjugate(), n_trunc, c)
+        assert not counterexample._is_first_root(complex(q), n_trunc, c)
+
+        monkeypatch.setattr(counterexample, "_first_root", lambda N, c: nu)
+        with pytest.raises(ArithmeticError, match="not certified"):
+            ladder_gap(spec)
+
+    def test_allocates_under_10_kb_at_a_million_rungs(self):
+        spec = LadderChainSpec(N=10 ** 6, q=0.5)
+        ladder_gap(spec)
+        tracemalloc.start()
+        try:
+            gap, _ = ladder_gap(spec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 10_000
+        assert gap == pytest.approx(0.5, abs=1e-12)  # gap(P) -> 1 - q
 
 
 class TestConductance:

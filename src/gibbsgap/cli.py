@@ -115,7 +115,7 @@ def cmd_analyze(args) -> int:
     d = pi.space.d
     scans = _requested_scans(args, d)
     # before the pass: after it, the inclination's forms raised max RSS by 5 MB at d = 8, 9
-    incl = geometry.inclination(pi, restarts=args.restarts, seed=args.seed)
+    incl = geometry.inclination(pi, restarts=args.restarts)
     perms = [DeterministicScan(s) for s in bounds_mod.sample_permutations(d, seed=args.seed)]
     uniform = RandomScan.uniform(d)
     rng = np.random.default_rng(args.seed)

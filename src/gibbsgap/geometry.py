@@ -20,11 +20,12 @@ to each other:
   ell_hat is certified.  When it stays open (lambda_min multiple at the dual
   optimum, where a genuine duality gap can lie) the primal optimum is an
   eigenvector u_j of sum_i mu_i A_i with j >= 1 and equal forms over
-  supp(mu); ell_hat then comes from seeded restarts of a smoothed min-max
-  optimizer, each finished, where it converges, by Newton on that eigenvalue
-  branch at such a first-order KKT point.  It is an upper bound, not
-  certified as the global minimum.  The sandwich inequality applied to the
-  exact c gives a further lower bound.
+  supp(mu); ell_hat then comes from restarts of a smoothed min-max optimizer
+  from fixed starts in the plane of the dual's two lowest eigenvectors, each
+  finished, where it converges, by Newton on that eigenvalue branch at such
+  a first-order KKT point.  It is an upper bound, not certified as the
+  global minimum.  The sandwich inequality applied to the exact c gives a
+  further lower bound.
 
 Everything here runs on numpy alone.  The restarts run in lockstep: each
 annealing stage is one call of ``_lbfgs``, which steps every restart still
@@ -69,9 +70,9 @@ POLISH_KKT_TOL = 1e-13
 POLISH_MIN_OVERLAP = 0.999
 #: ... within this many Newton steps.
 POLISH_MAX_ITER = 10
-#: The polish is first tried after the stage of this temperature.  After the
-#: beta = 4 stage the iterate is still far from the point its restart ends
-#: at, and on the open targets measured every polish from there failed.
+#: The polish is first tried after the stage of this temperature.  On the
+#: open targets measured, every polish tried before it failed: the iterate
+#: was still far from the point its restart ends at.
 POLISH_MIN_BETA = 32.0
 #: Each annealing stage's L-BFGS keeps this many curvature pairs ...
 LBFGS_MEMORY = 10
@@ -165,8 +166,9 @@ def _inclination_forms(pi: TargetDistribution) -> tuple[np.ndarray, np.ndarray]:
     of the x_{-i} cells, so A_i = I - (Q^T C_i)(Q^T C_i)^T, exactly symmetric.
     Q holds the last n - 1 right singular vectors of the row sqrt(pi)^T
     (LAPACK gesdd), the same chart as ``scipy.linalg.null_space`` gives.  The
-    chart fixes which functions the seeded restarts start from, so changing
-    it changes ell_hat on open brackets.
+    chart fixes the basis that ``eigh`` picks in a nearly double lambda_min,
+    and so where the open-bracket restarts start: changing it can change
+    ell_hat on open brackets.
     """
     q = np.linalg.svd(np.sqrt(pi.pmf)[None, :])[2][1:].T
     m = q.shape[1]
@@ -346,14 +348,16 @@ def _eigh_at(forms: np.ndarray, w: np.ndarray):
 
 
 def inclination_dual(forms: np.ndarray) -> tuple[float, float, np.ndarray]:
-    """Bracket lower <= ell^2 <= upper from the random-scan dual, and its witness.
+    """Bracket lower <= ell^2 <= upper from the random-scan dual, and its
+    lowest eigenvectors.
 
     Maximizes lambda_min(sum_i w_i A_i) over the simplex by projected Newton
     from uniform w: with the eigenpairs (lambda_k, u_k) and v = u_0, the
     gradient is g_i = v^T A_i v and the Hessian
     H_ij = 2 sum_{k>=1} (v^T A_i u_k)(u_k^T A_j v)/(lambda_0 - lambda_k).
-    Returns (lower, upper, v) at the final w: lower = lambda_min, and
-    upper = max_i v^T A_i v for its eigenvector v.  Each step
+    Returns (lower, upper, plane) at the final w: lower = lambda_min,
+    upper = max_i v^T A_i v for its eigenvector v = u_0, and plane the
+    columns u_0, u_1 (u_0 alone when m = 1), the witness first.  Each step
     is cut short where it would leave the simplex or, to first order, close
     more than DUAL_SEPARATION_SHARE of lambda_1 - lambda_0, then halved until
     lambda_min does not fall.  Stops when the bracket closes, when lambda_min
@@ -391,8 +395,7 @@ def inclination_dual(forms: np.ndarray) -> tuple[float, float, np.ndarray]:
         if np.array_equal(trial, w):
             break
         w, lam, u = trial, lam_t, u_t
-    v = u[:, 0]
-    return float(lam[0]), _max_form(forms, v), v
+    return float(lam[0]), _max_form(forms, u[:, 0]), u[:, :2]
 
 
 def _branch_polish(forms: np.ndarray, w: np.ndarray, beta: float):
@@ -439,44 +442,48 @@ def _branch_polish(forms: np.ndarray, w: np.ndarray, beta: float):
     return None
 
 
-def inclination(pi: TargetDistribution, restarts: int = 32,
-                seed: int = 0) -> InclinationResult:
+def inclination(pi: TargetDistribution, restarts: int = 32) -> InclinationResult:
     """The inclination bracketed by the random-scan dual, with a witness.
 
     ``inclination_dual`` runs first.  If its bracket closes, ell_hat is the
     witness's value sqrt(max_i v^T A_i v), certified to CERTIFY_TOL, and no
     restart runs.  Otherwise ell_hat comes from a multi-restart minimization
     of max_i dist(f, M_i) over the unit sphere of mean-zero functions, via
-    log-sum-exp smoothing with a sharpening temperature schedule.  After each
-    stage from POLISH_MIN_BETA on, ``_branch_polish`` tries to finish the
-    restart at a first-order KKT point of the primal (an eigenvector of
-    sum_i mu_i A_i whose forms are equal over supp(mu)); the first polish
-    that passes ends the restart's schedule.  A restart whose polish never
-    passes runs the whole schedule and keeps its last annealed iterate.
-    The starts are one seeded draw of (restarts, m) normal values, the same
-    stream as drawing them one restart at a time; each stage runs the
-    restarts still in the schedule together, and ties resolve to the lowest
-    restart index, so the result is schedule-independent.  Either way
-    ``lower`` is sqrt of the dual, and ``kkt_residual`` is max_i v^T A_i v -
-    lambda for the witness v and the eigenvalue lambda it was certified or
-    polished at (None when no polish passed in the best restart).
+    log-sum-exp smoothing with a sharpening temperature schedule.  Restart j
+    starts at cos(theta_j) u_0 + sin(theta_j) u_1, theta_j = pi j / restarts,
+    in the plane of the dual's two lowest eigenvectors at its final weights:
+    no seed enters, and doubling ``restarts`` keeps every start, bit for bit.
+    The best witnesses measured overlap that plane by 0.98 or more, so the
+    starts are near where their restarts end, and the schedule begins at
+    beta = 32.  After each stage from POLISH_MIN_BETA on,
+    ``_branch_polish`` tries to finish the restart at a first-order KKT point
+    of the primal (an eigenvector of sum_i mu_i A_i whose forms are equal
+    over supp(mu)); the first polish that passes ends the restart's
+    schedule.  A restart whose polish never passes runs the whole schedule
+    and keeps its last annealed iterate.  Each stage runs the restarts still
+    in the schedule together, and ties resolve to the lowest restart index,
+    so the result is schedule-independent.  Either way ``lower`` is sqrt of
+    the dual, and ``kkt_residual`` is max_i v^T A_i v - lambda for the
+    witness v and the eigenvalue lambda it was certified or polished at
+    (None when no polish passed in the best restart).
     """
     if restarts < 1:
         raise ValidationError("restarts must be >= 1, got %d" % restarts)
     forms, q = _inclination_forms(pi)
     s = np.sqrt(pi.pmf)
-    lower, upper, v = inclination_dual(forms)
+    lower, upper, plane = inclination_dual(forms)
     ell_lower = float(np.sqrt(max(lower, 0.0)))
     if _bracket_closed(lower, upper):
-        return InclinationResult(value=float(np.sqrt(max(upper, 0.0))), witness=(q @ v) / s,
-                                 restarts=0, lower=ell_lower, certified=True,
-                                 kkt_residual=upper - lower)
-    rng = np.random.default_rng(seed)
-    w = rng.standard_normal((restarts, q.shape[1]))
-    w /= _row_norms(w)
+        return InclinationResult(value=float(np.sqrt(max(upper, 0.0))),
+                                 witness=(q @ plane[:, 0]) / s, restarts=0, lower=ell_lower,
+                                 certified=True, kkt_residual=upper - lower)
+    theta = np.pi * np.arange(restarts) / restarts
+    w = np.cos(theta)[:, None] * plane[:, 0]
+    if plane.shape[1] > 1:  # with m = 1 the sphere is u_0 and -u_0
+        w += np.sin(theta)[:, None] * plane[:, 1]
     residuals = [None] * restarts
     live = np.arange(restarts)
-    for beta in (4.0, 32.0, 256.0, 2048.0, 16384.0):
+    for beta in (32.0, 256.0, 2048.0, 16384.0):
         x = _lbfgs(_smoothed_objective, w[live], (forms, beta))
         w[live] = x / _row_norms(x)
         if beta >= POLISH_MIN_BETA:

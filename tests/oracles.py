@@ -36,6 +36,30 @@ def random_target(seed: int, dims: Sequence[int]) -> TargetDistribution:
     return TargetDistribution(space, g / g.sum())
 
 
+def two_block_facts(pi: TargetDistribution, weights=(0.5, 0.5)) -> dict:
+    """Closed forms of a d = 2 target from its maximal correlation sigma.
+
+    sigma is the second singular value of B = D_1^{-1/2} Pi_12 D_2^{-1/2},
+    the pmf matrix scaled by its marginals (the first is 1); the ranges M_1,
+    M_2 meet in principal angles with cosines sigma_k(B) (Halmos, Trans. AMS
+    144 (1969)).  So either sweep order has norm sigma and spectral radius
+    sigma^2 (Liu, Wong & Kong, Biometrika 81 (1994)), the random scan with
+    these weights has norm (1 + sqrt(1 - 4 w_1 w_2 (1 - sigma^2))) / 2, the
+    angle c is sigma and the inclination ell is sqrt((1 - sigma) / 2).  The
+    random-scan norm is summed as (1 + sqrt((w_1 - w_2)^2 + 4 w_1 w_2
+    sigma^2)) / 2, the same number without the cancellation of 1 - 4 w_1 w_2
+    (1 - sigma^2) at small sigma.
+    """
+    joint = pi.as_tensor()
+    b = joint / np.sqrt(np.outer(joint.sum(axis=1), joint.sum(axis=0)))
+    singular = np.linalg.svd(b, compute_uv=False)
+    sigma = float(singular[1]) if singular.size > 1 else 0.0
+    w1, w2 = weights
+    return {"sigma": sigma, "dsg_norm": sigma, "dsg_radius": sigma ** 2,
+            "rsg_norm": (1.0 + math.sqrt((w1 - w2) ** 2 + 4.0 * w1 * w2 * sigma ** 2)) / 2.0,
+            "c": sigma, "ell": math.sqrt((1.0 - sigma) / 2.0)}
+
+
 def inner_product(f: np.ndarray, g: np.ndarray, pi: TargetDistribution) -> float:
     """<f, g> = sum_x f(x) g(x) pi(x)."""
     return float(np.sum(f * g * pi.pmf))

@@ -82,7 +82,7 @@ def test_c02_worked_2x2_values():
     checks.append(("uniform angle",
                    abs(friedrichs_angle_from_norm(uniform)) <= 1e-9))
     checks.append(("uniform inclination",
-                   abs(inclination(uniform, restarts=8, seed=0).value - 0.70711) <= 1e-4))
+                   abs(inclination(uniform, restarts=8).value - 0.70711) <= 1e-4))
     pair = equicorrelated_binary(2, 0.25)
     # for d = 2 the sweep is an alternating projection with angle c = 0.5:
     # ||P1 P2 - Pi|| = c = 0.5 and rho(P1 P2 - Pi) = c^2 = 0.25, the worked 0.25
@@ -182,7 +182,7 @@ def test_c06_sandwich(suite):
     for pi in suite:
         d = pi.space.d
         c = friedrichs_angle_from_norm(pi)
-        ell_hat = inclination(pi, restarts=32, seed=0).value
+        ell_hat = inclination(pi, restarts=32).value
         out = check_sandwich(c, ell_hat, d)
         left_ok = left_ok and out["left_pass"]
         right_hits += int(out["right_advisory_pass"])

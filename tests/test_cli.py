@@ -1,6 +1,7 @@
 import functools
 import importlib
 import json
+import os
 import subprocess
 import sys
 import tracemalloc
@@ -70,6 +71,14 @@ def _count_table_builds(monkeypatch):
     prop.__set_name__(measure.TargetDistribution, "conditionals")
     monkeypatch.setattr(measure.TargetDistribution, "conditionals", prop)
     return built
+
+
+def _open_target_file(tmp_path):
+    """A random 2x2x2x2 pmf whose dual bracket stays open, as a target file."""
+    g = np.random.default_rng([2]).gamma(1.0, size=16)
+    spec = tmp_path / "open.json"
+    spec.write_text(json.dumps({"dims": [2] * 4, "pmf": (g / g.sum()).tolist()}))
+    return spec
 
 
 class TestAnalyzeCommand:
@@ -176,10 +185,7 @@ class TestAnalyzeCommand:
                           "pmf": measure.equicorrelated_binary(3, 0.25).pmf.tolist()}
 
     def test_default_restarts_no_worse_on_an_open_target(self, tmp_path):
-        # a random 2x2x2x2 pmf whose dual bracket stays open, at 4 and the default 32 restarts
-        g = np.random.default_rng([2]).gamma(1.0, size=16)
-        spec = tmp_path / "open.json"
-        spec.write_text(json.dumps({"dims": [2] * 4, "pmf": (g / g.sum()).tolist()}))
+        spec = _open_target_file(tmp_path)
         reports = []
         for restarts in (["--restarts", "4"], []):
             out = tmp_path / str(len(reports))
@@ -191,6 +197,35 @@ class TestAnalyzeCommand:
         assert r32["inclination_restarts"] == 32
         assert r32["inclination_upper_bound"] <= r4["inclination_upper_bound"]
         assert abs(r32["inclination_kkt_residual"]) <= 1e-12
+
+    def test_seed_does_not_move_an_open_inclination(self, tmp_path):
+        # --seed picks the sampled orders and weight vectors, not the restarts' starts
+        spec = _open_target_file(tmp_path)
+        reports = []
+        for seed in ("0", "5"):
+            out = tmp_path / seed
+            assert main(["analyze", "--target-file", str(spec), "--restarts", "4", "--seed", seed,
+                         "--out-dir", str(out)]) == 0
+            report = json.loads((out / "analyze.json").read_text())["report"]
+            reports.append({k: v for k, v in report.items() if k.startswith("inclination_")})
+        assert not reports[0]["inclination_certified"]
+        assert len(reports[0]) == 5 and reports[0] == reports[1]
+
+    def test_open_bracket_reports_do_not_depend_on_blas_threads(self, tmp_path):
+        spec = _open_target_file(tmp_path)
+        outs = []
+        for threads in ("1", "2"):
+            out = tmp_path / threads
+            run = subprocess.run([sys.executable, "-m", "gibbsgap.cli", "analyze", "--target-file",
+                                  str(spec), "--restarts", "4", "--out-dir", str(out)],
+                                 capture_output=True, text=True,
+                                 env={**os.environ, "OPENBLAS_NUM_THREADS": threads})
+            assert run.returncode == 0, run.stderr
+            outs.append(out)
+        assert not json.loads((outs[0] / "analyze.json").read_text())["report"][
+            "inclination_certified"]
+        for name in ("analyze.json", "bounds.csv"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
     def test_target_file_input(self, tmp_path):
         spec_file = tmp_path / "target.json"
@@ -782,7 +817,7 @@ class TestReportRows:
         rep = json.loads((tmp_path / "analyze.json").read_text())["report"]
         c, rows = bounds.verify_bounds(operators.Spectra(pi), [parse_scan(scans[0], 3)],
                                        [parse_scan(scans[1], 3)],
-                                       geometry.inclination(pi, restarts=2, seed=3).lower)
+                                       geometry.inclination(pi, restarts=2).lower)
         assert rep["angle_closed_form"] == c
         assert rep["bounds"] == json.loads(json.dumps(rows))  # tuples read back as lists
         assert [r["name"] for r in rows] == [

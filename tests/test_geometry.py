@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -123,26 +125,26 @@ class TestFriedrichsAngle:
 
 class TestInclination:
     def test_uniform_2x2_value(self, uniform_2x2):
-        res = inclination(uniform_2x2, restarts=8, seed=0)
+        res = inclination(uniform_2x2, restarts=8)
         assert res.value == pytest.approx(1.0 / np.sqrt(2.0), abs=1e-5)
 
-    def test_deterministic_given_seed(self, eps_pair):
-        a = inclination(eps_pair, restarts=4, seed=3)
-        b = inclination(eps_pair, restarts=4, seed=3)
+    def test_deterministic(self, eps_pair):
+        a = inclination(eps_pair, restarts=4)
+        b = inclination(eps_pair, restarts=4)
         assert a.value == b.value
         np.testing.assert_array_equal(a.witness, b.witness)
 
     def test_eps_pair_value(self, eps_pair):
-        res = inclination(eps_pair, restarts=8, seed=0)
+        res = inclination(eps_pair, restarts=8)
         assert res.value == pytest.approx(0.5, abs=1e-5)
 
     def test_near_degenerate_coupling_vanishes(self):
         pi = equicorrelated_binary(2, 0.0)
-        res = inclination(pi, restarts=8, seed=0)
+        res = inclination(pi, restarts=8)
         assert res.value <= 1e-4
 
     def test_witness_mean_zero_unit(self, eps_pair):
-        res = inclination(eps_pair, restarts=4, seed=0)
+        res = inclination(eps_pair, restarts=4)
         assert eps_pair.pmf @ res.witness == pytest.approx(0.0, abs=1e-10)
         assert eps_pair.pmf @ res.witness ** 2 == pytest.approx(1.0, abs=1e-10)
 
@@ -150,8 +152,15 @@ class TestInclination:
         for pi in target_suite[:10]:
             d = pi.space.d
             c = friedrichs_angle_from_norm(pi)
-            res = inclination(pi, restarts=8, seed=0)
+            res = inclination(pi, restarts=8)
             assert res.value >= inclination_lower_bound(c, d) - 1e-6
+
+    def test_one_mean_zero_direction(self):
+        # on (2, 1) the dual's plane is u_0 alone; M_2 holds every function
+        # and M_1 only the constants, so ell = 1 and the bracket stays open
+        res = inclination(random_target(seed=1, dims=(2, 1)), restarts=4)
+        assert not res.certified and res.restarts == 4
+        assert res.value == pytest.approx(1.0, abs=1e-12)
 
     def test_rejects_bad_restarts(self, eps_pair):
         with pytest.raises(ValidationError):
@@ -172,7 +181,7 @@ class TestInclinationForms:
                 assert v @ a @ v == pytest.approx(pi.pmf @ r ** 2, abs=1e-13 * (v @ v))
 
     def test_chart_is_scipy_null_space(self, target_suite):
-        # the chart fixes where the seeded restarts start, so it must not move
+        # the chart fixes where the open-bracket restarts start, so it must not move
         linalg = pytest.importorskip("scipy.linalg")
         for pi in target_suite:
             chart = linalg.null_space(np.sqrt(pi.pmf)[None, :])
@@ -185,18 +194,33 @@ def _one_row(w, forms, beta):
     return val[0], grad[0]
 
 
-def _restart_loop(pi, restarts, seed, nelder_mead=True):
-    """The seeded multi-restart optimizer alone, as it ran before the dual:
-    (ell_hat, witness).  Each restart ends with a Nelder-Mead search unless
+def _plane_starts(forms, restarts):
+    """cos(theta_j) u_0 + sin(theta_j) u_1, theta_j = pi j / restarts, for the
+    dual's two lowest eigenvectors u_0, u_1 at its final weights."""
+    u = geometry.inclination_dual(forms)[2]
+    return [math.cos(math.pi * j / restarts) * u[:, 0] + math.sin(math.pi * j / restarts) * u[:, 1]
+            for j in range(restarts)]
+
+
+def _restart_loop(pi, restarts, seed=0, nelder_mead=True, plane=False):
+    """The multi-restart optimizer alone by scipy's L-BFGS-B: (ell_hat,
+    witness).  By default it runs as before the dual, from seeded normal
+    draws through the stages beta = 4, 32, ..., 16384; with plane true it
+    starts from ``_plane_starts`` and skips the beta = 4 stage, as
+    ``inclination`` does.  Each restart ends with a Nelder-Mead search unless
     nelder_mead is False."""
     optimize = pytest.importorskip("scipy.optimize")
     forms, q = _inclination_forms(pi)
-    rng = np.random.default_rng(seed)
+    if plane:
+        starts, betas = _plane_starts(forms, restarts), (32.0, 256.0, 2048.0, 16384.0)
+    else:
+        rng = np.random.default_rng(seed)
+        starts = [rng.standard_normal(q.shape[1]) for _ in range(restarts)]
+        betas = (4.0, 32.0, 256.0, 2048.0, 16384.0)
     best_val, best_v = np.inf, None
-    for _ in range(restarts):
-        w = rng.standard_normal(q.shape[1])
-        w /= np.linalg.norm(w)
-        for beta in (4.0, 32.0, 256.0, 2048.0, 16384.0):
+    for w in starts:
+        w = w / np.linalg.norm(w)
+        for beta in betas:
             res = optimize.minimize(
                 _one_row, w, args=(forms, beta), jac=True,
                 method="L-BFGS-B", options={"maxiter": 500, "ftol": 1e-14, "gtol": 1e-12},
@@ -218,7 +242,7 @@ def _restart_loop(pi, restarts, seed, nelder_mead=True):
 
 @pytest.fixture(scope="module")
 def suite_inclinations(target_suite):
-    return [inclination(pi, restarts=2, seed=0) for pi in target_suite]
+    return [inclination(pi, restarts=2) for pi in target_suite]
 
 
 @pytest.fixture
@@ -257,10 +281,10 @@ class TestInclinationDual:
         closed = [pi for pi, res in zip(target_suite, suite_inclinations) if res.certified]
         for pi in closed[:4]:
             value, _ = _restart_loop(pi, restarts=4, seed=0)
-            assert inclination(pi, restarts=4, seed=0).value <= value + 1e-12
+            assert inclination(pi, restarts=4).value <= value + 1e-12
 
     def test_open_bracket_falls_back_to_restarts(self, open_target):
-        res = inclination(open_target, restarts=4, seed=0)
+        res = inclination(open_target, restarts=4)
         assert not res.certified
         assert res.restarts == 4
         assert res.kkt_residual is not None
@@ -310,7 +334,7 @@ class TestBranchPolish:
         assert grad <= 1e-10 and spread <= 1e-12
 
     def test_open_target_no_worse_and_stationary(self, open_target):
-        res = inclination(open_target, restarts=4, seed=0)
+        res = inclination(open_target, restarts=4)
         value, _ = _restart_loop(open_target, restarts=4, seed=0)
         assert res.value ** 2 <= value ** 2 + 1e-12
         assert 0.0 <= res.kkt_residual + 1e-15 <= 1e-12
@@ -326,7 +350,7 @@ class TestBranchPolish:
                             ((2, 3, 0, 1), (1,)), ((1, 2, 3, 0), (2, 3)), ((3, 0, 1, 2), (0, 2))]:
             relabeled = np.flip(np.transpose(tensor, axes), axis=flips)
             pi = TargetDistribution(open_target.space, relabeled.reshape(-1).copy())
-            values.append(inclination(pi, restarts=4, seed=0).value)
+            values.append(inclination(pi, restarts=4).value)
         assert max(values) - min(values) <= 1e-12
 
     def test_first_polish_after_the_beta_32_stage(self, open_target, monkeypatch):
@@ -334,7 +358,7 @@ class TestBranchPolish:
         polish = geometry._branch_polish
         monkeypatch.setattr(geometry, "_branch_polish",
                             lambda forms, w, beta: betas.append(beta) or polish(forms, w, beta))
-        inclination(open_target, restarts=4, seed=0)
+        inclination(open_target, restarts=4)
         assert len(betas) >= 4 and min(betas) == 32.0
 
     def test_failed_polish_runs_the_restart_loop(self, open_target, monkeypatch):
@@ -343,14 +367,14 @@ class TestBranchPolish:
         lbfgs = geometry._lbfgs
         monkeypatch.setattr(geometry, "_lbfgs", lambda fun, x, args: stages.append(
             (args[1], x.shape[0])) or lbfgs(fun, x, args))
-        res = inclination(open_target, restarts=4, seed=0)
+        res = inclination(open_target, restarts=4)
         # no restart leaves the schedule, so every stage steps all four in one call
-        assert stages == [(beta, 4) for beta in (4.0, 32.0, 256.0, 2048.0, 16384.0)]
-        # the scipy L-BFGS-B loop stops its stages elsewhere, and the unpolished
-        # ell_hat moves with the stopping point: 4.2e-10 apart here (up to
-        # 3.7e-9 on the open suite targets).  The best restart may differ, so
-        # the witness is checked for its value only.
-        value, _ = _restart_loop(open_target, restarts=4, seed=0, nelder_mead=False)
+        assert stages == [(beta, 4) for beta in (32.0, 256.0, 2048.0, 16384.0)]
+        # the scipy L-BFGS-B loop from the same starts stops its stages
+        # elsewhere, and the unpolished ell_hat moves with the stopping point:
+        # 4.3e-10 apart here (up to 1.4e-9 on the open suite targets).  The
+        # best restart may differ, so the witness is checked for its value only.
+        value, _ = _restart_loop(open_target, restarts=4, nelder_mead=False, plane=True)
         assert res.value == pytest.approx(value, abs=1e-9)
         forms, q = _inclination_forms(open_target)
         v = q.T @ (np.sqrt(open_target.pmf) * res.witness)
@@ -485,15 +509,19 @@ class TestLockstep:
         assert np.array_equal(x[1:], x0[1:])  # |g| <= LBFGS_GTOL: no step
         np.testing.assert_allclose(x[0], np.ones(3), atol=1e-9)
 
-    def test_starts_are_the_one_at_a_time_draws(self, open_target, monkeypatch):
+    def test_starts_are_spread_in_the_dual_plane(self, open_target, monkeypatch):
         starts = []
         lbfgs_ = geometry._lbfgs
         monkeypatch.setattr(geometry, "_lbfgs", lambda fun, x, args: starts.append(
             x.copy()) or lbfgs_(fun, x, args))
-        inclination(open_target, restarts=4, seed=0)
-        rng = np.random.default_rng(0)
-        ref = [rng.standard_normal(15) for _ in range(4)]
-        assert np.array_equal(starts[0], np.array([w / np.linalg.norm(w) for w in ref]))
+        inclination(open_target, restarts=4)
+        four = starts[0]
+        starts.clear()
+        inclination(open_target, restarts=32)
+        forms, _ = _inclination_forms(open_target)
+        assert np.array_equal(four, np.array(_plane_starts(forms, 4)))
+        # the 4 starts are rows 0, 8, 16 and 24 of the 32
+        assert np.array_equal(starts[0][::8], four)
 
     @pytest.mark.parametrize("index", OPEN_SUITE)
     def test_more_restarts_no_worse_on_the_open_suite(self, index, target_suite):
@@ -514,7 +542,7 @@ class TestSandwich:
         for pi in target_suite[:10]:
             d = pi.space.d
             c = friedrichs_angle_from_norm(pi)
-            ell_hat = inclination(pi, restarts=8, seed=0).value
+            ell_hat = inclination(pi, restarts=8).value
             out = check_sandwich(c, ell_hat, d)
             assert out["left_pass"]
 

@@ -133,3 +133,14 @@ def test_state_cap_checked_only_where_targets_are_loaded():
                             == "check_state_cap" for node in ast.walk(ast.parse(path.read_text()))))
     assert callers == ["cli", "measure"]
     assert "state_cap" not in (SRC / "operators.py").read_text()
+
+
+def test_geometry_draws_no_random_numbers():
+    # the open-bracket restarts start from the dual's eigenvectors, so the
+    # inclination depends on no seed
+    tree = ast.parse((SRC / "geometry.py").read_text())
+    names = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    names |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    names |= {alias.name for node in ast.walk(tree)
+              if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+    assert not names & {"random", "default_rng", "Generator", "RandomState"}

@@ -109,8 +109,6 @@ def _scan_label(scan) -> str:
 
 def cmd_analyze(args) -> int:
     pi = _load_target(args)
-    if args.restarts < 1:
-        raise ValidationError("restarts must be >= 1, got %d" % args.restarts)
     spectra = Spectra(pi)
     d = pi.space.d
     scans = _requested_scans(args, d)

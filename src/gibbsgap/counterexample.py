@@ -60,10 +60,12 @@ The spider's eigenvalues below a shift are counted exactly by leaf-to-root
 LDL^T elimination (Sylvester's law of inertia; Jacobs & Trevisan, "Locating
 the eigenvalues of trees", LAA 434 (2011)).  A leg's pivots, taken from its
 tip, depend only on the rung's parity and the depth, so one recursion per
-parity serves all legs: O(N) per shift.  ``ladder_reversible_gap`` counts
-once at -cos(pi/(N_e+1)) and cos(pi/(N_e+1)) and brackets the smallest or
-the second-largest spider eigenvalue by multisection only when it lies past
-that shift, where it can beat the rung modes.
+parity serves all legs: O(N) float operations and no array per shift.
+``ladder_reversible_gap`` counts once at -cos(pi/(N_e+1)) and once at
+cos(pi/(N_e+1)).  Only a smallest or second-largest spider eigenvalue past
+its shift can beat the rung modes, and only that one is found, by bisection
+on the count down to adjacent floats (Barth, Martin & Wilkinson, Numer.
+Math. 9 (1967)).
 
 Conductance of K in closed form: the flow out of rung n is p(n)/E[tau], so
 the rung cut has 1/(n (1 - n p(n)/E[tau])), the origin singleton
@@ -75,6 +77,7 @@ commands do not call them.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -86,8 +89,7 @@ import numpy as np
 from .errors import ValidationError
 from .operators import MarkovOperator, is_reversible
 
-# shifts per multisection round, and the pivot that stands in for an exact zero
-_MULTISECTION_POINTS = 63
+# the pivot that stands in for an exact zero
 _PIVMIN = np.finfo(float).tiny
 # contraction and Newton steps before the renewal root counts as not found;
 # the contraction hands over to Newton at a step below _CONTRACTION_RTOL |u|,
@@ -269,75 +271,73 @@ def ladder_gap(spec: LadderChainSpec) -> tuple[float, float]:
     return 1.0 - q / abs(nu), abs(t / (nu - 1.0))
 
 
-def _spider_inertia(p: np.ndarray, shifts: np.ndarray) -> np.ndarray:
-    """Number of symmetric-mode eigenvalues of K below each shift.
+def _spider_below(p0: float, even: list[float], odd: list[float], shift: float) -> int:
+    """Number of symmetric-mode eigenvalues of K below shift.
 
-    Leaf-to-root LDL^T of (spider - shift): ``piv[0, t]`` and ``piv[1, t]``
-    are the pivots at depth t from the tip of an even and an odd leg.  The
-    even leg ending at depth t is rung 2t + 2, the odd one rung 2t + 1.  A
-    zero (or subnormal) pivot is replaced by -_PIVMIN, which counts the
-    eigenvalues of a perturbation far below rounding.
+    Leaf-to-root LDL^T of (spider - shift), one pivot recursion per parity.
+    The even leg ending at depth t is rung 2t + 2, the odd one rung 2t + 1,
+    so a negative pivot at depth t counts for each of the len(even) - t or
+    len(odd) - t legs that reach it; ``even[t]`` and ``odd[t]`` are their
+    squared couplings to the origin.  A zero (or subnormal) pivot is
+    replaced by -_PIVMIN, which counts the eigenvalues of a perturbation far
+    below rounding.
     """
-    N = p.size - 1
-    s = np.asarray(shifts, dtype=float)
-    depth = (N + 1) // 2
-    piv = np.empty((2, depth, s.size))
-    piv[:, 0] = [0.5 - s, -s]
-    for t in range(depth):
-        if t:
-            off2 = np.array([[0.25], [0.5 if t == 1 else 0.25]])
-            piv[:, t] = -s - off2 / piv[:, t - 1]
-        row = piv[:, t]
-        row[np.abs(row) < _PIVMIN] = -_PIVMIN
-    below = np.cumsum(piv < 0.0, axis=1)
-    legs = np.ones((2, depth), dtype=bool)
-    legs[0, N // 2:] = False  # even rungs 2t + 2 <= N end at depths t < N // 2
-    couple = np.zeros((2, depth))  # squared coupling of each leg to the origin
-    couple[0, : N // 2] = p[2::2] / 2.0
-    couple[1] = p[1::2] / 2.0
-    couple[1, 0] = p[1]  # rung 1's one node is its middle state: the sqrt(2) fold
-    root = p[0] - s - np.sum(couple[..., None] / piv, axis=(0, 1))
-    return np.sum(below * legs[..., None], axis=(0, 1)) + (root < 0.0)
+    below, total = 0, 0.0
+    # each parity's tip pivot and squared weight of the edge from its tip: an
+    # odd leg's tip is its rung's middle state, joined with the sqrt(2) fold
+    for couple, piv, first in ((even, 0.5 - shift, 0.25), (odd, -shift, 0.5)):
+        for t, c in enumerate(couple):
+            if t:
+                piv = -shift - (first if t == 1 else 0.25) / piv
+            if abs(piv) < _PIVMIN:
+                piv = -_PIVMIN
+            if piv < 0.0:
+                below += len(couple) - t
+            total += c / piv
+    return below + (p0 - shift - total < 0.0)
+
+
+def _bisect(count, k: int, lo: float, hi: float) -> float:
+    """The k-th smallest eigenvalue that ``count`` counts, to the float.
+
+    Keeps count(lo) < k <= count(hi), which the bracket given must satisfy,
+    and halves it until lo and hi are adjacent floats; returns their midpoint.
+    """
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return mid
+        if count(mid) >= k:
+            hi = mid
+        else:
+            lo = mid
 
 
 def ladder_reversible_gap(spec: LadderChainSpec) -> float:
     """gap(K) = 1 - max(lambda_2, -lambda_min, cos(pi/(N_e+1))) of K = (P + P*)/2.
 
     cos(pi/(N_e+1)) is the largest modulus of the antisymmetric rung modes
-    (none when N = 1).  One ``_spider_inertia`` count at -rung and rung
-    decides whether lambda_min < -rung and whether lambda_2 >= rung; a spider
+    (none when N = 1).  One ``_spider_below`` count at -rung and one at rung
+    decide whether lambda_min < -rung and whether lambda_2 >= rung; a spider
     eigenvalue on the near side of its rung shift cannot set the gap.  Each
-    one past its shift is bracketed by multisection between the shift and the
-    band edge until the bracket stops shrinking.
+    one past its shift is bisected between the shift and the band edge.
     """
     p = spec.jump_pmf()
+    even = (p[2::2] / 2.0).tolist()
+    odd = (p[1::2] / 2.0).tolist()
+    odd[0] = float(p[1])  # rung 1's one node is its middle state: the sqrt(2) fold
+    count = functools.partial(_spider_below, float(p[0]), even, odd)
     size = 1 + (spec.N + 1) ** 2 // 4  # 1 + sum of ceil(n/2) over n = 1..N
     n_even = spec.N - spec.N % 2
     rung = math.cos(math.pi / (n_even + 1)) if n_even else 0.0
-    at_rung = _spider_inertia(p, np.array([-rung, rung]))
-    search = np.array([at_rung[0] >= 1, at_rung[1] < size - 1])
-    if not search.any():
-        return 1.0 - rung
-    # rows lambda_min and lambda_2: 1-based ranks, brackets and signs in the gap
-    k = np.array([1, size - 1])[search]
-    lo = np.array([-1.0 - 2.0 ** -30, rung])[search]
-    hi = np.array([-rung, 1.0 + 2.0 ** -30])[search]
-    sign = np.array([-1.0, 1.0])[search]
-    frac = np.arange(1, _MULTISECTION_POINTS + 1) / (_MULTISECTION_POINTS + 1.0)
-    rows = np.arange(k.size)
-    while True:
-        grid = np.clip(lo[:, None] + (hi - lo)[:, None] * frac, lo[:, None], hi[:, None])
-        counts = _spider_inertia(p, grid.ravel()).reshape(grid.shape)
-        # keep count(lo) < k <= count(hi), so lambda_(k) lies in [lo, hi)
-        reached = counts >= k[:, None]
-        first = np.where(reached.any(axis=1), reached.argmax(axis=1), _MULTISECTION_POINTS)
-        new_lo = np.where(first > 0, grid[rows, first - 1], lo)
-        new_hi = np.where(first < _MULTISECTION_POINTS,
-                          grid[rows, np.minimum(first, _MULTISECTION_POINTS - 1)], hi)
-        if np.array_equal(new_lo, lo) and np.array_equal(new_hi, hi):
-            break
-        lo, hi = new_lo, new_hi
-    return 1.0 - max(float(np.max(sign * 0.5 * (lo + hi))), rung)
+    edge = 1.0 + 2.0 ** -30
+    below_min, below_2 = count(-rung), count(rung)
+    worst = rung
+    if below_min >= 1:
+        worst = max(worst, -_bisect(count, 1, -edge, -rung))
+    if below_2 < size - 1:
+        worst = max(worst, _bisect(count, size - 1, rung, edge))
+    return 1.0 - worst
 
 
 def ladder_conductance(spec: LadderChainSpec) -> tuple[float, np.ndarray, np.ndarray]:

@@ -70,10 +70,6 @@ POLISH_KKT_TOL = 1e-13
 POLISH_MIN_OVERLAP = 0.999
 #: ... within this many Newton steps.
 POLISH_MAX_ITER = 10
-#: The polish is first tried after the stage of this temperature.  On the
-#: open targets measured, every polish tried before it failed: the iterate
-#: was still far from the point its restart ends at.
-POLISH_MIN_BETA = 32.0
 #: Each annealing stage's L-BFGS keeps this many curvature pairs ...
 LBFGS_MEMORY = 10
 #: ... and stops after this many iterations, once the relative decrease
@@ -455,14 +451,14 @@ def inclination(pi: TargetDistribution, restarts: int = 32) -> InclinationResult
     no seed enters, and doubling ``restarts`` keeps every start, bit for bit.
     The best witnesses measured overlap that plane by 0.98 or more, so the
     starts are near where their restarts end, and the schedule begins at
-    beta = 32.  After each stage from POLISH_MIN_BETA on,
-    ``_branch_polish`` tries to finish the restart at a first-order KKT point
-    of the primal (an eigenvector of sum_i mu_i A_i whose forms are equal
-    over supp(mu)); the first polish that passes ends the restart's
-    schedule.  A restart whose polish never passes runs the whole schedule
-    and keeps its last annealed iterate.  Each stage runs the restarts still
-    in the schedule together, and ties resolve to the lowest restart index,
-    so the result is schedule-independent.  Either way ``lower`` is sqrt of
+    beta = 32.  After every stage, ``_branch_polish`` tries to finish the
+    restart at a first-order KKT point of the primal (an eigenvector of
+    sum_i mu_i A_i whose forms are equal over supp(mu)); the first polish
+    that passes ends the restart's schedule.  A restart whose polish never
+    passes runs the whole schedule and keeps its last annealed iterate.
+    Each stage runs the restarts still in the schedule together, and ties
+    resolve to the lowest restart index, so the result is
+    schedule-independent.  Either way ``lower`` is sqrt of
     the dual, and ``kkt_residual`` is max_i v^T A_i v - lambda for the
     witness v and the eigenvalue lambda it was certified or polished at
     (None when no polish passed in the best restart).
@@ -486,14 +482,13 @@ def inclination(pi: TargetDistribution, restarts: int = 32) -> InclinationResult
     for beta in (32.0, 256.0, 2048.0, 16384.0):
         x = _lbfgs(_smoothed_objective, w[live], (forms, beta))
         w[live] = x / _row_norms(x)
-        if beta >= POLISH_MIN_BETA:
-            for r in live.tolist():
-                polished = _branch_polish(forms, w[r], beta)
-                if polished is not None:
-                    w[r], residuals[r] = polished
-            live = np.array([r for r in live.tolist() if residuals[r] is None], dtype=np.intp)
-            if not live.size:
-                break
+        for r in live.tolist():
+            polished = _branch_polish(forms, w[r], beta)
+            if polished is not None:
+                w[r], residuals[r] = polished
+        live = np.array([r for r in live.tolist() if residuals[r] is None], dtype=np.intp)
+        if not live.size:
+            break
     values = [_max_form(forms, v) for v in w]
     best = 0
     for r, val in enumerate(values):

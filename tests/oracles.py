@@ -9,12 +9,7 @@ from typing import Sequence
 
 import numpy as np
 
-from gibbsgap.counterexample import (
-    _MULTISECTION_POINTS,
-    LadderChainSpec,
-    _geometric_mass,
-    _spider_inertia,
-)
+from gibbsgap.counterexample import _PIVMIN, LadderChainSpec, _geometric_mass
 from gibbsgap.errors import ValidationError
 from gibbsgap.geometry import LBFGS_FTOL, LBFGS_GTOL, LBFGS_MAX_ITER, LBFGS_MEMORY
 from gibbsgap.measure import ProductSpace, TargetDistribution
@@ -135,6 +130,41 @@ def ladder_gap_companion(spec: LadderChainSpec) -> tuple[float, float]:
     return 1.0 - float(np.abs(others).max()), residual
 
 
+# shifts per multisection round
+_MULTISECTION_POINTS = 63
+
+
+def spider_inertia(p: np.ndarray, shifts: np.ndarray) -> np.ndarray:
+    """Number of symmetric-mode eigenvalues of the ladder's K below each
+    shift, for all shifts at once (oracle for ``counterexample._spider_below``).
+
+    Leaf-to-root LDL^T of (spider - shift): ``piv[0, t]`` and ``piv[1, t]``
+    are the pivots at depth t from the tip of an even and an odd leg.  The
+    even leg ending at depth t is rung 2t + 2, the odd one rung 2t + 1.  A
+    zero (or subnormal) pivot is replaced by -_PIVMIN.
+    """
+    N = p.size - 1
+    s = np.asarray(shifts, dtype=float)
+    depth = (N + 1) // 2
+    piv = np.empty((2, depth, s.size))
+    piv[:, 0] = [0.5 - s, -s]
+    for t in range(depth):
+        if t:
+            off2 = np.array([[0.25], [0.5 if t == 1 else 0.25]])
+            piv[:, t] = -s - off2 / piv[:, t - 1]
+        row = piv[:, t]
+        row[np.abs(row) < _PIVMIN] = -_PIVMIN
+    below = np.cumsum(piv < 0.0, axis=1)
+    legs = np.ones((2, depth), dtype=bool)
+    legs[0, N // 2:] = False  # even rungs 2t + 2 <= N end at depths t < N // 2
+    couple = np.zeros((2, depth))  # squared coupling of each leg to the origin
+    couple[0, : N // 2] = p[2::2] / 2.0
+    couple[1] = p[1::2] / 2.0
+    couple[1, 0] = p[1]  # rung 1's one node is its middle state: the sqrt(2) fold
+    root = p[0] - s - np.sum(couple[..., None] / piv, axis=(0, 1))
+    return np.sum(below * legs[..., None], axis=(0, 1)) + (root < 0.0)
+
+
 def ladder_reversible_gap_multisection(spec: LadderChainSpec) -> float:
     """gap(K) of the ladder's reversibilization with lambda_2 and lambda_min
     each bracketed by multisection over the whole band [-1, 1] (oracle for
@@ -149,7 +179,7 @@ def ladder_reversible_gap_multisection(spec: LadderChainSpec) -> float:
     rows = np.arange(2)
     while True:
         grid = np.clip(lo[:, None] + (hi - lo)[:, None] * frac, lo[:, None], hi[:, None])
-        counts = _spider_inertia(p, grid.ravel()).reshape(grid.shape)
+        counts = spider_inertia(p, grid.ravel()).reshape(grid.shape)
         # keep count(lo) < k <= count(hi), so lambda_(k) lies in [lo, hi)
         reached = counts >= k[:, None]
         first = np.where(reached.any(axis=1), reached.argmax(axis=1), _MULTISECTION_POINTS)

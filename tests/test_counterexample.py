@@ -17,7 +17,7 @@ from gibbsgap import counterexample, operators
 from gibbsgap.cli import main
 from gibbsgap.counterexample import (
     LadderChainSpec,
-    _spider_inertia,
+    _spider_below,
     build_ladder,
     conductance,
     ladder_conductance,
@@ -29,6 +29,7 @@ from gibbsgap.counterexample import (
 )
 from gibbsgap.errors import ValidationError
 from gibbsgap.operators import (
+    _centered_conjugated,
     additive_reversibilization,
     adjoint,
     is_reversible,
@@ -320,6 +321,19 @@ def _dense_reversibilization(spec):
     return additive_reversibilization(build_ladder(spec))
 
 
+def _dense_reversible_gap(spec):
+    """1 - the largest |eigenvalue| of D^{1/2} (K - Pi) D^{-1/2}, symmetric since K is reversible."""
+    K = _dense_reversibilization(spec)
+    a = _centered_conjugated(K.kernel, K.stationary)
+    return 1.0 - float(np.abs(np.linalg.eigvalsh(0.5 * (a + a.T))).max())
+
+
+def _spider_couplings(spec):
+    """p(0) and each even and odd leg's squared coupling to the origin."""
+    p = spec.jump_pmf().tolist()
+    return p[0], [x / 2.0 for x in p[2::2]], [p[1]] + [x / 2.0 for x in p[3::2]]
+
+
 class TestReversibleGap:
     """The spider-and-rung reduction against the dense symmetric solve of K."""
 
@@ -327,21 +341,19 @@ class TestReversibleGap:
     @pytest.mark.parametrize("n_trunc", [1, 2, 3, 9, 12, 17, 25, 40])
     def test_matches_dense_solve(self, q, n_trunc):
         spec = LadderChainSpec(N=n_trunc, q=q)
-        dense = 1.0 - spectral_radius_centered(_dense_reversibilization(spec))
-        assert ladder_reversible_gap(spec) == pytest.approx(dense, abs=1e-12)
+        assert ladder_reversible_gap(spec) == pytest.approx(_dense_reversible_gap(spec), abs=1e-12)
 
     def test_matches_dense_solve_at_60(self):
         spec = LadderChainSpec(N=60, q=0.8)
-        dense = 1.0 - spectral_radius_centered(_dense_reversibilization(spec))
-        assert ladder_reversible_gap(spec) == pytest.approx(dense, abs=1e-12)
+        assert ladder_reversible_gap(spec) == pytest.approx(_dense_reversible_gap(spec), abs=1e-12)
 
     @pytest.mark.parametrize("q", [0.2, 0.5, 0.8, 0.95])
     @pytest.mark.parametrize("n_trunc", [1, 2, 9, 17])
     def test_inertia_counts_every_symmetric_mode(self, q, n_trunc):
-        p = LadderChainSpec(N=n_trunc, q=q).jump_pmf()
+        couplings = _spider_couplings(LadderChainSpec(N=n_trunc, q=q))
         size = 1 + sum(math.ceil(n / 2) for n in range(1, n_trunc + 1))
-        counts = _spider_inertia(p, np.array([1.0 + 1e-12, -1.0 - 1e-12]))
-        assert counts.tolist() == [size, 0]
+        assert _spider_below(*couplings, 1.0 + 1e-12) == size
+        assert _spider_below(*couplings, -1.0 - 1e-12) == 0
 
     @pytest.mark.parametrize(
         "q", [1e-307, 1e-300, 1e-8, 0.05, 0.2, 0.5, 0.8, 0.95, 0.99, 0.999])
@@ -362,23 +374,33 @@ class TestReversibleGap:
         (0.5, 5, True), (0.5, 201, True), (1e-307, 40, True),
     ])
     def test_searches_only_past_the_rung_shifts(self, q, n_trunc, searches, monkeypatch):
-        grids = []
+        shifts = []
 
-        def spy(p, shifts):
-            grids.append(np.array(shifts))
-            return _spider_inertia(p, shifts)
+        def spy(p0, even, odd, shift):
+            shifts.append(shift)
+            return _spider_below(p0, even, odd, shift)
 
-        monkeypatch.setattr(counterexample, "_spider_inertia", spy)
+        monkeypatch.setattr(counterexample, "_spider_below", spy)
         ladder_reversible_gap(LadderChainSpec(N=n_trunc, q=q))
         n_even = n_trunc - n_trunc % 2
         rung = math.cos(math.pi / (n_even + 1))
-        assert grids[0].tolist() == [-rung, rung]
-        assert (len(grids) > 1) == searches
+        assert shifts[:2] == [-rung, rung]
+        assert (len(shifts) > 2) == searches
         edge = 1.0 + 2.0 ** -30
-        for grid in grids[1:]:
-            for row in grid.reshape(-1, counterexample._MULTISECTION_POINTS):
-                assert (np.all((-edge <= row) & (row <= -rung))
-                        or np.all((rung <= row) & (row <= edge)))
+        for shift in shifts[2:]:
+            assert -edge <= shift <= -rung or rung <= shift <= edge
+
+    def test_searched_gap_allocates_under_50_kb(self):
+        # both spider eigenvalues are searched here, 80 counts over 101 depths
+        spec = LadderChainSpec(N=201, q=0.5)
+        ladder_reversible_gap(spec)
+        tracemalloc.start()
+        try:
+            ladder_reversible_gap(spec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 50_000
 
     @pytest.mark.parametrize("n_trunc", [200, 201, 5000])
     def test_large_truncation_without_oracle(self, n_trunc):

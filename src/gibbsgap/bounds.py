@@ -11,18 +11,19 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .errors import ValidationError
 from .geometry import angle_from_uniform_norm, inclination_lower_bound
-from .operators import DeterministicScan, RandomScan, Spectra
+from .operators import DeterministicScan, RandomScan
 
 SLACK_TOL = 1e-9
 #: Permutations are enumerated exhaustively up to this dimension, sampled beyond.
 EXHAUSTIVE_PERM_DIM = 5
-#: Permutations sampled above EXHAUSTIVE_PERM_DIM (the identity and its reverse included).
+#: Permutations sampled above EXHAUSTIVE_PERM_DIM, as SAMPLED_PERMS / 2 reversal
+#: pairs (the identity and its reverse included).
 SAMPLED_PERMS = 24
 
 
@@ -84,14 +85,19 @@ def rapid_mixing_transfer(beta: float, gamma: float, d: int) -> float:
 
 
 def sample_permutations(d: int, seed: int = 0) -> list[tuple[int, ...]]:
-    """All d! permutations for small d, a seeded sample beyond."""
+    """All d! permutations for small d, a seeded sample of reversal pairs beyond.
+
+    Each sampled order comes with its reverse, whose sweep is its adjoint, so
+    the sample's norms take one sweep per pair (``operators.Spectra``).
+    """
     if d <= EXHAUSTIVE_PERM_DIM:
         return [tuple(p) for p in itertools.permutations(range(1, d + 1))]
     rng = np.random.default_rng(seed)
-    out = {tuple(range(1, d + 1)), tuple(range(d, 0, -1))}
-    while len(out) < SAMPLED_PERMS:
-        out.add(tuple(int(x) + 1 for x in rng.permutation(d)))
-    return sorted(out)
+    pairs = {tuple(range(1, d + 1))}  # each pair by its lesser order
+    while len(pairs) < SAMPLED_PERMS // 2:
+        order = tuple(int(x) + 1 for x in rng.permutation(d))
+        pairs.add(min(order, order[::-1]))
+    return sorted(pairs | {order[::-1] for order in pairs})
 
 
 def _row(name: str, bound: float, exact: float, inputs: dict, sharp: bool = False) -> dict:
@@ -100,10 +106,11 @@ def _row(name: str, bound: float, exact: float, inputs: dict, sharp: bool = Fals
             "sharp": sharp, "inputs": inputs}
 
 
-def verify_bounds(spectra: Spectra, dsg_scans: Sequence[DeterministicScan],
+def verify_bounds(norms: Mapping, dsg_scans: Sequence[DeterministicScan],
                   rsg_scans: Sequence[RandomScan], ell_lower: float) -> tuple[float, list[dict]]:
     """The angle c and the report's bounds rows: each bound against the exact
-    norm (from spectra) of a given scan.
+    norm of a given scan, read from ``norms``, a mapping from scan to centered
+    norm that holds the given scans and the uniform random scan.
 
     A row holds ``name``, ``bound``, ``exact``, ``slack`` = bound - exact,
     ``sharp`` and the ``inputs`` the bound was evaluated from.  Asserts
@@ -113,9 +120,9 @@ def verify_bounds(spectra: Spectra, dsg_scans: Sequence[DeterministicScan],
     certified inclination floor, and from ``ell_lower``, a lower bound on
     the inclination such as ``InclinationResult.lower``.
     """
-    d = spectra.pi.space.d
+    d = next(iter(norms)).d  # every scan in norms has the target's d
     uniform = RandomScan.uniform(d)
-    exact_uniform = spectra.norm(uniform)
+    exact_uniform = norms[uniform]
     c = angle_from_uniform_norm(exact_uniform, d)
     rows = [
         _row("rsg_uniform_sharpness", rsg_norm_bound(c, d, uniform), exact_uniform,
@@ -123,12 +130,12 @@ def verify_bounds(spectra: Spectra, dsg_scans: Sequence[DeterministicScan],
         # universal floor: exact norm >= 1/d, recorded as bound=exact, exact=1/d
         _row("rsg_lower_bound_1_over_d", exact_uniform, 1.0 / d, {"d": d}),
     ]
-    rows += [_row("rsg_norm_bound", rsg_norm_bound(c, d, scan), spectra.norm(scan),
+    rows += [_row("rsg_norm_bound", rsg_norm_bound(c, d, scan), norms[scan],
                   {"c": c, "d": d, "weights": scan.weights}) for scan in rsg_scans]
 
     cor2 = dsg_norm_bound_from_c(c, d)
     for scan in dsg_scans:
-        exact = spectra.norm(scan)
+        exact = norms[scan]
         rows += [
             _row("dsg_norm_bound", cor2, exact, {"c": c, "d": d, "sigma": scan.order}),
             _row("dsg_norm_bound_via_certified_l",

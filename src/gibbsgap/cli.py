@@ -109,11 +109,8 @@ def _scan_label(scan) -> str:
 
 def cmd_analyze(args) -> int:
     pi = _load_target(args)
-    spectra = Spectra(pi)
     d = pi.space.d
     scans = _requested_scans(args, d)
-    # before the pass: after it, the inclination's forms raised max RSS by 5 MB at d = 8, 9
-    incl = geometry.inclination(pi, restarts=args.restarts)
     perms = [DeterministicScan(s) for s in bounds_mod.sample_permutations(d, seed=args.seed)]
     uniform = RandomScan.uniform(d)
     rng = np.random.default_rng(args.seed)
@@ -122,13 +119,22 @@ def cmd_analyze(args) -> int:
         w = rng.dirichlet(np.ones(d))
         w = np.maximum(w, 1e-9)
         weighted.append(RandomScan(tuple(w / w.sum())))
-    # every scan the report reads, measured in one stacked pass
-    spectra.measure([(s, "radius") for s in scans]
-                    + [(s, "norm") for s in [*scans, *perms, uniform, *weighted]])
+    sweeps = [s for s in scans if isinstance(s, DeterministicScan)]
+    mixes = [s for s in scans if isinstance(s, RandomScan)]
+    # every random-scan norm from the inclination's forms, which are freed before
+    # the sweeps' pass: held through it, they raised max RSS by 5 MB at d = 8, 9
+    incl = geometry.inclination(pi, restarts=args.restarts, scans=[uniform, *weighted, *mixes])
+    norms = dict(incl.scan_norms)  # every norm the report reads, by scan
+    # every sweep the report reads, one per symmetry class, in one stacked pass
+    values = Spectra(pi).measure([(s, "radius") for s in sweeps]
+                                 + [(s, "norm") for s in [*sweeps, *perms]])
+    radii = dict(zip(sweeps, values[:len(sweeps)]))
+    norms.update(zip([*sweeps, *perms], values[len(sweeps):]))
 
     scan_rows = []
     for scan in scans:
-        norm, rho = spectra.norm_and_radius(scan)
+        norm = norms[scan]
+        rho = radii.get(scan, norm)  # a random scan's radius is its norm
         scan_rows.append({
             "scan": _scan_label(scan),
             "l2_norm_centered": norm,
@@ -138,18 +144,17 @@ def cmd_analyze(args) -> int:
         })
 
     # the bounds cover the requested scans of each kind, else perms or the uniform scan
-    dsg_scans = [s for s in scans if isinstance(s, DeterministicScan)] or perms
-    rsg_scans = [s for s in scans if isinstance(s, RandomScan)] or [uniform]
-    c, bound_rows = bounds_mod.verify_bounds(spectra, dsg_scans, rsg_scans, incl.lower)
+    c, bound_rows = bounds_mod.verify_bounds(norms, sweeps or perms, mixes or [uniform],
+                                             incl.lower)
     angle_bf = geometry.friedrichs_angle_bruteforce(pi)
     sandwich = geometry.check_sandwich(c, incl.value, d)
 
     # numeric surrogates for the six equivalent gap conditions
-    perm_norms = {",".join(map(str, s.order)): spectra.norm(s) for s in perms}
-    weight_norms = [spectra.norm(s) for s in weighted]
+    perm_norms = {",".join(map(str, s.order)): norms[s] for s in perms}
+    weight_norms = [norms[s] for s in weighted]
     # each P_i is a self-adjoint projection, so the palindromic sweep is D D*
     sym_norms = {key: norm ** 2 for key, norm in perm_norms.items()}
-    uniform_norm = spectra.norm(uniform)
+    uniform_norm = norms[uniform]
     panel = {
         "some_rsg_norm_lt_1": bool(uniform_norm < 1.0 - GAP_POSITIVE_TOL),
         "all_rsg_norm_lt_1": bool(all(v < 1.0 - GAP_POSITIVE_TOL for v in [uniform_norm] + weight_norms)),

@@ -320,7 +320,9 @@ def ladder_reversible_gap(spec: LadderChainSpec) -> float:
     (none when N = 1).  One ``_spider_below`` count at -rung and one at rung
     decide whether lambda_min < -rung and whether lambda_2 >= rung; a spider
     eigenvalue on the near side of its rung shift cannot set the gap.  Each
-    one past its shift is bisected between the shift and the band edge.
+    one past its shift is bisected between the shift and the band edge, or,
+    for lambda_2, between rung and the next float when a count there shows
+    it lies in that gap (at large N it does), which ends at once.
     """
     p = spec.jump_pmf()
     even = (p[2::2] / 2.0).tolist()
@@ -336,7 +338,10 @@ def ladder_reversible_gap(spec: LadderChainSpec) -> float:
     if below_min >= 1:
         worst = max(worst, -_bisect(count, 1, -edge, -rung))
     if below_2 < size - 1:
-        worst = max(worst, _bisect(count, size - 1, rung, edge))
+        # lambda_2 within one float of the rung needs no bisection
+        tight = math.nextafter(rung, 2.0)
+        hi = tight if count(tight) >= size - 1 else edge
+        worst = max(worst, _bisect(count, size - 1, rung, hi))
     return 1.0 - worst
 
 

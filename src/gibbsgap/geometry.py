@@ -14,7 +14,12 @@ to each other:
   dist(f, M_i)^2 on the mean-zero unit sphere, ell^2 = min_v max_i v^T A_i v.
   By weak duality ell^2 >= max_{w in simplex} lambda_min(sum_i w_i A_i), and
   sum_i w_i A_i = I - RSG_w on mean-zero functions, so the dual is the best
-  random-scan gap.  ``inclination`` solves the dual by projected Newton; the
+  random-scan gap.  The same identity gives each random scan's norm,
+  ||RSG_w - Pi|| = 1 - lambda_min(sum_i w_i A_i), which ``inclination``
+  returns for the scans it is given while the forms exist, so ``analyze``
+  builds no random-scan kernel.  ``inclination`` solves the dual by
+  projected Newton, each step one matmul for sum_i w_i A_i, one ``eigh`` and
+  one solve of the step's KKT system; the
   eigenvector of the final w is a witness whose max_i v^T A_i v bounds ell^2
   from above, so [sqrt(dual), ell_hat] brackets ell.  When the bracket closes
   ell_hat is certified.  When it stays open (lambda_min multiple at the dual
@@ -37,13 +42,13 @@ beside it.  No command loads scipy.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import ValidationError
 from .measure import TargetDistribution
-from .operators import RandomScan, l2_norm_centered, rsg
+from .operators import _STACK_BYTES, RandomScan, _checked_scan, l2_norm_centered, rsg
 
 #: The sandwich inequalities are checked to this tolerance.
 SANDWICH_TOL = 1e-9
@@ -91,6 +96,8 @@ class InclinationResult:
     #: sum_i mu_i A_i with eigenvalue lambda; None when the best restart's
     #: polish never passed
     kkt_residual: Optional[float]
+    #: ||RSG_w - Pi|| = 1 - lambda_min(sum_i w_i A_i) of each random scan given
+    scan_norms: dict
 
 
 def subspace_basis(i: int, pi: TargetDistribution) -> np.ndarray:
@@ -153,20 +160,24 @@ def friedrichs_angle_bruteforce(pi: TargetDistribution) -> float:
     return float((np.linalg.eigvalsh(gram)[-1] - 1.0) / (d - 1.0))
 
 
+def _chart(pi: TargetDistribution) -> np.ndarray:
+    """The chart Q: the last n - 1 right singular vectors of the row
+    sqrt(pi)^T (LAPACK gesdd), the same chart as ``scipy.linalg.null_space``
+    gives.  The chart fixes the basis that ``eigh`` picks in a nearly double
+    lambda_min, and so where the open-bracket restarts start: changing it can
+    change ell_hat on open brackets."""
+    return np.linalg.svd(np.sqrt(pi.pmf)[None, :])[2][1:].T
+
+
 def _inclination_forms(pi: TargetDistribution) -> tuple[np.ndarray, np.ndarray]:
-    """Quadratic forms A_i on the mean-zero sphere, plus the chart Q.
+    """Quadratic forms A_i on the mean-zero sphere, plus the chart Q (``_chart``).
 
     In coordinates y = D^{1/2} f restricted to the orthogonal complement of
     sqrt(pi), dist(f, M_i)^2 = v^T A_i v for y = Q v.  D^{1/2} P_i D^{-1/2}
     is C_i C_i^T, whose columns are the unit vectors sqrt(pi(x_i | x_{-i}))
     of the x_{-i} cells, so A_i = I - (Q^T C_i)(Q^T C_i)^T, exactly symmetric.
-    Q holds the last n - 1 right singular vectors of the row sqrt(pi)^T
-    (LAPACK gesdd), the same chart as ``scipy.linalg.null_space`` gives.  The
-    chart fixes the basis that ``eigh`` picks in a nearly double lambda_min,
-    and so where the open-bracket restarts start: changing it can change
-    ell_hat on open brackets.
     """
-    q = np.linalg.svd(np.sqrt(pi.pmf)[None, :])[2][1:].T
+    q = _chart(pi)
     m = q.shape[1]
     forms = np.empty((pi.space.d, m, m))
     for form, (cells, cond) in zip(forms, pi.conditionals):
@@ -177,6 +188,33 @@ def _inclination_forms(pi: TargetDistribution) -> tuple[np.ndarray, np.ndarray]:
 
 def _max_form(forms: np.ndarray, v: np.ndarray) -> float:
     return float(max(v @ a @ v for a in forms))
+
+
+def _form_sums(forms: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """sum_i w_i A_i for a weight vector w, or for each row of a (k, d) block
+    of them, by one matmul.  Each row is its own vector-matrix product, so a
+    row's sum does not depend on the rows beside it."""
+    d, m, _ = forms.shape
+    return (w[..., None, :] @ forms.reshape(d, m * m)).reshape(*w.shape[:-1], m, m)
+
+
+def _scan_norms(forms: np.ndarray, scans: Sequence[RandomScan]) -> dict:
+    """||RSG_w - Pi|| = 1 - lambda_min(sum_i w_i A_i) of each random scan.
+
+    On mean-zero functions sum_i w_i A_i = I - RSG_w, and RSG_w, a mix of
+    orthogonal projections, is positive semi-definite, so its centered norm
+    is its top eigenvalue there.  The sums are solved by ``eigvalsh`` in
+    chunks of at most _STACK_BYTES.
+    """
+    m = forms.shape[1]
+    scans = list(dict.fromkeys(scans))
+    size = max(1, _STACK_BYTES // (8 * m * m))
+    norms = {}
+    for start in range(0, len(scans), size):
+        chunk = scans[start:start + size]
+        sums = _form_sums(forms, np.array([scan.weights for scan in chunk]))
+        norms.update(zip(chunk, (1.0 - np.linalg.eigvalsh(sums)[:, 0]).tolist()))
+    return norms
 
 
 def _row_norms(x: np.ndarray) -> np.ndarray:
@@ -318,15 +356,20 @@ def _simplex_newton_step(w: np.ndarray, g: np.ndarray, h: np.ndarray) -> np.ndar
     """Ascent step p with sum(p) = 0 maximizing g^T p + p^T h p / 2.
 
     Weights at 0 that the step would push negative are held at 0 and the
-    step is solved again on the rest.
+    step is solved again on the rest.  The KKT system is solved by LU, and
+    by least squares where its matrix is singular.
     """
     free = np.ones(w.shape[0], dtype=bool)
     while True:
         k = int(free.sum())
         kkt = np.zeros((k + 1, k + 1))
-        kkt[:k, :k] = -h[np.ix_(free, free)]
+        kkt[:k, :k] = -h[free][:, free]
         kkt[:k, k] = kkt[k, :k] = 1.0
-        sol = np.linalg.lstsq(kkt, np.append(g[free], 0.0), rcond=None)[0]
+        rhs = np.append(g[free], 0.0)
+        try:
+            sol = np.linalg.solve(kkt, rhs)
+        except np.linalg.LinAlgError:  # a singular KKT matrix
+            sol = np.linalg.lstsq(kkt, rhs, rcond=None)[0]
         p = np.zeros_like(w)
         p[free] = sol[:k]
         stuck = free & (w <= 0.0) & (p < 0.0)
@@ -340,7 +383,7 @@ def _bracket_closed(lower: float, upper: float) -> bool:
 
 
 def _eigh_at(forms: np.ndarray, w: np.ndarray):
-    return np.linalg.eigh(np.tensordot(w, forms, axes=1))
+    return np.linalg.eigh(_form_sums(forms, w))
 
 
 def inclination_dual(forms: np.ndarray) -> tuple[float, float, np.ndarray]:
@@ -407,7 +450,7 @@ def _branch_polish(forms: np.ndarray, w: np.ndarray, beta: float):
     v overlaps w by POLISH_MIN_OVERLAP and its value is no worse than w's;
     None if that does not happen within POLISH_MAX_ITER steps.
     """
-    q = np.einsum("i,kij,j->k", w, forms, w)
+    q = (forms @ w) @ w
     mu = np.exp(beta * (q - q.max()))
     mu /= mu.sum()
     lam, u = _eigh_at(forms, mu)
@@ -438,7 +481,13 @@ def _branch_polish(forms: np.ndarray, w: np.ndarray, beta: float):
     return None
 
 
-def inclination(pi: TargetDistribution, restarts: int = 32) -> InclinationResult:
+def _witness(pi: TargetDistribution, v: np.ndarray) -> np.ndarray:
+    """The function f = D^{-1/2} Q v by flat state, for v in chart coordinates."""
+    return (_chart(pi) @ v) / np.sqrt(pi.pmf)
+
+
+def inclination(pi: TargetDistribution, restarts: int = 32,
+                scans: Sequence[RandomScan] = ()) -> InclinationResult:
     """The inclination bracketed by the random-scan dual, with a witness.
 
     ``inclination_dual`` runs first.  If its bracket closes, ell_hat is the
@@ -461,18 +510,24 @@ def inclination(pi: TargetDistribution, restarts: int = 32) -> InclinationResult
     schedule-independent.  Either way ``lower`` is sqrt of
     the dual, and ``kkt_residual`` is max_i v^T A_i v - lambda for the
     witness v and the eigenvalue lambda it was certified or polished at
-    (None when no polish passed in the best restart).
+    (None when no polish passed in the best restart).  ``scan_norms`` maps
+    each of ``scans`` (random scans, or their weight tuples) to its centered
+    norm, from the same forms (``_scan_norms``).
     """
     if restarts < 1:
         raise ValidationError("restarts must be >= 1, got %d" % restarts)
-    forms, q = _inclination_forms(pi)
-    s = np.sqrt(pi.pmf)
+    scans = [_checked_scan(scan, RandomScan, pi) for scan in scans]
+    # the n x n chart is built again for the witness, not held through the
+    # eigen-solves: 2.1 MB at d = 9, 8.4 MB at d = 10
+    forms = _inclination_forms(pi)[0]
+    scan_norms = _scan_norms(forms, scans)
     lower, upper, plane = inclination_dual(forms)
     ell_lower = float(np.sqrt(max(lower, 0.0)))
     if _bracket_closed(lower, upper):
         return InclinationResult(value=float(np.sqrt(max(upper, 0.0))),
-                                 witness=(q @ plane[:, 0]) / s, restarts=0, lower=ell_lower,
-                                 certified=True, kkt_residual=upper - lower)
+                                 witness=_witness(pi, plane[:, 0]), restarts=0, lower=ell_lower,
+                                 certified=True, kkt_residual=upper - lower,
+                                 scan_norms=scan_norms)
     theta = np.pi * np.arange(restarts) / restarts
     w = np.cos(theta)[:, None] * plane[:, 0]
     if plane.shape[1] > 1:  # with m = 1 the sphere is u_0 and -u_0
@@ -495,8 +550,9 @@ def inclination(pi: TargetDistribution, restarts: int = 32) -> InclinationResult
         if val < values[best] - 1e-15:
             best = r
     return InclinationResult(value=float(np.sqrt(max(values[best], 0.0))),
-                             witness=(q @ w[best]) / s, restarts=restarts, lower=ell_lower,
-                             certified=False, kkt_residual=residuals[best])
+                             witness=_witness(pi, w[best]), restarts=restarts, lower=ell_lower,
+                             certified=False, kkt_residual=residuals[best],
+                             scan_norms=scan_norms)
 
 
 def inclination_lower_bound(c: float, d: int) -> float:

@@ -4,12 +4,16 @@ Every scan is built from the small steps P_1..P_d: ``dsg`` multiplies them
 along an update path, ``rsg`` mixes them.  Each step is densified on demand
 from the target's table of full conditionals (``TargetDistribution.conditionals``),
 so ``dsg`` holds at most three dense kernels at once: the product so far, the
-next step and their product.  ``Spectra`` measures every scan a command reads
-in one pass: it stacks a chunk of kernels, built as ``dsg`` and ``rsg`` build
-them from small steps densified once per pass where they fit its byte budget,
-and solves the chunk by one ``eigvals`` and one SVD call.  No command needs the palindromic
-``symmetrized_sweep``: it is D D* for the sweep D, so its centered norm is
-||D - Pi||^2.  It stays as a hook of perfbench's tracer and as the tests' oracle.
+next step and their product.  ``Spectra`` measures the scans a command reads
+in one pass, one scan per symmetry class (a sweep's norm is its reverse's, its
+radius that of every rotation and reversal): it stacks a chunk of kernels,
+built as ``dsg`` and ``rsg`` build them from small steps densified once per
+pass where they fit its byte budget, and solves the chunk by one ``eigvals``
+and one SVD call.  ``analyze`` asks it for sweeps only: its random-scan norms
+come from the inclination's forms (``geometry.inclination``).  No command
+needs the palindromic ``symmetrized_sweep``: it is D D* for the sweep D, so
+its centered norm is ||D - Pi||^2.  It stays as a hook of perfbench's tracer
+and as the tests' oracle.
 
 Order convention: ``dsg(sigma, pi)`` returns the kernel of the chain that
 updates coordinate sigma(1) *first in time* and sigma(d) last, i.e. the
@@ -288,18 +292,36 @@ def spectral_radius_centered(op: MarkovOperator) -> float:
 _STACK_BYTES = 1 << 20
 
 
+def _symmetry_class(scan: ScanSpec, name: str) -> tuple[ScanSpec, str]:
+    """The (representative, name) request whose value a (scan, name) request
+    shares: a random scan's radius is its norm, a sweep's norm is its
+    reverse's, and a sweep's radius is that of every rotation and reversal."""
+    if isinstance(scan, RandomScan):  # self-adjoint in L2(pi)
+        return scan, "norm"
+    if not isinstance(scan, DeterministicScan):
+        raise ValidationError("unknown scan spec %r" % (scan,))
+    order = scan.order
+    turns = [order[k:] + order[:k] for k in range(len(order))] if name == "radius" else [order]
+    return DeterministicScan(min(min(turn, turn[::-1]) for turn in turns)), name
+
+
 class Spectra:
     """Centered norms and radii of the DSG and RSG scans of pi.
 
     pi is taken as given: the command that loaded it has already checked it
-    against the state cap.  ``measure`` serves a list of requests in one
-    pass over the scans not yet measured: each chunk of their kernels, built
-    as ``dsg`` and ``rsg`` build them, is stacked as one (k, n, n) array,
-    checked as ``MarkovOperator`` checks one kernel, and solved by one
-    ``eigvals`` call for its sweep radii and one SVD call for its norms.
-    Stacked LAPACK calls give the bits of per-matrix calls, so each value
-    equals ``spectral_radius_centered`` or ``l2_norm_centered`` of the scan's
-    operator.
+    against the state cap.  A request is measured on its symmetry class's
+    representative: a sweep's norm on the lesser of its order and the
+    reversed order (the reversed sweep is its L2(pi) adjoint), a sweep's
+    radius on the least of the 2d rotations and reversals of its order (AB
+    and BA share their nonzero spectrum).  ``measure`` serves a list of
+    requests in one pass over the representatives not measured yet: each
+    chunk of their kernels, built as ``dsg`` and ``rsg`` build them, is
+    stacked as one (k, n, n) array, checked as ``MarkovOperator`` checks one
+    kernel, and solved by one ``eigvals`` call for its sweep radii and one
+    SVD call for its norms.  Stacked LAPACK calls give the bits of per-matrix
+    calls, so each value equals ``spectral_radius_centered`` or
+    ``l2_norm_centered`` of the representative's operator, and every request
+    of a class gets that one float.
 
     The chunks fit _STACK_BYTES, three n x n arrays per scan.  Where all d
     small steps fit beside one scan, each is densified once per pass and kept
@@ -317,15 +339,10 @@ class Spectra:
         """||K - Pi|| for the kernel K that the scan simulates."""
         return self.measure([(scan, "norm")])[0]
 
-    def norm_and_radius(self, scan: ScanSpec) -> tuple[float, float]:
-        return tuple(self.measure([(scan, "norm"), (scan, "radius")]))
-
     def measure(self, requests: Sequence[tuple[ScanSpec, str]]) -> list[float]:
-        """The value of each (scan, "norm" or "radius") request; the ones not
+        """The value of each (scan, "norm" or "radius") request; the classes not
         memoized yet are measured in one pass."""
-        # a random scan is self-adjoint in L2(pi)
-        requests = [(scan, "norm" if isinstance(scan, RandomScan) else name)
-                    for scan, name in requests]
+        requests = [_symmetry_class(scan, name) for scan, name in requests]
         missing = [request for request in requests if request not in self._memo]
         if missing:
             self._measure(missing)
@@ -336,8 +353,6 @@ class Spectra:
         checked against the target before any kernel is built."""
         wanted: dict = {}
         for scan, name in requests:
-            if not isinstance(scan, (DeterministicScan, RandomScan)):
-                raise ValidationError("unknown scan spec %r" % (scan,))
             wanted.setdefault(_checked_scan(scan, type(scan), self.pi), set()).add(name)
         scans = list(wanted)
         d, n = self.pi.space.d, self.pi.space.total_states

@@ -24,8 +24,12 @@ def _orders(d):
 
 
 def _verify(pi, dsg_scans, rsg_scans):
-    """verify_bounds as analyze calls it, with the dual lower bound on the inclination."""
-    return verify_bounds(Spectra(pi), dsg_scans, rsg_scans, inclination(pi, restarts=1).lower)
+    """verify_bounds as analyze calls it: random-scan norms from the inclination's
+    forms, sweep norms from Spectra, and the dual lower bound on the inclination."""
+    incl = inclination(pi, restarts=1, scans=[RandomScan.uniform(pi.space.d), *rsg_scans])
+    spectra = Spectra(pi)
+    norms = {**incl.scan_norms, **{scan: spectra.norm(scan) for scan in dsg_scans}}
+    return verify_bounds(norms, dsg_scans, rsg_scans, incl.lower)
 
 
 class TestRsgNormBound:
@@ -102,6 +106,12 @@ class TestSamplePermutations:
 
     def test_deterministic(self):
         assert sample_permutations(7, seed=5) == sample_permutations(7, seed=5)
+
+    @pytest.mark.parametrize("d, seed", [(6, 0), (7, 5), (10, 3)])
+    def test_sampled_as_reversal_pairs(self, d, seed):
+        perms = sample_permutations(d, seed=seed)
+        assert len(set(perms)) == SAMPLED_PERMS
+        assert {p[::-1] for p in perms} == set(perms)
 
 
 class TestVerifyBounds:

@@ -268,7 +268,7 @@ class TestAnalyzeCommand:
         _patch_everywhere(monkeypatch, original,
                           lambda i, pi: stepped.update([i]) or original(i, pi))
         stacked = []
-        for name in ("svd", "eigvals"):
+        for name in ("svd", "eigvals", "eigvalsh"):
             solver = getattr(np.linalg, name)
             monkeypatch.setattr(np.linalg, name, lambda a, *args, _n=name, _s=solver, **kw:
                                 (np.ndim(a) == 3 and stacked.append((_n, np.shape(a))))
@@ -276,12 +276,14 @@ class TestAnalyzeCommand:
         code = main(["analyze", "--model", "equicorrelated_binary", "--d", "3",
                      "--epsilon", "0.25", "--out-dir", str(tmp_path)])
         assert code == 0
-        # one pass: each small step densified once; 3! sweep orders, whose squared norms
-        # are the SYM panel, the uniform and 8 sampled random scans in one SVD call; only
-        # the identity sweep's radius needs an eigen-solve, a random scan's radius is its
-        # norm by its type, with no reversibility probe and no per-scan operator
+        # the uniform and 8 sampled random scans' norms from the inclination's 7 x 7
+        # forms in one eigvalsh call; then one pass: each small step densified once, the
+        # 3! sweep orders' norms (squared, the SYM panel) from the SVD of one order per
+        # reversal pair; only the identity sweep's radius needs an eigen-solve, a random
+        # scan's radius is its norm by its type, with no reversibility probe and no
+        # per-scan operator
         assert stepped == Counter({1: 1, 2: 1, 3: 1})
-        assert stacked == [("eigvals", (1, 8, 8)), ("svd", (15, 8, 8))]
+        assert stacked == [("eigvalsh", (9, 7, 7)), ("eigvals", (1, 8, 8)), ("svd", (3, 8, 8))]
         assert counts == Counter()
 
     @pytest.mark.parametrize("target", ["model_d3", "pmf_2x3x2"])
@@ -815,9 +817,11 @@ class TestReportRows:
                      "--restarts", "2", "--seed", "3", "--out-dir", str(tmp_path)])
         assert code == 0
         rep = json.loads((tmp_path / "analyze.json").read_text())["report"]
-        c, rows = bounds.verify_bounds(operators.Spectra(pi), [parse_scan(scans[0], 3)],
-                                       [parse_scan(scans[1], 3)],
-                                       geometry.inclination(pi, restarts=2).lower)
+        sweep, mix = parse_scan(scans[0], 3), parse_scan(scans[1], 3)
+        # the random-scan norms from the inclination's forms, the sweep's from Spectra
+        incl = geometry.inclination(pi, restarts=2, scans=[RandomScan.uniform(3), mix])
+        norms = {**incl.scan_norms, sweep: operators.Spectra(pi).norm(sweep)}
+        c, rows = bounds.verify_bounds(norms, [sweep], [mix], incl.lower)
         assert rep["angle_closed_form"] == c
         assert rep["bounds"] == json.loads(json.dumps(rows))  # tuples read back as lists
         assert [r["name"] for r in rows] == [

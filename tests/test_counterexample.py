@@ -17,6 +17,7 @@ from gibbsgap import counterexample, operators
 from gibbsgap.cli import main
 from gibbsgap.counterexample import (
     LadderChainSpec,
+    _bisect,
     _spider_below,
     build_ladder,
     conductance,
@@ -389,6 +390,24 @@ class TestReversibleGap:
         edge = 1.0 + 2.0 ** -30
         for shift in shifts[2:]:
             assert -edge <= shift <= -rung or rung <= shift <= edge
+
+    @pytest.mark.parametrize("q, n_trunc", [(0.3, 1000), (0.5, 1000), (0.8, 1000),
+                                            (0.95, 1000), (0.5, 100_000)])
+    def test_lambda_2_next_to_the_rung_takes_one_count(self, q, n_trunc, monkeypatch):
+        # lambda_2 lies within one float above the rung here: the bracket up to the
+        # next float ends the bisection at once, with the bits of the one from the band edge
+        searches = []
+
+        def spy(count, k, lo, hi):
+            searches.append(hi)
+            value = _bisect(count, k, lo, hi)
+            assert value == _bisect(count, k, lo, 1.0 + 2.0 ** -30)
+            return value
+
+        monkeypatch.setattr(counterexample, "_bisect", spy)
+        ladder_reversible_gap(LadderChainSpec(N=n_trunc, q=q))
+        n_even = n_trunc - n_trunc % 2
+        assert searches == [math.nextafter(math.cos(math.pi / (n_even + 1)), 2.0)]
 
     def test_searched_gap_allocates_under_50_kb(self):
         # both spider eigenvalues are searched here, 80 counts over 101 depths

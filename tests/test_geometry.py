@@ -18,6 +18,7 @@ from gibbsgap.geometry import (
     subspace_basis,
 )
 from gibbsgap.measure import ProductSpace, TargetDistribution, equicorrelated_binary
+from gibbsgap.operators import RandomScan, l2_norm_centered, rsg
 from conftest import make_suite
 from oracles import conditional_mean, lbfgs, random_target, smoothed_objective, two_loop_direction
 
@@ -251,6 +252,38 @@ def open_target():
     double at the dual optimum and the dual stays below ell^2."""
     g = np.random.default_rng([2]).gamma(1.0, size=16)
     return TargetDistribution(ProductSpace((2, 2, 2, 2)), g / g.sum())
+
+
+class TestScanNorms:
+    def test_equal_the_dense_norms_on_suite(self, target_suite):
+        # 1 - lambda_min(sum_i w_i A_i) against the SVD of the random-scan kernel
+        rng = np.random.default_rng(17)
+        worst = 0.0
+        for pi in target_suite:
+            d = pi.space.d
+            scans = [RandomScan.uniform(d)] + [RandomScan(tuple(w / w.sum()))
+                                               for w in rng.uniform(0.05, 1.0, size=(8, d))]
+            norms = inclination(pi, restarts=1, scans=scans).scan_norms
+            assert list(norms) == scans
+            for scan in scans:
+                worst = max(worst, abs(norms[scan] - l2_norm_centered(rsg(scan, pi))))
+        assert worst <= 1e-14
+
+    def test_c02_uniform_norm(self, eps_pair):
+        norms = inclination(eps_pair, scans=[RandomScan.uniform(2)]).scan_norms
+        assert norms[RandomScan.uniform(2)] == pytest.approx(0.75, abs=1e-14)
+
+    def test_chunks_give_the_bits_of_one_stack(self, monkeypatch):
+        pi = random_target(seed=9, dims=(2, 3, 2))
+        scans = [RandomScan.uniform(3), RandomScan((0.2, 0.3, 0.5)), (0.5, 0.25, 0.25)]
+        whole = inclination(pi, restarts=1, scans=scans).scan_norms
+        monkeypatch.setattr(geometry, "_STACK_BYTES", 1)  # one sum per chunk
+        assert inclination(pi, restarts=1, scans=scans).scan_norms == whole
+        assert RandomScan((0.5, 0.25, 0.25)) in whole  # weight tuples are taken as scans
+
+    def test_refuses_a_mismatched_scan(self, eps_pair):
+        with pytest.raises(ValidationError, match="scan has 3 coordinates, target has 2"):
+            inclination(eps_pair, scans=[RandomScan.uniform(3)])
 
 
 class TestInclinationDual:

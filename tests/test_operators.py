@@ -314,19 +314,34 @@ class TestSpectralQuantities:
                 solve(op)
 
 
+def _norm_class(order):
+    """The lesser of an order and its reverse: the sweeps of the pair are adjoint."""
+    return min(order, order[::-1])
+
+
+def _radius_class(order):
+    """The least rotation or reversal of an order: its sweeps share their radius."""
+    return min(_norm_class(order[k:] + order[:k]) for k in range(len(order)))
+
+
 class TestSpectra:
     def test_values_equal_direct_computation(self):
         pi = random_target(4, (2, 3, 2))
         spectra = Spectra(pi)
-        for sigma in ((1, 2, 3), (3, 1, 2)):
-            op = dsg(sigma, pi)
-            assert spectra.norm_and_radius(DeterministicScan(sigma)) == (
-                l2_norm_centered(op), spectral_radius_centered(op))
+        # each value is the per-scan solve of its class's representative: the norm of
+        # (3, 1, 2) is that of its reverse (2, 1, 3), its radius that of (1, 2, 3)
+        for sigma, norm_order, radius_order in (((1, 2, 3), (1, 2, 3), (1, 2, 3)),
+                                                ((3, 1, 2), (2, 1, 3), (1, 2, 3))):
+            scan = DeterministicScan(sigma)
+            assert spectra.measure([(scan, "norm"), (scan, "radius")]) == [
+                l2_norm_centered(dsg(norm_order, pi)),
+                spectral_radius_centered(dsg(radius_order, pi))]
         for weights in (RandomScan.uniform(3), RandomScan((0.2, 0.3, 0.5))):
             op = rsg(weights, pi)
             # a random scan's radius is its norm, one SVD
             assert spectra.norm(weights) == l2_norm_centered(op)
-            assert spectra.norm_and_radius(weights) == (l2_norm_centered(op),) * 2
+            assert spectra.measure([(weights, "norm"), (weights, "radius")]) == [
+                l2_norm_centered(op)] * 2
 
     def test_each_operator_built_once(self, eps_pair, monkeypatch):
         stepped = []
@@ -338,14 +353,15 @@ class TestSpectra:
         spectra.measure([(scan, name) for scan in scans for name in ("norm", "radius")])
         assert sorted(stepped) == [1, 2]  # one pass densifies each small step once
         for scan in scans:  # memo hits
-            spectra.norm_and_radius(scan)
+            spectra.measure([(scan, "norm"), (scan, "radius")])
             spectra.norm(scan)
         assert sorted(stepped) == [1, 2]
 
     @pytest.mark.parametrize("chunk", [None, 1, 5],
                              ids=["budget", "one-scan-chunks", "split-orders"])
     def test_pass_equals_per_scan_values(self, monkeypatch, chunk):
-        # stacked SVD and eigvals make the per-matrix LAPACK calls: equal bits
+        # stacked SVD and eigvals make the per-matrix LAPACK calls: equal bits to
+        # the per-scan solve of each request's class representative
         rng = np.random.default_rng(8)
         for seed, dims in enumerate(((3, 2), (2, 3, 2), (2, 2, 3, 2), (2, 2, 2, 2, 2))):
             pi = random_target(seed, dims)
@@ -361,10 +377,42 @@ class TestSpectra:
             wants = [(scan, name) for j, scan in enumerate(sweeps)
                      for name in (("norm", "radius"), ("norm",), ("radius",))[j % 3]]
             wants += [(scan, "norm") for scan in mixes] + [(mixes[1], "radius")]
-            expected = [spectral_radius_centered(dsg(scan, pi)) if name == "radius"
-                        and isinstance(scan, DeterministicScan)
-                        else l2_norm_centered(scan_operator(pi, scan)) for scan, name in wants]
+            expected = [l2_norm_centered(rsg(scan, pi)) if isinstance(scan, RandomScan)
+                        else spectral_radius_centered(dsg(_radius_class(scan.order), pi))
+                        if name == "radius" else l2_norm_centered(dsg(_norm_class(scan.order), pi))
+                        for scan, name in wants]
             assert Spectra(pi).measure(wants) == expected
+
+    def test_one_sweep_per_class(self, monkeypatch):
+        # 12 reversal pairs give the 24 norms at d = 4; 12 dihedral classes the 120
+        # radii at d = 5
+        built = []
+        original = operators._sweep
+        monkeypatch.setattr(operators, "_sweep",
+                            lambda path, step: built.append(tuple(path)) or original(path, step))
+        for dims, name, classes in (((2, 2, 2, 2), "norm", 12), ((2, 2, 2, 2, 2), "radius", 12)):
+            built.clear()
+            orders = list(itertools.permutations(range(1, len(dims) + 1)))
+            values = Spectra(random_target(6, dims)).measure(
+                [(DeterministicScan(order), name) for order in orders])
+            key = _norm_class if name == "norm" else _radius_class
+            assert sorted(built) == sorted({key(order) for order in orders})
+            assert len(built) == classes
+            by_class = dict(zip(map(key, orders), values))
+            assert values == [by_class[key(order)] for order in orders]
+
+    def test_class_values_equal_per_order_values(self, target_suite):
+        # the representative's float stands for every order of its class
+        worst = 0.0
+        for pi in target_suite[:20]:
+            orders = list(itertools.permutations(range(1, pi.space.d + 1)))
+            values = Spectra(pi).measure([(DeterministicScan(order), name)
+                                          for order in orders for name in ("norm", "radius")])
+            for order, norm, radius in zip(orders, values[::2], values[1::2]):
+                op = dsg(order, pi)
+                worst = max(worst, abs(norm - l2_norm_centered(op)),
+                            abs(radius - spectral_radius_centered(op)))
+        assert worst <= 1e-13
 
     def test_refuses_a_kernel_as_markov_operator_does(self, eps_pair, monkeypatch):
         original = operators._small_step_kernel
@@ -402,7 +450,8 @@ class TestSpectra:
     def test_conditionals_smaller_than_one_dense_kernel(self):
         pi = random_target(5, (2, 3, 2, 2))
         n = pi.space.total_states
-        Spectra(pi).norm_and_radius(DeterministicScan((4, 2, 1, 3)))
+        scan = DeterministicScan((4, 2, 1, 3))
+        Spectra(pi).measure([(scan, "norm"), (scan, "radius")])
         held = 0
         for size, (cells, cond) in zip(pi.space.dims, pi.conditionals):
             assert cells.shape == cond.shape == (n // size, size)

@@ -88,7 +88,7 @@ def sample_permutations(d: int, seed: int = 0) -> list[tuple[int, ...]]:
     """All d! permutations for small d, a seeded sample of reversal pairs beyond.
 
     Each sampled order comes with its reverse, whose sweep is its adjoint, so
-    the sample's norms take one sweep per pair (``operators.Spectra``).
+    the sample's norms take one sweep per pair (``operators.sweep_spectra``).
     """
     if d <= EXHAUSTIVE_PERM_DIM:
         return [tuple(p) for p in itertools.permutations(range(1, d + 1))]

@@ -34,8 +34,8 @@ from .counterexample import LadderChainSpec, reversibilization_gap_sweep
 from .errors import StateCapError, ValidationError
 from .measure import (DEFAULT_STATE_CAP, TargetDistribution, check_state_cap, model_states,
                       model_target, parse_target)
-from .operators import (DeterministicScan, RandomScan, Spectra, l2_norm_centered,
-                        scan_operator, spectral_radius_centered)
+from .operators import (DeterministicScan, RandomScan, l2_norm_centered, rsg, scan_operator,
+                        spectral_radius_centered, sweep_spectra)
 from .reporting import report_document, write_csv, write_json
 from .sampler import (
     BATCH_MEANS_MIN_STEPS,
@@ -126,8 +126,8 @@ def cmd_analyze(args) -> int:
     incl = geometry.inclination(pi, restarts=args.restarts, scans=[uniform, *weighted, *mixes])
     norms = dict(incl.scan_norms)  # every norm the report reads, by scan
     # every sweep the report reads, one per symmetry class, in one stacked pass
-    values = Spectra(pi).measure([(s, "radius") for s in sweeps]
-                                 + [(s, "norm") for s in [*sweeps, *perms]])
+    values = sweep_spectra(pi, [(s, "radius") for s in sweeps]
+                           + [(s, "norm") for s in [*sweeps, *perms]])
     radii = dict(zip(sweeps, values[:len(sweeps)]))
     norms.update(zip([*sweeps, *perms], values[len(sweeps):]))
 
@@ -204,13 +204,13 @@ def cmd_sweep(args) -> int:
         check_state_cap(model_states(args.model, d), args.state_cap)
     rows = []
     for d in d_list:
-        spectra = Spectra(model_target(args.model, d, args.epsilon, args.state_cap))
-        gap_rsg = 1.0 - spectra.norm(RandomScan.uniform(d))
+        pi = model_target(args.model, d, args.epsilon, args.state_cap)
+        gap_rsg = 1.0 - l2_norm_centered(rsg(RandomScan.uniform(d), pi))
         if gap_rsg <= GAP_POSITIVE_TOL:
             raise ValidationError("random-scan gap %.3g at d=%d is not above %g: no decay rate "
                                   "can be fitted" % (gap_rsg, d, GAP_POSITIVE_TOL))
         perms = bounds_mod.sample_permutations(d, seed=args.seed)
-        radii = spectra.measure([(DeterministicScan(s), "radius") for s in perms])
+        radii = sweep_spectra(pi, [(DeterministicScan(s), "radius") for s in perms])
         gaps = [1.0 - rho for rho in radii]
         rows.append({
             "d": d,
@@ -252,7 +252,7 @@ def _sample_panel(pi: TargetDistribution, scan, f: np.ndarray, args) -> dict:
     """One scan's panel of cmd_sample.  The scan's kernel and cumulative table
     live only in this call, so they are freed before the next scan is built."""
     op = scan_operator(pi, scan)
-    rho = (l2_norm_centered(op) if isinstance(scan, RandomScan)  # self-adjoint, as in Spectra
+    rho = (l2_norm_centered(op) if isinstance(scan, RandomScan)  # self-adjoint, as in cmd_sweep
            else spectral_radius_centered(op))
     bound = clt_variance_bound(rho, f, pi)  # refuses rho = 1 before any step
     cum = cumulative_table(op.kernel)  # one table for the chain and the replicas

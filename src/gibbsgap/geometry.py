@@ -505,9 +505,10 @@ def inclination(pi: TargetDistribution, restarts: int = 32,
     sum_i mu_i A_i whose forms are equal over supp(mu)); the first polish
     that passes ends the restart's schedule.  A restart whose polish never
     passes runs the whole schedule and keeps its last annealed iterate.
-    Each stage runs the restarts still in the schedule together, and ties
-    resolve to the lowest restart index, so the result is
-    schedule-independent.  Either way ``lower`` is sqrt of
+    Each stage runs the restarts still in the schedule together, and ell_hat
+    is the least value of a restart, a tie going to the lowest restart index,
+    so the result is schedule-independent and more restarts are never worse.
+    Either way ``lower`` is sqrt of
     the dual, and ``kkt_residual`` is max_i v^T A_i v - lambda for the
     witness v and the eigenvalue lambda it was certified or polished at
     (None when no polish passed in the best restart).  ``scan_norms`` maps
@@ -545,10 +546,7 @@ def inclination(pi: TargetDistribution, restarts: int = 32,
         if not live.size:
             break
     values = [_max_form(forms, v) for v in w]
-    best = 0
-    for r, val in enumerate(values):
-        if val < values[best] - 1e-15:
-            best = r
+    best = int(np.argmin(values))  # the least value; a tie goes to the lowest index
     return InclinationResult(value=float(np.sqrt(max(values[best], 0.0))),
                              witness=_witness(pi, w[best]), restarts=restarts, lower=ell_lower,
                              certified=False, kkt_residual=residuals[best],

@@ -4,13 +4,14 @@ Every scan is built from the small steps P_1..P_d: ``dsg`` multiplies them
 along an update path, ``rsg`` mixes them.  Each step is densified on demand
 from the target's table of full conditionals (``TargetDistribution.conditionals``),
 so ``dsg`` holds at most three dense kernels at once: the product so far, the
-next step and their product.  ``Spectra`` measures the scans a command reads
-in one pass, one scan per symmetry class (a sweep's norm is its reverse's, its
-radius that of every rotation and reversal): it stacks a chunk of kernels,
-built as ``dsg`` and ``rsg`` build them from small steps densified once per
-pass where they fit its byte budget, and solves the chunk by one ``eigvals``
-and one SVD call.  ``analyze`` asks it for sweeps only: its random-scan norms
-come from the inclination's forms (``geometry.inclination``).  No command
+next step and their product.  ``sweep_spectra`` measures the sweeps a command
+reads in one stateless pass, one sweep per symmetry class (a sweep's norm is
+its reverse's, its radius that of every rotation and reversal): it stacks a
+chunk of kernels, built as ``dsg`` builds them from small steps densified once
+per call where they fit its byte budget, and solves the chunk by one
+``eigvals`` and one SVD call.  It takes no random scan: ``analyze`` takes
+their norms from the inclination's forms (``geometry.inclination``), ``sweep``
+and ``sample`` from ``l2_norm_centered`` of the ``rsg`` kernel.  No command
 needs the palindromic ``symmetrized_sweep``: it is D D* for the sweep D, so
 its centered norm is ||D - Pi||^2.  It stays as a hook of perfbench's tracer
 and as the tests' oracle.
@@ -288,91 +289,70 @@ def spectral_radius_centered(op: MarkovOperator) -> float:
     return float(_radii(_centered_conjugated(op.kernel, op.stationary)))
 
 
-#: Bytes of dense kernels that one chunk of a ``Spectra`` pass may hold.
+#: Bytes of dense kernels that one chunk of a ``sweep_spectra`` pass may hold.
 _STACK_BYTES = 1 << 20
 
 
-def _symmetry_class(scan: ScanSpec, name: str) -> tuple[ScanSpec, str]:
-    """The (representative, name) request whose value a (scan, name) request
-    shares: a random scan's radius is its norm, a sweep's norm is its
-    reverse's, and a sweep's radius is that of every rotation and reversal."""
-    if isinstance(scan, RandomScan):  # self-adjoint in L2(pi)
-        return scan, "norm"
-    if not isinstance(scan, DeterministicScan):
-        raise ValidationError("unknown scan spec %r" % (scan,))
+def _symmetry_class(scan: DeterministicScan, name: str) -> tuple[tuple[int, ...], str]:
+    """The (order, name) request whose value a sweep's (scan, name) request
+    shares: a sweep's norm is its reverse's, and its radius that of every
+    rotation and reversal."""
     order = scan.order
     turns = [order[k:] + order[:k] for k in range(len(order))] if name == "radius" else [order]
-    return DeterministicScan(min(min(turn, turn[::-1]) for turn in turns)), name
+    return min(min(turn, turn[::-1]) for turn in turns), name
 
 
-class Spectra:
-    """Centered norms and radii of the DSG and RSG scans of pi.
+def sweep_spectra(pi: TargetDistribution,
+                  requests: Sequence[tuple[DeterministicScan, str]]) -> list[float]:
+    """The value of each (sweep, "norm" or "radius") request, in one pass.
 
     pi is taken as given: the command that loaded it has already checked it
-    against the state cap.  A request is measured on its symmetry class's
-    representative: a sweep's norm on the lesser of its order and the
+    against the state cap.  Every request is checked before any kernel is
+    built; a random scan is refused.  A request is measured on its symmetry
+    class's representative: a sweep's norm on the lesser of its order and the
     reversed order (the reversed sweep is its L2(pi) adjoint), a sweep's
     radius on the least of the 2d rotations and reversals of its order (AB
-    and BA share their nonzero spectrum).  ``measure`` serves a list of
-    requests in one pass over the representatives not measured yet: each
-    chunk of their kernels, built as ``dsg`` and ``rsg`` build them, is
-    stacked as one (k, n, n) array, checked as ``MarkovOperator`` checks one
-    kernel, and solved by one ``eigvals`` call for its sweep radii and one
-    SVD call for its norms.  Stacked LAPACK calls give the bits of per-matrix
-    calls, so each value equals ``spectral_radius_centered`` or
-    ``l2_norm_centered`` of the representative's operator, and every request
-    of a class gets that one float.
+    and BA share their nonzero spectrum).  Each chunk of the representatives'
+    kernels, built as ``dsg`` builds them, is stacked as one (k, n, n) array,
+    checked as ``MarkovOperator`` checks one kernel, and solved by one
+    ``eigvals`` call for its radii and one SVD call for its norms.  Stacked
+    LAPACK calls give the bits of per-matrix calls, so each value equals
+    ``spectral_radius_centered`` or ``l2_norm_centered`` of the
+    representative's operator, and every request of a class gets that float.
 
-    The chunks fit _STACK_BYTES, three n x n arrays per scan.  Where all d
-    small steps fit beside one scan, each is densified once per pass and kept
-    for it; otherwise at each use, so a kernel above the budget is measured
-    one scan at a time with about three n x n arrays, as ``dsg`` builds it.
-    Values are memoized as floats (no kernel is kept), so a repeated request
-    builds nothing.  A random scan's radius is its norm.
+    The chunks fit _STACK_BYTES, three n x n arrays per sweep.  Where all d
+    small steps fit beside one sweep, each is densified once per call and
+    kept for it; otherwise at each use, so a kernel above the budget is
+    measured one sweep at a time with about three n x n arrays, as ``dsg``
+    builds it.  Nothing is kept between calls.
     """
-
-    def __init__(self, pi: TargetDistribution):
-        self.pi = pi
-        self._memo: dict = {}
-
-    def norm(self, scan: ScanSpec) -> float:
-        """||K - Pi|| for the kernel K that the scan simulates."""
-        return self.measure([(scan, "norm")])[0]
-
-    def measure(self, requests: Sequence[tuple[ScanSpec, str]]) -> list[float]:
-        """The value of each (scan, "norm" or "radius") request; the classes not
-        memoized yet are measured in one pass."""
-        requests = [_symmetry_class(scan, name) for scan, name in requests]
-        missing = [request for request in requests if request not in self._memo]
-        if missing:
-            self._measure(missing)
-        return [self._memo[request] for request in requests]
-
-    def _measure(self, requests: list) -> None:
-        """Memoize every (scan, name) request in one stacked pass, every scan
-        checked against the target before any kernel is built."""
-        wanted: dict = {}
-        for scan, name in requests:
-            wanted.setdefault(_checked_scan(scan, type(scan), self.pi), set()).add(name)
-        scans = list(wanted)
-        d, n = self.pi.space.d, self.pi.space.total_states
-        units = _STACK_BYTES // (8 * n * n)
-        step = functools.partial(_small_step_kernel, pi=self.pi)
-        if units >= d + 3:  # all d small steps fit beside one scan: keep them
-            step = functools.cache(step)
-            units -= d
-        size = max(1, units // 3)
-        for start in range(0, len(scans), size):
-            chunk = scans[start:start + size]
-            kernels = np.stack([_sweep(scan.order, step) if isinstance(scan, DeterministicScan)
-                                else _mix(scan.weights, step) for scan in chunk])
-            _check_kernels(kernels, self.pi.pmf)
-            a = _centered_conjugated(kernels, self.pi.pmf)
-            del kernels
-            for name, solve in (("radius", _radii), ("norm", _norms)):
-                rows = [j for j, scan in enumerate(chunk) if name in wanted[scan]]
-                if rows:
-                    self._memo.update(((chunk[j], name), value)
-                                      for j, value in zip(rows, solve(a[rows]).tolist()))
-            del a  # the next chunk's stack is built without this one
-
+    for scan, _ in requests:
+        if not isinstance(scan, DeterministicScan):
+            raise ValidationError("sweep_spectra measures sweeps only, got %r" % (scan,))
+        _checked_scan(scan, DeterministicScan, pi)
+    classes = [_symmetry_class(scan, name) for scan, name in requests]
+    wanted: dict = {}
+    for order, name in classes:
+        wanted.setdefault(order, set()).add(name)
+    orders = list(wanted)
+    d, n = pi.space.d, pi.space.total_states
+    units = _STACK_BYTES // (8 * n * n)
+    step = functools.partial(_small_step_kernel, pi=pi)
+    if units >= d + 3:  # all d small steps fit beside one sweep: keep them
+        step = functools.cache(step)
+        units -= d
+    size = max(1, units // 3)
+    values = {}
+    for start in range(0, len(orders), size):
+        chunk = orders[start:start + size]
+        kernels = np.stack([_sweep(order, step) for order in chunk])
+        _check_kernels(kernels, pi.pmf)
+        a = _centered_conjugated(kernels, pi.pmf)
+        del kernels
+        for name, solve in (("radius", _radii), ("norm", _norms)):
+            rows = [j for j, order in enumerate(chunk) if name in wanted[order]]
+            if rows:
+                values.update(((chunk[j], name), value)
+                              for j, value in zip(rows, solve(a[rows]).tolist()))
+        del a  # the next chunk's stack is built without this one
+    return [values[request] for request in classes]

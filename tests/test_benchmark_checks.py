@@ -1,5 +1,5 @@
 """The benchmark's own output checks (perfbench/workloads.py) hold on the
-reports of the commands it times, so a slip in a report's schema or values
+reports of the commands it runs, so a slip in a report's schema or values
 fails here, not only as a benchmark verdict."""
 from pathlib import Path
 
@@ -11,7 +11,7 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
-@pytest.mark.parametrize("workload", ["AnalyzeSuite", "SamplePanels"])
+@pytest.mark.parametrize("workload", ["AnalyzeSuite", "LadderTrunc", "SamplePanels"])
 def test_every_op_ok(tmp_path, monkeypatch, workload, seed):
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import workloads

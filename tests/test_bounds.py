@@ -16,7 +16,7 @@ from gibbsgap.bounds import (
 from gibbsgap.errors import ValidationError
 from gibbsgap.geometry import friedrichs_angle_from_norm, inclination
 from gibbsgap.measure import equicorrelated_binary
-from gibbsgap.operators import DeterministicScan, RandomScan, Spectra
+from gibbsgap.operators import DeterministicScan, RandomScan, sweep_spectra
 
 
 def _orders(d):
@@ -25,10 +25,10 @@ def _orders(d):
 
 def _verify(pi, dsg_scans, rsg_scans):
     """verify_bounds as analyze calls it: random-scan norms from the inclination's
-    forms, sweep norms from Spectra, and the dual lower bound on the inclination."""
+    forms, sweep norms from sweep_spectra, and the dual lower bound on the inclination."""
     incl = inclination(pi, restarts=1, scans=[RandomScan.uniform(pi.space.d), *rsg_scans])
-    spectra = Spectra(pi)
-    norms = {**incl.scan_norms, **{scan: spectra.norm(scan) for scan in dsg_scans}}
+    norms = {**incl.scan_norms,
+             **dict(zip(dsg_scans, sweep_spectra(pi, [(scan, "norm") for scan in dsg_scans])))}
     return verify_bounds(norms, dsg_scans, rsg_scans, incl.lower)
 
 

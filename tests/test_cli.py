@@ -574,6 +574,24 @@ class TestSweepCommand:
         assert all(r["gap_dsg_worst"] >= r["floor"] for r in rows)
         assert (tmp_path / "sweep.csv").exists()
 
+    def test_gaps_equal_direct_computation(self, tmp_path):
+        # the uniform scan's norm from its rsg kernel, the sweeps' radii from one
+        # sweep_spectra call: each the bits of the per-scan solve of its class's
+        # representative, the least rotation or reversal of its order
+        code = main(["sweep", "--epsilon", "0.25", "--d-list", "2,3,4",
+                     "--out-dir", str(tmp_path)])
+        assert code == 0
+        for row in json.loads((tmp_path / "sweep.json").read_text())["report"]["rows"]:
+            d = row["d"]
+            pi = measure.equicorrelated_binary(d, 0.25)
+            assert row["gap_rsg"] == 1.0 - operators.l2_norm_centered(
+                operators.rsg(RandomScan.uniform(d), pi))
+            turns = [[order[k:] + order[:k] for k in range(d)]
+                     for order in bounds.sample_permutations(d)]
+            gaps = [1.0 - operators.spectral_radius_centered(
+                operators.dsg(min(min(t, t[::-1]) for t in orders), pi)) for orders in turns]
+            assert (row["gap_dsg_worst"], row["gap_dsg_best"]) == (min(gaps), max(gaps))
+
     def test_too_few_points_exit_2(self, tmp_path):
         code = main(["sweep", "--d-list", "2,3", "--out-dir", str(tmp_path)])
         assert code == 2
@@ -818,9 +836,9 @@ class TestReportRows:
         assert code == 0
         rep = json.loads((tmp_path / "analyze.json").read_text())["report"]
         sweep, mix = parse_scan(scans[0], 3), parse_scan(scans[1], 3)
-        # the random-scan norms from the inclination's forms, the sweep's from Spectra
+        # the random-scan norms from the inclination's forms, the sweep's from sweep_spectra
         incl = geometry.inclination(pi, restarts=2, scans=[RandomScan.uniform(3), mix])
-        norms = {**incl.scan_norms, sweep: operators.Spectra(pi).norm(sweep)}
+        norms = {**incl.scan_norms, sweep: operators.sweep_spectra(pi, [(sweep, "norm")])[0]}
         c, rows = bounds.verify_bounds(norms, [sweep], [mix], incl.lower)
         assert rep["angle_closed_form"] == c
         assert rep["bounds"] == json.loads(json.dumps(rows))  # tuples read back as lists

@@ -335,6 +335,10 @@ class TestInclinationDual:
 
 #: Suite targets whose dual bracket stays open.
 OPEN_SUITE = (8, 46, 64, 83, 98)
+#: open-bracket targets where a best restart within 1e-15 of the first best one
+#: lost the tie to it: (seed, dims) of random_target, by test id
+TIE_TARGETS = {"seed50024": (50024, (3, 3, 2)), "seed50034": (50034, (2, 2, 3, 2)),
+               "seed50266": (50266, (2, 2, 3, 3))}
 
 
 def _first_order_residual(forms, v):
@@ -556,9 +560,11 @@ class TestLockstep:
         # the 4 starts are rows 0, 8, 16 and 24 of the 32
         assert np.array_equal(starts[0][::8], four)
 
-    @pytest.mark.parametrize("index", OPEN_SUITE)
+    @pytest.mark.parametrize("index", OPEN_SUITE + tuple(TIE_TARGETS))
     def test_more_restarts_no_worse_on_the_open_suite(self, index, target_suite):
-        pi = target_suite[index]
+        # the 32 starts hold the 4, bit for bit, so the least of 32 values is no larger
+        pi = (target_suite[index] if index in OPEN_SUITE
+              else random_target(*TIE_TARGETS[index]))
         assert inclination(pi, restarts=32).value <= inclination(pi, restarts=4).value
 
     def test_more_restarts_no_worse_on_the_open_target(self, open_target):

@@ -10,6 +10,10 @@ when that function or class has a caller itself, so a helper that only dead
 code uses is dead too.  A public method has a caller when any ``.name``
 attribute reference to it appears under src/.
 
+Every function, class and method defined under src/gibbsgap, private ones
+too and dunders aside, is named somewhere under src/ (as a bare name or an
+attribute) or in ``LAYERS``.
+
 Every module under src/gibbsgap and tests/ also uses each name it imports.
 ``from __future__`` imports are exempt, and so is a name that ``LAYERS``
 lists for the importing module: the tracer looks it up there.
@@ -103,6 +107,23 @@ def _unreached():
 def test_every_public_name_in_src_has_a_caller():
     unreached = _unreached()
     assert not unreached, "only tests reach: " + ", ".join(unreached)
+
+
+def test_every_definition_in_src_is_named_in_src():
+    # private helpers and methods too: only a dunder is called without its name in
+    # the source, and the tracer looks up the names in LAYERS
+    named = {name for names in _layers().values() for name in names}
+    defined = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, DEFS) and not node.name.startswith("__"):
+                defined.append("%s.%s" % (path.stem, node.name))
+    unnamed = [key for key in defined if key.partition(".")[2] not in named]
+    assert not unnamed, "nothing under src/ names: " + ", ".join(unnamed)
 
 
 def _unused_imports(tree, exempt):

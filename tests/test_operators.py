@@ -12,7 +12,6 @@ from gibbsgap.operators import (
     DeterministicScan,
     MarkovOperator,
     RandomScan,
-    Spectra,
     _small_step_kernel,
     adjoint,
     dsg,
@@ -22,6 +21,7 @@ from gibbsgap.operators import (
     scan_operator,
     small_step,
     spectral_radius_centered,
+    sweep_spectra,
     symmetrized_sweep,
 )
 from oracles import conditional_mean, power_norm_sequence, random_target
@@ -327,42 +327,33 @@ def _radius_class(order):
 class TestSpectra:
     def test_values_equal_direct_computation(self):
         pi = random_target(4, (2, 3, 2))
-        spectra = Spectra(pi)
         # each value is the per-scan solve of its class's representative: the norm of
         # (3, 1, 2) is that of its reverse (2, 1, 3), its radius that of (1, 2, 3)
         for sigma, norm_order, radius_order in (((1, 2, 3), (1, 2, 3), (1, 2, 3)),
                                                 ((3, 1, 2), (2, 1, 3), (1, 2, 3))):
             scan = DeterministicScan(sigma)
-            assert spectra.measure([(scan, "norm"), (scan, "radius")]) == [
+            assert sweep_spectra(pi, [(scan, "norm"), (scan, "radius")]) == [
                 l2_norm_centered(dsg(norm_order, pi)),
                 spectral_radius_centered(dsg(radius_order, pi))]
-        for weights in (RandomScan.uniform(3), RandomScan((0.2, 0.3, 0.5))):
-            op = rsg(weights, pi)
-            # a random scan's radius is its norm, one SVD
-            assert spectra.norm(weights) == l2_norm_centered(op)
-            assert spectra.measure([(weights, "norm"), (weights, "radius")]) == [
-                l2_norm_centered(op)] * 2
 
-    def test_each_operator_built_once(self, eps_pair, monkeypatch):
+    def test_each_operator_built_once(self, monkeypatch):
         stepped = []
         original = operators._small_step_kernel
         monkeypatch.setattr(operators, "_small_step_kernel",
                             lambda i, pi: stepped.append(i) or original(i, pi))
-        spectra = Spectra(eps_pair)
-        scans = (DeterministicScan((2, 1)), RandomScan.uniform(2))
-        spectra.measure([(scan, name) for scan in scans for name in ("norm", "radius")])
-        assert sorted(stepped) == [1, 2]  # one pass densifies each small step once
-        for scan in scans:  # memo hits
-            spectra.measure([(scan, "norm"), (scan, "radius")])
-            spectra.norm(scan)
-        assert sorted(stepped) == [1, 2]
+        pi = random_target(4, (2, 3, 2))
+        wants = [(DeterministicScan(order), name)
+                 for order in itertools.permutations((1, 2, 3)) for name in ("norm", "radius")]
+        sweep_spectra(pi, wants)
+        assert sorted(stepped) == [1, 2, 3]  # one call densifies each small step once
+        sweep_spectra(pi, wants)  # and keeps nothing: the next call densifies them again
+        assert sorted(stepped) == [1, 1, 2, 2, 3, 3]
 
     @pytest.mark.parametrize("chunk", [None, 1, 5],
                              ids=["budget", "one-scan-chunks", "split-orders"])
     def test_pass_equals_per_scan_values(self, monkeypatch, chunk):
         # stacked SVD and eigvals make the per-matrix LAPACK calls: equal bits to
         # the per-scan solve of each request's class representative
-        rng = np.random.default_rng(8)
         for seed, dims in enumerate(((3, 2), (2, 3, 2), (2, 2, 3, 2), (2, 2, 2, 2, 2))):
             pi = random_target(seed, dims)
             d, n = pi.space.d, pi.space.total_states
@@ -371,17 +362,13 @@ class TestSpectra:
             elif chunk == 5:  # every small step kept, five scans per chunk
                 monkeypatch.setattr(operators, "_STACK_BYTES", 8 * n * n * (d + 3 * chunk))
             sweeps = [DeterministicScan(p) for p in itertools.permutations(range(1, d + 1))]
-            mixes = [RandomScan.uniform(d)] + [RandomScan(tuple(w / w.sum()))
-                                               for w in rng.uniform(0.1, 1.0, size=(4, d))]
             # sweeps wanting both values, only the norm, or only the radius
             wants = [(scan, name) for j, scan in enumerate(sweeps)
                      for name in (("norm", "radius"), ("norm",), ("radius",))[j % 3]]
-            wants += [(scan, "norm") for scan in mixes] + [(mixes[1], "radius")]
-            expected = [l2_norm_centered(rsg(scan, pi)) if isinstance(scan, RandomScan)
-                        else spectral_radius_centered(dsg(_radius_class(scan.order), pi))
+            expected = [spectral_radius_centered(dsg(_radius_class(scan.order), pi))
                         if name == "radius" else l2_norm_centered(dsg(_norm_class(scan.order), pi))
                         for scan, name in wants]
-            assert Spectra(pi).measure(wants) == expected
+            assert sweep_spectra(pi, wants) == expected
 
     def test_one_sweep_per_class(self, monkeypatch):
         # 12 reversal pairs give the 24 norms at d = 4; 12 dihedral classes the 120
@@ -393,8 +380,8 @@ class TestSpectra:
         for dims, name, classes in (((2, 2, 2, 2), "norm", 12), ((2, 2, 2, 2, 2), "radius", 12)):
             built.clear()
             orders = list(itertools.permutations(range(1, len(dims) + 1)))
-            values = Spectra(random_target(6, dims)).measure(
-                [(DeterministicScan(order), name) for order in orders])
+            values = sweep_spectra(random_target(6, dims),
+                                   [(DeterministicScan(order), name) for order in orders])
             key = _norm_class if name == "norm" else _radius_class
             assert sorted(built) == sorted({key(order) for order in orders})
             assert len(built) == classes
@@ -406,8 +393,8 @@ class TestSpectra:
         worst = 0.0
         for pi in target_suite[:20]:
             orders = list(itertools.permutations(range(1, pi.space.d + 1)))
-            values = Spectra(pi).measure([(DeterministicScan(order), name)
-                                          for order in orders for name in ("norm", "radius")])
+            values = sweep_spectra(pi, [(DeterministicScan(order), name)
+                                        for order in orders for name in ("norm", "radius")])
             for order, norm, radius in zip(orders, values[::2], values[1::2]):
                 op = dsg(order, pi)
                 worst = max(worst, abs(norm - l2_norm_centered(op)),
@@ -423,35 +410,50 @@ class TestSpectra:
             return kernel
 
         monkeypatch.setattr(operators, "_small_step_kernel", off_by_1e9)
-        for scan in (DeterministicScan((2, 1)), RandomScan.uniform(2)):
-            with pytest.raises(ValidationError) as per_scan:
-                scan_operator(eps_pair, scan)
+        scan = DeterministicScan((2, 1))
+        with pytest.raises(ValidationError) as per_scan:
+            scan_operator(eps_pair, scan)
+        for name in ("norm", "radius"):
             with pytest.raises(ValidationError) as stacked:
-                Spectra(eps_pair).norm(scan)
+                sweep_spectra(eps_pair, [(scan, name)])
             assert str(stacked.value) == str(per_scan.value)
             assert str(stacked.value).startswith("kernel rows sum to 1 only within")
+
+    def test_refuses_a_random_scan_before_any_step(self, eps_pair, monkeypatch):
+        stepped = []
+        original = operators._small_step_kernel
+        monkeypatch.setattr(operators, "_small_step_kernel",
+                            lambda i, pi: stepped.append(i) or original(i, pi))
+        sweep = DeterministicScan((1, 2))
+        for scan in (RandomScan.uniform(2), RandomScan((0.25, 0.75))):
+            for name in ("norm", "radius"):
+                with pytest.raises(ValidationError, match="measures sweeps only"):
+                    sweep_spectra(eps_pair, [(sweep, "norm"), (scan, name)])
+        assert stepped == []
 
     def test_pass_above_the_budget_holds_three_dense_kernels(self):
         pi = measure.equicorrelated_binary(10, 0.25)
         n = pi.space.total_states
         pi.conditionals  # the O(n d) table is the target's, not the pass's
         identity = DeterministicScan(tuple(range(1, 11)))
-        tracemalloc.start()
-        try:
-            Spectra(pi).measure([(identity, "norm"), (identity, "radius"),
-                                 (RandomScan.uniform(10), "norm")])
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        # the per-scan path held 3.01 kernels for these calls: the sweep so far, the
-        # next step and their product
-        assert peak <= 3.05 * 8 * n * n
+        # the sweep's pass, and the uniform scan's norm as cmd_sweep measures it
+        for measured in (lambda: sweep_spectra(pi, [(identity, "norm"), (identity, "radius")]),
+                         lambda: l2_norm_centered(rsg(RandomScan.uniform(10), pi))):
+            tracemalloc.start()
+            try:
+                measured()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            # the per-scan path held 3.01 kernels for these calls: the sweep so far, the
+            # next step and their product
+            assert peak <= 3.05 * 8 * n * n
 
     def test_conditionals_smaller_than_one_dense_kernel(self):
         pi = random_target(5, (2, 3, 2, 2))
         n = pi.space.total_states
         scan = DeterministicScan((4, 2, 1, 3))
-        Spectra(pi).measure([(scan, "norm"), (scan, "radius")])
+        sweep_spectra(pi, [(scan, "norm"), (scan, "radius")])
         held = 0
         for size, (cells, cond) in zip(pi.space.dims, pi.conditionals):
             assert cells.shape == cond.shape == (n // size, size)
@@ -462,5 +464,4 @@ class TestSpectra:
 
     def test_rejects_mismatched_scan(self, eps_pair):
         with pytest.raises(ValidationError):
-            Spectra(eps_pair).norm(DeterministicScan((1, 2, 3)))
-
+            sweep_spectra(eps_pair, [(DeterministicScan((1, 2, 3)), "norm")])

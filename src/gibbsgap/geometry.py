@@ -11,9 +11,11 @@ to each other:
   an independent brute-force generalized eigenproblem over explicit bases;
 * the inclination ell: the min over unit-distance-from-constants functions
   of the max distance to the M_i.  With the quadratic forms A_i of
-  dist(f, M_i)^2 on the mean-zero unit sphere, ell^2 = min_v max_i v^T A_i v.
-  By weak duality ell^2 >= max_{w in simplex} lambda_min(sum_i w_i A_i), and
-  sum_i w_i A_i = I - RSG_w on mean-zero functions, so the dual is the best
+  dist(f, M_i)^2 in coordinates v = D^{1/2} f, the constants lifted above
+  the mean-zero spectrum (``_inclination_forms``), ell^2 = min_v max_i
+  v^T A_i v over the unit sphere.  By weak duality ell^2 >= max_{w in
+  simplex} lambda_min(sum_i w_i A_i), and sum_i w_i A_i = I - RSG_w on
+  mean-zero functions, so the dual is the best
   random-scan gap.  The same identity gives each random scan's norm,
   ||RSG_w - Pi|| = 1 - lambda_min(sum_i w_i A_i), which ``inclination``
   returns for the scans it is given while the forms exist, so ``analyze``
@@ -160,30 +162,27 @@ def friedrichs_angle_bruteforce(pi: TargetDistribution) -> float:
     return float((np.linalg.eigvalsh(gram)[-1] - 1.0) / (d - 1.0))
 
 
-def _chart(pi: TargetDistribution) -> np.ndarray:
-    """The chart Q: the last n - 1 right singular vectors of the row
-    sqrt(pi)^T (LAPACK gesdd), the same chart as ``scipy.linalg.null_space``
-    gives.  The chart fixes the basis that ``eigh`` picks in a nearly double
-    lambda_min, and so where the open-bracket restarts start: changing it can
-    change ell_hat on open brackets."""
-    return np.linalg.svd(np.sqrt(pi.pmf)[None, :])[2][1:].T
+def _inclination_forms(pi: TargetDistribution) -> np.ndarray:
+    """Quadratic forms A_i of dist(f, M_i)^2 in coordinates y = D^{1/2} f,
+    as a (d, n, n) array.
 
-
-def _inclination_forms(pi: TargetDistribution) -> tuple[np.ndarray, np.ndarray]:
-    """Quadratic forms A_i on the mean-zero sphere, plus the chart Q (``_chart``).
-
-    In coordinates y = D^{1/2} f restricted to the orthogonal complement of
-    sqrt(pi), dist(f, M_i)^2 = v^T A_i v for y = Q v.  D^{1/2} P_i D^{-1/2}
-    is C_i C_i^T, whose columns are the unit vectors sqrt(pi(x_i | x_{-i}))
-    of the x_{-i} cells, so A_i = I - (Q^T C_i)(Q^T C_i)^T, exactly symmetric.
+    D^{1/2} P_i D^{-1/2} is C_i C_i^T, whose columns are the unit vectors
+    r = sqrt(pi(x_i | x_{-i})) of the x_{-i} cells, so on mean-zero y,
+    dist(f, M_i)^2 = y^T (I - C_i C_i^T) y.  The constants s = sqrt(pi) lie
+    in every M_i, and A_i = I - C_i C_i^T + 2 s s^T lifts them to eigenvalue 2
+    of every sum_i w_i A_i, above the mean-zero spectrum [0, 1]: lambda_min
+    and the min-max then live on the mean-zero functions.  Each A_i is one
+    outer product and one scatter of its cells' r r^T, exactly symmetric.
     """
-    q = _chart(pi)
-    m = q.shape[1]
-    forms = np.empty((pi.space.d, m, m))
+    s = np.sqrt(pi.pmf)
+    n = s.shape[0]
+    forms = np.empty((pi.space.d, n, n))
     for form, (cells, cond) in zip(forms, pi.conditionals):
-        qc = np.einsum("ckm,ck->mc", q[cells], np.sqrt(cond))
-        np.subtract(np.eye(m), qc @ qc.T, out=form)
-    return forms, q
+        r = np.sqrt(cond)
+        np.outer(2.0 * s, s, out=form)
+        form[cells[:, :, None], cells[:, None, :]] -= r[:, :, None] * r[:, None, :]
+        form.flat[::n + 1] += 1.0
+    return forms
 
 
 def _max_form(forms: np.ndarray, v: np.ndarray) -> float:
@@ -203,8 +202,8 @@ def _scan_norms(forms: np.ndarray, scans: Sequence[RandomScan]) -> dict:
 
     On mean-zero functions sum_i w_i A_i = I - RSG_w, and RSG_w, a mix of
     orthogonal projections, is positive semi-definite, so its centered norm
-    is its top eigenvalue there.  The sums are solved by ``eigvalsh`` in
-    chunks of at most _STACK_BYTES.
+    is its top eigenvalue there; the constants, at 2, are never the least.
+    The sums are solved by ``eigvalsh`` in chunks of at most _STACK_BYTES.
     """
     m = forms.shape[1]
     scans = list(dict.fromkeys(scans))
@@ -396,11 +395,12 @@ def inclination_dual(forms: np.ndarray) -> tuple[float, float, np.ndarray]:
     H_ij = 2 sum_{k>=1} (v^T A_i u_k)(u_k^T A_j v)/(lambda_0 - lambda_k).
     Returns (lower, upper, plane) at the final w: lower = lambda_min,
     upper = max_i v^T A_i v for its eigenvector v = u_0, and plane the
-    columns u_0, u_1 (u_0 alone when m = 1), the witness first.  Each step
-    is cut short where it would leave the simplex or, to first order, close
-    more than DUAL_SEPARATION_SHARE of lambda_1 - lambda_0, then halved until
-    lambda_min does not fall.  Stops when the bracket closes, when lambda_min
-    turns multiple, or after DUAL_MAX_ITER steps.
+    columns u_0, u_1, the witness first (u_1 is the constants, at eigenvalue
+    2, when n = 2).  Each step is cut short where it would leave the simplex
+    or, to first order, close more than DUAL_SEPARATION_SHARE of
+    lambda_1 - lambda_0, then halved until lambda_min does not fall.  Stops
+    when the bracket closes, when lambda_min turns multiple, or after
+    DUAL_MAX_ITER steps.
     """
     d = forms.shape[0]
     w = np.full(d, 1.0 / d)
@@ -413,7 +413,7 @@ def inclination_dual(forms: np.ndarray) -> tuple[float, float, np.ndarray]:
         if _bracket_closed(lam[0], g.max()):
             break
         sep = lam[1:] - lam[0]
-        if sep.size == 0 or sep[0] <= DUAL_SEPARATION_TOL * scale:
+        if sep[0] <= DUAL_SEPARATION_TOL * scale:
             break
         h = 2.0 * (b[1:] / -sep[:, None]).T @ b[1:]
         p = _simplex_newton_step(w, g, h)
@@ -481,11 +481,6 @@ def _branch_polish(forms: np.ndarray, w: np.ndarray, beta: float):
     return None
 
 
-def _witness(pi: TargetDistribution, v: np.ndarray) -> np.ndarray:
-    """The function f = D^{-1/2} Q v by flat state, for v in chart coordinates."""
-    return (_chart(pi) @ v) / np.sqrt(pi.pmf)
-
-
 def inclination(pi: TargetDistribution, restarts: int = 32,
                 scans: Sequence[RandomScan] = ()) -> InclinationResult:
     """The inclination bracketed by the random-scan dual, with a witness.
@@ -493,8 +488,9 @@ def inclination(pi: TargetDistribution, restarts: int = 32,
     ``inclination_dual`` runs first.  If its bracket closes, ell_hat is the
     witness's value sqrt(max_i v^T A_i v), certified to CERTIFY_TOL, and no
     restart runs.  Otherwise ell_hat comes from a multi-restart minimization
-    of max_i dist(f, M_i) over the unit sphere of mean-zero functions, via
-    log-sum-exp smoothing with a sharpening temperature schedule.  Restart j
+    of max_i v^T A_i v over the unit sphere, whose minimizers the lift of the
+    constants keeps mean-zero, via log-sum-exp smoothing with a sharpening
+    temperature schedule.  Restart j
     starts at cos(theta_j) u_0 + sin(theta_j) u_1, theta_j = pi j / restarts,
     in the plane of the dual's two lowest eigenvectors at its final weights:
     no seed enters, and doubling ``restarts`` keeps every start, bit for bit.
@@ -511,28 +507,25 @@ def inclination(pi: TargetDistribution, restarts: int = 32,
     Either way ``lower`` is sqrt of
     the dual, and ``kkt_residual`` is max_i v^T A_i v - lambda for the
     witness v and the eigenvalue lambda it was certified or polished at
-    (None when no polish passed in the best restart).  ``scan_norms`` maps
+    (None when no polish passed in the best restart); the witness function
+    is v / sqrt(pi).  ``scan_norms`` maps
     each of ``scans`` (random scans, or their weight tuples) to its centered
     norm, from the same forms (``_scan_norms``).
     """
     if restarts < 1:
         raise ValidationError("restarts must be >= 1, got %d" % restarts)
     scans = [_checked_scan(scan, RandomScan, pi) for scan in scans]
-    # the n x n chart is built again for the witness, not held through the
-    # eigen-solves: 2.1 MB at d = 9, 8.4 MB at d = 10
-    forms = _inclination_forms(pi)[0]
+    forms = _inclination_forms(pi)
     scan_norms = _scan_norms(forms, scans)
     lower, upper, plane = inclination_dual(forms)
     ell_lower = float(np.sqrt(max(lower, 0.0)))
     if _bracket_closed(lower, upper):
         return InclinationResult(value=float(np.sqrt(max(upper, 0.0))),
-                                 witness=_witness(pi, plane[:, 0]), restarts=0, lower=ell_lower,
-                                 certified=True, kkt_residual=upper - lower,
+                                 witness=plane[:, 0] / np.sqrt(pi.pmf), restarts=0,
+                                 lower=ell_lower, certified=True, kkt_residual=upper - lower,
                                  scan_norms=scan_norms)
     theta = np.pi * np.arange(restarts) / restarts
-    w = np.cos(theta)[:, None] * plane[:, 0]
-    if plane.shape[1] > 1:  # with m = 1 the sphere is u_0 and -u_0
-        w += np.sin(theta)[:, None] * plane[:, 1]
+    w = np.cos(theta)[:, None] * plane[:, 0] + np.sin(theta)[:, None] * plane[:, 1]
     residuals = [None] * restarts
     live = np.arange(restarts)
     for beta in (32.0, 256.0, 2048.0, 16384.0):
@@ -548,8 +541,8 @@ def inclination(pi: TargetDistribution, restarts: int = 32,
     values = [_max_form(forms, v) for v in w]
     best = int(np.argmin(values))  # the least value; a tie goes to the lowest index
     return InclinationResult(value=float(np.sqrt(max(values[best], 0.0))),
-                             witness=_witness(pi, w[best]), restarts=restarts, lower=ell_lower,
-                             certified=False, kkt_residual=residuals[best],
+                             witness=w[best] / np.sqrt(pi.pmf), restarts=restarts,
+                             lower=ell_lower, certified=False, kkt_residual=residuals[best],
                              scan_norms=scan_norms)
 
 

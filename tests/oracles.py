@@ -237,6 +237,37 @@ def bucket_table(cum: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return thr, pick
 
 
+def chart(pi: TargetDistribution) -> np.ndarray:
+    """An orthonormal basis Q of the mean-zero coordinates sqrt(pi)-perp: the
+    last n - 1 right singular vectors of the row sqrt(pi)^T, an (n, n - 1)
+    array (the basis ``scipy.linalg.null_space`` gives)."""
+    return np.linalg.svd(np.sqrt(pi.pmf)[None, :])[2][1:].T
+
+
+def complement_factor_gap(pi: TargetDistribution, w) -> float:
+    """1 - ||RSG_w - Pi|| as the second-smallest singular value squared of
+    [sqrt(w_1) H_1, ..., sqrt(w_d) H_d], with no sum of forms (oracle for
+    ``geometry._scan_norms``).
+
+    H_i stacks, on each x_{-i} cell, an orthonormal basis of the complement of
+    the cell's unit vector r = sqrt(pi(x_i | x_{-i})) (the last right singular
+    vectors of the row r^T), so H_i H_i^T = I - D^{1/2} P_i D^{-1/2} and the
+    stack's Gram matrix is I - RSG_w in the coordinates D^{1/2} f.  Its
+    smallest singular value, 0, belongs to the constants.
+    """
+    n = pi.pmf.shape[0]
+    blocks = []
+    for weight, (cells, cond) in zip(w, pi.conditionals):
+        m, k = cells.shape
+        complement = np.linalg.svd(np.sqrt(cond)[:, None, :])[2][:, 1:]  # (m, k - 1, k)
+        h = np.zeros((n, m, k - 1))
+        h[cells, np.arange(m)[:, None], :] = complement.transpose(0, 2, 1)
+        blocks.append(math.sqrt(weight) * h.reshape(n, m * (k - 1)))
+    singular = np.linalg.svd(np.hstack(blocks), compute_uv=False)
+    singular = np.append(singular, np.zeros(max(0, n - singular.size)))
+    return float(np.sort(singular)[1] ** 2)
+
+
 def smoothed_objective(w: np.ndarray, forms: np.ndarray, beta: float):
     """(1/beta) log sum_i exp(beta v^T A_i v) at v = w / |w| for one vector w,
     with its gradient in w, by einsum (oracle for one row of

@@ -276,14 +276,14 @@ class TestAnalyzeCommand:
         code = main(["analyze", "--model", "equicorrelated_binary", "--d", "3",
                      "--epsilon", "0.25", "--out-dir", str(tmp_path)])
         assert code == 0
-        # the uniform and 8 sampled random scans' norms from the inclination's 7 x 7
+        # the uniform and 8 sampled random scans' norms from the inclination's 8 x 8
         # forms in one eigvalsh call; then one pass: each small step densified once, the
         # 3! sweep orders' norms (squared, the SYM panel) from the SVD of one order per
         # reversal pair; only the identity sweep's radius needs an eigen-solve, a random
         # scan's radius is its norm by its type, with no reversibility probe and no
         # per-scan operator
         assert stepped == Counter({1: 1, 2: 1, 3: 1})
-        assert stacked == [("eigvalsh", (9, 7, 7)), ("eigvals", (1, 8, 8)), ("svd", (3, 8, 8))]
+        assert stacked == [("eigvalsh", (9, 8, 8)), ("eigvals", (1, 8, 8)), ("svd", (3, 8, 8))]
         assert counts == Counter()
 
     @pytest.mark.parametrize("target", ["model_d3", "pmf_2x3x2"])

@@ -385,6 +385,26 @@ def _eigh_at(forms: np.ndarray, w: np.ndarray):
     return np.linalg.eigh(_form_sums(forms, w))
 
 
+def _dual_step(forms: np.ndarray, w: np.ndarray, lam: np.ndarray, u: np.ndarray,
+               g: np.ndarray, p: np.ndarray):
+    """(w', eigenvalues, eigenvectors) of the dual's step from w along p, or
+    None if 30 halvings leave lambda_min falling."""
+    sep = lam[1] - lam[0]
+    shrink = p < 0.0
+    step = min(1.0, float(np.min(w[shrink] / -p[shrink]))) if shrink.any() else 1.0
+    closing = float(p @ ((forms @ u[:, 1]) @ u[:, 1] - g))  # d(lambda_1 - lambda_0)
+    if step * closing < -DUAL_SEPARATION_SHARE * sep:
+        step = DUAL_SEPARATION_SHARE * sep / -closing
+    for _ in range(30):  # halvings
+        trial = np.maximum(w + step * p, 0.0)
+        trial /= trial.sum()
+        lam_t, u_t = _eigh_at(forms, trial)
+        if lam_t[0] >= lam[0] - 4.0 * np.finfo(float).eps * max(1.0, abs(lam[0])):
+            return trial, lam_t, u_t
+        step *= 0.5
+    return None
+
+
 def inclination_dual(forms: np.ndarray) -> tuple[float, float, np.ndarray]:
     """Bracket lower <= ell^2 <= upper from the random-scan dual, and its
     lowest eigenvectors.
@@ -398,9 +418,12 @@ def inclination_dual(forms: np.ndarray) -> tuple[float, float, np.ndarray]:
     columns u_0, u_1, the witness first (u_1 is the constants, at eigenvalue
     2, when n = 2).  Each step is cut short where it would leave the simplex
     or, to first order, close more than DUAL_SEPARATION_SHARE of
-    lambda_1 - lambda_0, then halved until lambda_min does not fall.  Stops
-    when the bracket closes, when lambda_min turns multiple, or after
-    DUAL_MAX_ITER steps.
+    lambda_1 - lambda_0, then halved until lambda_min does not fall.  Where
+    the Newton step leaves w unchanged (a Hessian that vanishes up to
+    rounding, as where lambda_min is linear in w), the Frank-Wolfe step
+    e_k - w toward the vertex k = argmax_i g_i is taken the same way.  Stops
+    when the bracket closes, when lambda_min turns multiple, when no step
+    moves w, or after DUAL_MAX_ITER steps.
     """
     d = forms.shape[0]
     w = np.full(d, 1.0 / d)
@@ -416,24 +439,12 @@ def inclination_dual(forms: np.ndarray) -> tuple[float, float, np.ndarray]:
         if sep[0] <= DUAL_SEPARATION_TOL * scale:
             break
         h = 2.0 * (b[1:] / -sep[:, None]).T @ b[1:]
-        p = _simplex_newton_step(w, g, h)
-        shrink = p < 0.0
-        step = min(1.0, float(np.min(w[shrink] / -p[shrink]))) if shrink.any() else 1.0
-        closing = float(p @ ((forms @ u[:, 1]) @ u[:, 1] - g))  # d(lambda_1 - lambda_0)
-        if step * closing < -DUAL_SEPARATION_SHARE * sep[0]:
-            step = DUAL_SEPARATION_SHARE * sep[0] / -closing
-        for _ in range(30):  # halvings
-            trial = np.maximum(w + step * p, 0.0)
-            trial /= trial.sum()
-            lam_t, u_t = _eigh_at(forms, trial)
-            if lam_t[0] >= lam[0] - 4.0 * np.finfo(float).eps * scale:
-                break
-            step *= 0.5
-        else:
+        moved = _dual_step(forms, w, lam, u, g, _simplex_newton_step(w, g, h))
+        if moved is not None and np.array_equal(moved[0], w):
+            moved = _dual_step(forms, w, lam, u, g, np.eye(d)[np.argmax(g)] - w)
+        if moved is None or np.array_equal(moved[0], w):
             break
-        if np.array_equal(trial, w):
-            break
-        w, lam, u = trial, lam_t, u_t
+        w, lam, u = moved
     return float(lam[0]), _max_form(forms, u[:, 0]), u[:, :2]
 
 

@@ -284,27 +284,49 @@ def test_c11_counterexample_cli(tmp_path):
              moment_ok, divergent_ok, elapsed))
 
 
+C12_COMMANDS = {
+    "analyze": ["analyze", "--model", "equicorrelated_binary", "--d", "2",
+                "--epsilon", "0.25", "--restarts", "4"],
+    "sweep": ["sweep", "--epsilon", "0.25", "--d-list", "2,3,4"],
+    "sample": ["sample", "--model", "equicorrelated_binary", "--d", "2",
+               "--epsilon", "0.25", "--n", "5000", "--replicas", "1000",
+               "--n-grid", "100", "--eps-grid", "0.2,0.3"],
+    "counterexample": ["counterexample", "--q", "0.5", "--N", "5,10"],
+}
+
+
+def _same_files(a, b):
+    files = sorted(p.name for p in a.iterdir())
+    return files == sorted(p.name for p in b.iterdir()) and all(
+        (a / f).read_bytes() == (b / f).read_bytes() for f in files
+    )
+
+
 def test_c12_determinism(tmp_path):
-    commands = {
-        "analyze": ["analyze", "--model", "equicorrelated_binary", "--d", "2",
-                    "--epsilon", "0.25", "--restarts", "4"],
-        "sweep": ["sweep", "--epsilon", "0.25", "--d-list", "2,3,4"],
-        "sample": ["sample", "--model", "equicorrelated_binary", "--d", "2",
-                   "--epsilon", "0.25", "--n", "5000", "--replicas", "1000",
-                   "--n-grid", "100", "--eps-grid", "0.2,0.3"],
-        "counterexample": ["counterexample", "--q", "0.5", "--N", "5,10"],
-    }
     ok = True
     detail = []
-    for name, argv in commands.items():
+    for name, argv in C12_COMMANDS.items():
         dirs = [tmp_path / name / "a", tmp_path / name / "b"]
         for d in dirs:
             out = _run_cli(argv + ["--out-dir", str(d)])
             assert out.returncode == 0, out.stderr
-        files = sorted(p.name for p in dirs[0].iterdir())
-        same = files == sorted(p.name for p in dirs[1].iterdir()) and all(
-            (dirs[0] / f).read_bytes() == (dirs[1] / f).read_bytes() for f in files
-        )
+        same = _same_files(*dirs)
         ok = ok and same
         detail.append("%s=%s" % (name, "identical" if same else "DIFFERS"))
     _emit("C12", "byte-identical reruns", ok, ", ".join(detail))
+
+
+def test_c12_reruns_into_one_out_dir(tmp_path):
+    # the second run into one --out-dir replaces the first run's reports: the
+    # same file set and bytes as a run into a fresh directory, nothing stray
+    ok = True
+    detail = []
+    for name, argv in C12_COMMANDS.items():
+        rerun, fresh = tmp_path / name / "rerun", tmp_path / name / "fresh"
+        for d in (rerun, rerun, fresh):
+            out = _run_cli(argv + ["--out-dir", str(d)])
+            assert out.returncode == 0, out.stderr
+        same = _same_files(rerun, fresh)
+        ok = ok and same
+        detail.append("%s=%s" % (name, "identical" if same else "DIFFERS"))
+    _emit("C12", "byte-identical reruns into one --out-dir", ok, ", ".join(detail))

@@ -10,7 +10,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from gibbsgap import bounds, cli, counterexample, geometry, measure, operators, sampler
+from gibbsgap import bounds, cli, counterexample, geometry, measure, operators, reporting, sampler
 from gibbsgap.cli import main, parse_scan
 from gibbsgap.errors import ValidationError
 from gibbsgap.operators import DeterministicScan, RandomScan
@@ -1079,6 +1079,20 @@ class TestEntryPoint:
 
 
 class TestReporting:
+    @pytest.fixture(autouse=True)
+    def report_opens(self, monkeypatch):
+        """(path, mode) of every open in gibbsgap.reporting; an open that would
+        truncate an existing file in place fails the test."""
+        opened = []
+
+        def spy(file, mode="r", *args, **kwargs):
+            assert not ("w" in mode and os.path.lexists(file)), "%s truncated in place" % file
+            opened.append((os.fspath(file), mode))
+            return open(file, mode, *args, **kwargs)
+
+        monkeypatch.setattr(reporting, "open", spy, raising=False)
+        return opened
+
     def test_json_sorted_and_newline_terminated(self, tmp_path):
         path = tmp_path / "x.json"
         write_json({"b": 1, "a": [1.5, 2]}, str(path))
@@ -1092,6 +1106,11 @@ class TestReporting:
         with pytest.raises(ValueError):
             write_json({"a": [1.5, value]}, str(path))
         assert not path.exists()
+        write_json({"a": [1.5]}, str(path))
+        before = path.read_bytes()
+        with pytest.raises(ValueError):
+            write_json({"a": [1.5, value]}, str(path))
+        assert path.read_bytes() == before
 
     def test_csv_repr_floats(self, tmp_path):
         path = tmp_path / "x.csv"
@@ -1116,6 +1135,11 @@ class TestReporting:
         with pytest.raises(TypeError):
             write_json({"a": [1, value]}, str(path))
         assert not path.exists()
+        write_json({"a": [1]}, str(path))
+        before = path.read_bytes()
+        with pytest.raises(TypeError):
+            write_json({"a": [1, value]}, str(path))
+        assert path.read_bytes() == before
 
     def test_csv_numpy_cells_equal_python_cells(self, tmp_path):
         columns = ["f", "small", "large", "none", "flag"]
@@ -1125,3 +1149,20 @@ class TestReporting:
         write_csv([numpy_row, plain_row], str(tmp_path / "x.csv"), columns=columns)
         lines = (tmp_path / "x.csv").read_text().splitlines()
         assert lines[1:] == ["0.1,1e-05,1e+16,,True"] * 2
+
+    @pytest.mark.parametrize("write", [
+        lambda rows, path: write_json({"rows": rows}, path),
+        lambda rows, path: write_csv(rows, path, columns=["v", "w"]),
+    ], ids=["json", "csv"])
+    def test_rewrite_leaves_exactly_the_new_report(self, tmp_path, report_opens, write):
+        # a short report over a long one: no stale tail of the long one, no
+        # stray file, and the existing report never opened for truncation
+        path, fresh = tmp_path / "report", tmp_path / "fresh"
+        write([{"v": 0.1 * k, "w": k} for k in range(50)], str(path))
+        long_size = path.stat().st_size
+        write([{"v": 1.5}], str(path))
+        write([{"v": 1.5}], str(fresh))
+        assert path.stat().st_size < long_size
+        assert path.read_bytes() == fresh.read_bytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["fresh", "report"]
+        assert [p for p, _ in report_opens] == [str(path), str(path), str(fresh)]

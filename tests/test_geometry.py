@@ -159,15 +159,16 @@ class TestInclination:
 
     def test_one_mean_zero_direction(self):
         # two states: M_i holds every function where |X_i| = 1 and only the
-        # constants where |X_i| = 2, so ell = 1.  The constants are the dual's
-        # second eigenvector; whether its step to the vertex certifies rides on
-        # a Hessian that is zero up to rounding, so only the value is pinned
+        # constants where |X_i| = 2, so ell = 1.  lambda_min is linear in w and
+        # its Hessian zero up to rounding; the dual reaches the vertex w = e_k
+        # of the 2-valued coordinate (by Frank-Wolfe where the Newton step is
+        # lost to rounding) and certifies
         for pi in (random_target(seed=1, dims=(2, 1)),
                    TargetDistribution(ProductSpace((1, 2, 1)), np.array([0.6, 0.4]))):
             res = inclination(pi, restarts=4)
             assert res.value == pytest.approx(1.0, abs=1e-12)
             assert res.lower <= res.value + 1e-12
-            assert res.certified == (res.restarts == 0)
+            assert res.certified and res.restarts == 0
 
     def test_single_valued_coordinate_certifies(self):
         # six states, M_2 holding every function: the dual closes the bracket
